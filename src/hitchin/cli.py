@@ -3,8 +3,8 @@ r"""Command-line surface.
 Subcommands: invariants, reparam, kbound, entropy-scan, psi-trace,
 fuchsian-gen, selftest.  Exit codes: 0 success, 1 mathematical-relation
 failure, 2 input or schema failure.  All commands are deterministic given
-the config and seed; CSV output is byte-stable apart from the timestamp
-header line.
+the config; CSV output is byte-stable apart from the timestamp header
+line.
 """
 
 from __future__ import annotations
@@ -419,7 +419,6 @@ def build_parser():
         p.add_argument("--config", default="", help="path to the JSON config")
         p.add_argument("--backend", choices=("exact", "float64"), default=None)
         p.add_argument("--out", default="", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None)
         if name == "reparam":
             p.add_argument(
                 "--direction", choices=("forward", "inverse"), required=True
@@ -438,8 +437,6 @@ def main(argv=None):
             cfg = RunConfig.from_dict({})
         if args.backend:
             cfg.backend = args.backend
-        if args.seed is not None:
-            cfg.seed = args.seed
         out = args.out or cfg.output_path
         if args.command == "invariants":
             return cmd_invariants(cfg, out)

@@ -24,7 +24,6 @@ _TOP_KEYS = {
     "n",
     "genus",
     "backend",
-    "seed",
     "tolerances",
     "surface",
     "decomposition",
@@ -92,7 +91,6 @@ class RunConfig:
     n: int = 3
     genus: int = 2
     backend: str = "float64"
-    seed: int = 0
     closed_leaf_tol: float = 1e-9
     depth_cap: int = 64
     word: str = ""
@@ -140,7 +138,6 @@ class RunConfig:
         cfg.backend = data.get("backend", "float64")
         if cfg.backend not in ("exact", "float64"):
             raise ConfigError(f"unknown backend {cfg.backend!r}")
-        cfg.seed = int(data.get("seed", 0))
         tol = data.get("tolerances", {})
         cfg.closed_leaf_tol = float(parse_scalar(tol.get("closed_leaf", 1e-9)))
         tracer = data.get("tracer", {})

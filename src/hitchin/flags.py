@@ -167,18 +167,27 @@ def reconstruct_triple(f, h, g_line, ratios, normalize_first_coord=True):
         current = Subspace.span(g_basis, ambient=n, backend=backend)
         if not meet.contains_subspace(current):
             raise DegenerateError("reconstructed level does not extend the flag")
-        new_vec = next(v for v in meet.basis if not current.contains(v))
+        new_vec = next((v for v in meet.basis if not current.contains(v)), None)
+        if new_vec is None:
+            raise DegenerateError(
+                f"reconstructed level {y0 + 1} does not extend level {y0}"
+            )
         if normalize_first_coord:
-            lead = next(x for x in new_vec if x != 0)
+            lead = next((x for x in new_vec if x != 0), None)
+            if lead is None:
+                raise DegenerateError(f"reconstructed level {y0 + 1} has a zero vector")
             new_vec = tuple(x / lead for x in new_vec)
         g_basis.append(new_vec)
 
-    last = next(
-        v
-        for v in Subspace.full(n, backend).basis
-        if Subspace.span(g_basis + [v], ambient=n, backend=backend).dim == n
-    )
-    g_basis.append(last)
+    for v in Subspace.full(n, backend).basis:
+        if Subspace.span(g_basis + [v], ambient=n, backend=backend).dim == n:
+            g_basis.append(v)
+            break
+    else:
+        raise DegenerateError(
+            f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
+            f"vector completes the flag"
+        )
     return Flag.from_basis(g_basis, backend=backend)
 
 

@@ -207,10 +207,6 @@ def mat2_eq_projective(m, n):
     return m == n or m == tuple(tuple(-x for x in row) for row in n)
 
 
-def invert_word(word):
-    return word[::-1].swapcase()
-
-
 def is_hyperbolic(m):
     tr = mat2_trace(m)
     return tr * tr > 4 * mat2_det(m)

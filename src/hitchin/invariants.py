@@ -14,8 +14,6 @@ assumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import (
     DegenerateError,
     Subspace,
@@ -122,7 +120,9 @@ def transverse_line(flag, mult, rng=None):
         return flag.subspace(1).line_vector()
     lower = flag.subspace(mult)
     upper = flag.subspace(mult + 1)
-    vec = next(v for v in upper.basis if not lower.contains(v))
+    vec = next((v for v in upper.basis if not lower.contains(v)), None)
+    if vec is None:
+        raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
     if rng is not None:
         coeffs = [flag.backend.convert(int(rng.integers(-3, 4))) for _ in lower.basis]
         for c, b in zip(coeffs, lower.basis):
@@ -133,7 +133,7 @@ def transverse_line(flag, mult, rng=None):
 def _moving_line(flag, base_flags_mults, rng=None):
     mult = 0
     for bflag, bm in base_flags_mults:
-        if bflag is flag or bflag == flag:
+        if bflag is flag:
             mult = bm
             break
     return transverse_line(flag, mult, rng=rng)
@@ -165,24 +165,6 @@ def cross_ratio_flags(a, b, c, d, base, rng=None):
     return cross_ratio(lines, m_space)
 
 
-@dataclass(frozen=True)
-class TripleRatioIndex:
-    x: int
-    y: int
-    z: int
-
-    def __post_init__(self):
-        if min(self.x, self.y, self.z) < 1:
-            raise DegenerateError(f"triple ratio index {self} outside Z+^3")
-
-    @property
-    def n(self):
-        return self.x + self.y + self.z
-
-    def as_tuple(self):
-        return (self.x, self.y, self.z)
-
-
 def triple_index_set(n):
     """The index set {(x,y,z) in (Z+)^3 : x+y+z = n}."""
     return [
@@ -206,10 +188,7 @@ def shear_index_set(n):
 
 def triple_ratio(f, g, h, index):
     """Triple ratio T_{x,y,z}(F, G, H) of a generic flag triple."""
-    if isinstance(index, TripleRatioIndex):
-        x, y, z = index.as_tuple()
-    else:
-        x, y, z = index
+    x, y, z = index
     n = f.ambient
     if x + y + z != n or min(x, y, z) < 1:
         raise DegenerateError(f"index {(x, y, z)} not admissible for n={n}")
@@ -223,10 +202,6 @@ def triple_ratio(f, g, h, index):
     if den == 0:
         raise DegenerateError("triple ratio of a non-generic triple")
     return num / den
-
-
-def all_triple_ratios(f, g, h):
-    return {idx: triple_ratio(f, g, h, idx) for idx in triple_index_set(f.ambient)}
 
 
 def eigen_gap_check(matrix, i, j, line):

@@ -2,10 +2,16 @@ r"""Exact-rational and float64 multilinear algebra on R^n for small n.
 
 Everything downstream (cross ratios, triple ratios, flag reconstruction,
 the degeneration functionals) reduces to wedge determinants, sums and
-intersections of subspaces, and rank decisions.  All of it is implemented
-twice over a shared code path: an exact backend over ``fractions.Fraction``
-where identities hold on the nose, and a float64 backend with a relative
-pivot threshold for rank decisions.  A computation never mixes backends.
+intersections of subspaces, and rank decisions, on one of two backends;
+a computation never mixes them.
+
+* The exact backend works over ``fractions.Fraction``, where identities
+  hold on the nose.  Its determinant, rank, RREF and kernel all come from
+  one fraction-free (Bareiss) Gauss-Jordan elimination on integer rows,
+  ``_eliminate``.
+* The float64 backend takes determinants from ``numpy.linalg.det`` and
+  row-reduces with partial pivoting, deciding rank with the relative
+  pivot threshold ``PIVOT_RTOL``.
 
 Subspaces are stored with a canonical reduced-row-echelon basis, so two
 subspaces are equal iff their representations are equal.  Matrices that
@@ -15,6 +21,7 @@ about eigenvalue data normalize to determinant +-1 first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,16 +83,6 @@ FLOAT64 = Backend("float64")
 PIVOT_RTOL = 1e-10
 
 
-def as_backend(name):
-    if isinstance(name, Backend):
-        return name
-    if name == "exact":
-        return EXACT
-    if name in ("float64", "float"):
-        return FLOAT64
-    raise BackendError(f"unknown backend {name!r}")
-
-
 def infer_backend(entries):
     """Guess the backend from raw scalar entries (float wins over int)."""
     for x in entries:
@@ -106,29 +103,66 @@ def convert_matrix(rows, backend):
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# exact elimination kernel
 
 
-def _det_bareiss_int(rows):
-    """Fraction-free determinant for integer matrices (exact, fast)."""
-    a = [list(r) for r in rows]
-    n = len(a)
+def _integer_rows(rows):
+    """Integer rows proportional to the given rational rows, and the scale.
+
+    Row i is multiplied by the lcm of its denominators; ``scale`` is the
+    product of those multipliers, so det(rows) = det(int_rows) / scale.
+    """
+    out = []
+    scale = 1
+    for row in rows:
+        m = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+        scale *= m
+    return out, scale
+
+
+def _eliminate(a, ncols, reduce_above=True):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
+
+    Works in place on the list of integer rows ``a``, looking for pivots
+    in the first ``ncols`` columns and skipping columns without one.
+    Returns (pivot_columns, sign), sign being the parity of the row swaps.
+    Afterwards row i < rank carries the last pivot d in column
+    pivot_columns[i] and zeros in the other pivot columns, so the rows
+    divided by d are the RREF, and sign * d is the determinant of a
+    nonsingular square input.  A determinant needs only the echelon form:
+    ``reduce_above=False`` leaves the rows above each pivot alone, which
+    still ends on d and saves about two thirds of the work.
+    """
+    m = len(a)
+    piv_cols = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    r = 0
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, pivot_row = a[r][c], a[r]
+        for i in range(0 if reduce_above else r + 1, m):
+            if i != r:
+                f = a[i][c]
+                # every entry is a minor of the input (Sylvester's identity),
+                # so the division by the previous pivot is exact
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols, sign
+
+
+# ---------------------------------------------------------------------------
+# determinants
 
 
 def det(rows, backend=None):
@@ -144,37 +178,11 @@ def det(rows, backend=None):
         if n == 1:
             return float(rows[0][0])
         return float(np.linalg.det(np.array(rows, dtype=float)))
-    ints = all(
-        isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1)
-        for r in rows
-        for x in r
-    )
-    if ints:
-        return Fraction(_det_bareiss_int([[int(x) for x in r] for r in rows]))
-    # plain fraction Gaussian elimination
-    a = [[Fraction(x) for x in r] for r in rows]
-    sign = 1
-    out = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        out *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] == 0:
-                continue
-            f = a[i][k] * inv
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return sign * out
+    a, scale = _integer_rows(rows)
+    piv_cols, sign = _eliminate(a, n, reduce_above=False)
+    if len(piv_cols) < n:
+        return Fraction(0)
+    return Fraction(sign * a[-1][-1], scale)
 
 
 def wedge_det(vectors, backend=None):
@@ -203,37 +211,36 @@ def rref(rows, backend, ncols=None):
     Returns (rows, pivot_columns); zero rows are dropped.  Float mode uses
     partial pivoting with a relative threshold, exact mode true rank.
     """
-    a = [list(r) for r in rows]
-    if not a:
+    if not rows:
         return (), ()
-    m, n = len(a), ncols if ncols is not None else len(a[0])
-    scale = None
-    if not backend.exact:
-        scale = max((abs(x) for r in a for x in r), default=0.0)
+    n = ncols if ncols is not None else len(rows[0])
+    if backend.exact:
+        a, _ = _integer_rows(rows)
+        piv_cols = _eliminate(a, n)[0]
+        red = tuple(
+            tuple(Fraction(x, a[i][c]) for x in a[i]) for i, c in enumerate(piv_cols)
+        )
+        return red, tuple(piv_cols)
+    a = [list(r) for r in rows]
+    m = len(a)
+    scale = max((abs(x) for r in a for x in r), default=0.0)
     piv_cols = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        if backend.exact:
-            piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        else:
-            piv = max(range(r, m), key=lambda i: abs(a[i][c]))
-            if backend.is_zero(a[piv][c], scale):
-                piv = None
-        if piv is None:
+        piv = max(range(r, m), key=lambda i: abs(a[i][c]))
+        if backend.is_zero(a[piv][c], scale):
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv = (
-            Fraction(1) / a[r][c] if backend.exact else 1.0 / a[r][c]
-        )
+        inv = 1.0 / a[r][c]
         a[r] = [x * inv for x in a[r]]
-        a[r][c] = backend.one()
+        a[r][c] = 1.0
         for i in range(m):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                a[i][c] = backend.zero()
+                a[i][c] = 0.0
         piv_cols.append(c)
         r += 1
     out = tuple(tuple(a[i]) for i in range(r))
@@ -456,7 +463,9 @@ class Flag:
         span = Subspace.zero(self.ambient, self.backend)
         for k in range(1, self.ambient + 1):
             target = self.subspace(k)
-            new = next(v for v in target.basis if not span.contains(v))
+            new = next((v for v in target.basis if not span.contains(v)), None)
+            if new is None:
+                raise DegenerateError(f"flag level {k} does not extend level {k - 1}")
             vecs.append(new)
             span = span | Subspace.span([new], ambient=self.ambient, backend=self.backend)
         self._basis = tuple(vecs)
@@ -492,15 +501,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
-
-
-def mat_inv(rows, backend):
-    n = len(rows)
-    aug = [list(convert_vector(r, backend)) + [backend.one() if i == j else backend.zero() for j in range(n)] for i, r in enumerate(rows)]
-    red, piv = rref(aug, backend, ncols=2 * n)
-    if list(piv[:n]) != list(range(n)):
-        raise DegenerateError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
 
 
 def is_generic_triple(f, g, h):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .invariants import shear_index_set, triple_index_set
-from .linalg import DegenerateError, WeylChamberPoint
+from .linalg import DegenerateError
 
 SLOTS = ("A", "B", "C")
 
@@ -307,9 +307,6 @@ class HitchinParams:
         )
         assert total == (2 * g - 2) * (n * n - 1)
 
-    def boundary_point(self, cid):
-        return WeylChamberPoint.from_gaps(self.boundary[cid])
-
 
 def slot_boundary_gaps(params, pants, slot):
     """Gaps of the given slot, reversing when the slot opposes the curve."""
@@ -443,109 +440,3 @@ def xi_inverse(params):
         invariants.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
     gluing = {cid: tuple(v) for cid, v in params.gluing.items()}
     return invariants, gluing
-
-
-def xi_inverse_dense(params):
-    """Independent oracle: solve the per-pants linear system densely.
-
-    Sets up the 3(n-1) x (3n-3) system in the non-parameter invariants and
-    solves it by exact Gaussian elimination; used to cross-check
-    :func:`xi_inverse` in tests.
-    """
-    n = params.n
-    decomp = params.decomp
-    unknowns = (
-        [("sigma", (1, n - 1, 0))]
-        + [("sigma", (x, 0, n - x)) for x in range(1, n)]
-        + [("sigma", (0, y, n - y)) for y in range(1, n)]
-        + [("tau_prime", idx) for idx in triple_index_set(n) if idx[0] == 1]
-    )
-    col = {u: i for i, u in enumerate(unknowns)}
-    out = []
-    for j in range(decomp.num_pants):
-        block = params.internal[j]
-
-        def known(kind, idx):
-            if kind == "tau":
-                return block[("tau", idx)]
-            if kind == "tau_prime" and idx[0] > 1:
-                return block[("tau_prime", idx)]
-            if kind == "sigma" and idx[2] == 0 and idx[0] > 1:
-                return block[("sigma", idx)]
-            return None
-
-        rows, rhs = [], []
-        gaps = {
-            "A": slot_boundary_gaps(params, j, "A"),
-            "B": slot_boundary_gaps(params, j, "B"),
-            "C": slot_boundary_gaps(params, j, "C"),
-        }
-        for slot in SLOTS:
-            for k in range(1, n):
-                row = [Fraction(0)] * len(unknowns)
-                b = Fraction(gaps[slot][k - 1])
-                for kind, idx in _gap_terms(slot, k, n):
-                    v = known(kind, idx)
-                    if v is not None:
-                        b -= Fraction(v)
-                    else:
-                        row[col[(kind, idx)]] += 1
-                rows.append(row)
-                rhs.append(b)
-        sol = _solve_exact(rows, rhs)
-        tau = {idx: block[("tau", idx)] for idx in triple_index_set(n)}
-        taup = {idx: block[("tau_prime", idx)] for idx in triple_index_set(n) if idx[0] > 1}
-        sigma = {(x, n - x, 0): block[("sigma", (x, n - x, 0))] for x in range(2, n)}
-        for (kind, idx), v in zip(unknowns, sol):
-            if kind == "sigma":
-                sigma[idx] = v
-            else:
-                taup[idx] = v
-        out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
-    return out
-
-
-def _gap_terms(slot, k, n):
-    """All invariant labels appearing in the slot identity at level k."""
-    terms = []
-    if slot == "A":
-        terms.append(("sigma", (n - k, k, 0)))
-        terms.append(("sigma", (n - k, 0, k)))
-        terms += [("tau", (n - k, i, k - i)) for i in range(1, k)]
-        terms += [("tau_prime", (n - k, i, k - i)) for i in range(1, k)]
-    elif slot == "B":
-        terms.append(("sigma", (0, n - k, k)))
-        terms.append(("sigma", (k, n - k, 0)))
-        terms += [("tau", (k - i, n - k, i)) for i in range(1, k)]
-        terms += [("tau_prime", (k - i, n - k, i)) for i in range(1, k)]
-    else:
-        terms.append(("sigma", (k, 0, n - k)))
-        terms.append(("sigma", (0, k, n - k)))
-        terms += [("tau", (i, k - i, n - k)) for i in range(1, k)]
-        terms += [("tau_prime", (i, k - i, n - k)) for i in range(1, k)]
-    return terms
-
-
-def _solve_exact(rows, rhs):
-    """Solve a square-rank exact linear system by Gaussian elimination."""
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    ncols = len(rows[0])
-    piv_rows = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            raise DegenerateError("singular reparameterization system")
-        m[r], m[piv] = m[piv], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_rows.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][ncols] != 0:
-            raise DegenerateError("inconsistent reparameterization system")
-    return [m[i][ncols] for i in range(ncols)]

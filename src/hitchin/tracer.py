@@ -108,13 +108,6 @@ class PsiEncoding:
     def is_closed_leaf(self):
         return self.closed_leaf_curve is not None
 
-    def rotated(self, k):
-        m = len(self.tuples)
-        return PsiEncoding(
-            tuples=tuple(self.tuples[(i + k) % m] for i in range(m)),
-            closed_leaf_curve=self.closed_leaf_curve,
-        )
-
 
 @dataclass(frozen=True)
 class CountPair:
@@ -616,14 +609,6 @@ class PsiTracer:
                 if in_arc(vp, p, q) == in_arc(xp, p, q):
                     return tri
         raise TraceError("no far triangle")  # pragma: no cover
-
-    def _pivot_of(self, e1, e2):
-        """The vertex lift of e1 shared with e2."""
-        p2 = self.edge_points(e2)
-        for v in self.edge_vertices(e1):
-            if any(points_equal(self.point(v), q) for q in p2):
-                return v
-        return None
 
     def _walk_period(self, start, x_mat, xm, xp):
         import dataclasses

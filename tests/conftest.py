@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from hitchin.fuchsian import genus2_surface
-from hitchin.linalg import DegenerateError, Flag
+from hitchin.invariants import triple_index_set
+from hitchin.linalg import EXACT, DegenerateError, Flag, rref
+from hitchin.pants import SLOTS, PantsInvariants, slot_boundary_gaps
 from hitchin.tracer import PsiTracer
 
 
@@ -46,3 +48,83 @@ def random_unimodular(rng, n, steps=6):
 @pytest.fixture
 def rng():
     return random.Random(20240809)
+
+
+def gap_terms(slot, k, n):
+    """All invariant labels appearing in the slot identity at level k."""
+    terms = []
+    if slot == "A":
+        terms.append(("sigma", (n - k, k, 0)))
+        terms.append(("sigma", (n - k, 0, k)))
+        terms += [("tau", (n - k, i, k - i)) for i in range(1, k)]
+        terms += [("tau_prime", (n - k, i, k - i)) for i in range(1, k)]
+    elif slot == "B":
+        terms.append(("sigma", (0, n - k, k)))
+        terms.append(("sigma", (k, n - k, 0)))
+        terms += [("tau", (k - i, n - k, i)) for i in range(1, k)]
+        terms += [("tau_prime", (k - i, n - k, i)) for i in range(1, k)]
+    else:
+        terms.append(("sigma", (k, 0, n - k)))
+        terms.append(("sigma", (0, k, n - k)))
+        terms += [("tau", (i, k - i, n - k)) for i in range(1, k)]
+        terms += [("tau_prime", (i, k - i, n - k)) for i in range(1, k)]
+    return terms
+
+
+def xi_inverse_dense(params):
+    """Independent oracle for ``xi_inverse``: solve each pants densely.
+
+    Sets up the 3(n-1) x (3n-3) system of slot identities in the
+    non-parameter invariants and solves it exactly by row-reducing the
+    augmented matrix.
+    """
+    n = params.n
+    unknowns = (
+        [("sigma", (1, n - 1, 0))]
+        + [("sigma", (x, 0, n - x)) for x in range(1, n)]
+        + [("sigma", (0, y, n - y)) for y in range(1, n)]
+        + [("tau_prime", idx) for idx in triple_index_set(n) if idx[0] == 1]
+    )
+    col = {u: i for i, u in enumerate(unknowns)}
+    width = len(unknowns)
+    out = []
+    for j in range(params.decomp.num_pants):
+        block = params.internal[j]
+
+        def known(kind, idx):
+            if kind == "tau":
+                return block[("tau", idx)]
+            if kind == "tau_prime" and idx[0] > 1:
+                return block[("tau_prime", idx)]
+            if kind == "sigma" and idx[2] == 0 and idx[0] > 1:
+                return block[("sigma", idx)]
+            return None
+
+        augmented = []
+        for slot in SLOTS:
+            gaps = slot_boundary_gaps(params, j, slot)
+            for k in range(1, n):
+                row = [Fraction(0)] * (width + 1)
+                row[width] = Fraction(gaps[k - 1])
+                for kind, idx in gap_terms(slot, k, n):
+                    v = known(kind, idx)
+                    if v is not None:
+                        row[width] -= Fraction(v)
+                    else:
+                        row[col[(kind, idx)]] += 1
+                augmented.append(row)
+        red, piv = rref(augmented, EXACT)
+        if piv[:width] != tuple(range(width)):
+            raise DegenerateError("singular reparameterization system")
+        if len(piv) > width:
+            raise DegenerateError("inconsistent reparameterization system")
+        tau = {idx: block[("tau", idx)] for idx in triple_index_set(n)}
+        taup = {idx: block[("tau_prime", idx)] for idx in triple_index_set(n) if idx[0] > 1}
+        sigma = {(x, n - x, 0): block[("sigma", (x, n - x, 0))] for x in range(2, n)}
+        for (kind, idx), row in zip(unknowns, red):
+            if kind == "sigma":
+                sigma[idx] = row[width]
+            else:
+                taup[idx] = row[width]
+        out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
+    return out

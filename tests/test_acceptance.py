@@ -52,12 +52,11 @@ from hitchin.pants import (
     internal_labels,
     xi_forward,
     xi_inverse,
-    _gap_terms,
     slot_boundary_gaps,
 )
 from hitchin.tracer import PsiTracer, cyclic_equal, r_and_s, validate_psi
 
-from conftest import random_flag, random_unimodular
+from conftest import gap_terms, random_flag, random_unimodular
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "degeneration.json").read_text()
@@ -273,7 +272,7 @@ def test_05_reparameterization(rng):
             for k in range(1, n):
                 row = [0.0] * len(unknowns)
                 b = float(gaps[k - 1])
-                for kind, idx in _gap_terms(slot, k, n):
+                for kind, idx in gap_terms(slot, k, n):
                     if (kind, idx) in col:
                         row[col[(kind, idx)]] += 1.0
                     elif kind == "tau":

@@ -39,11 +39,18 @@ class TestConfig:
         assert parse_scalar("3/7", exact=False) == pytest.approx(3 / 7)
         assert parse_scalar(2, exact=True) == 2
 
-    def test_unknown_keys_rejected(self):
+    def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"n": 3, "bogus": 1})
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"scan": {"stepz": 3}})
+        # nothing is random, so there is no seed key or flag
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps({"n": 3, "seed": 0}))
+        assert run_cli(["kbound", "--config", str(seeded)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["kbound", "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_n_range_checked(self):
         with pytest.raises(ConfigError):

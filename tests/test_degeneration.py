@@ -21,7 +21,7 @@ from hitchin.flags import veronese_flag_float
 from hitchin.fuchsian import fixed_points, fuchsian_invariants, mobius, translation_length
 from hitchin.invariants import is_infinite
 from hitchin.linalg import DegenerateError, Flag
-from hitchin.pants import xi_forward, xi_inverse
+from hitchin.pants import HitchinParams, internal_labels, xi_forward, xi_inverse
 from hitchin.tracer import CountPair, r_and_s
 
 
@@ -293,3 +293,29 @@ class TestScan:
         assert all(a > b for a, b in zip(es, es[1:]))
         ls = [r.L for r in rows]
         assert max(ls) - min(ls) < 1e-12  # boundary held fixed
+
+    def test_exhausted_flag_completion_is_a_failure_row(self, surface):
+        # closed-form Fuchsian point at n=6: tau = tau' = 0, every sigma the
+        # n=2 shear and every boundary gap the n=2 length.  Step 24 along
+        # -tau(1,4,1) leaves reconstruct_triple with no coordinate vector
+        # that completes the flag; the scan must report that row, not abort.
+        n = 6
+        inv2 = fuchsian_invariants(surface, 2)
+        params2 = xi_forward(surface.decomp, inv2, {c: (0.0,) for c in range(3)})
+        base = HitchinParams(
+            n=n,
+            decomp=surface.decomp,
+            boundary={c: (gaps[0],) * (n - 1) for c, gaps in params2.boundary.items()},
+            internal=tuple(
+                {
+                    label: inv.sigma[(1, 1, 0)] if label[0] == "sigma" else 0.0
+                    for label in internal_labels(n)
+                }
+                for inv in inv2
+            ),
+            gluing={c: (0.0,) * (n - 1) for c in range(3)},
+        )
+        direction = {("tau", (1, 4, 1)): -1.0}
+        [row] = internal_sequence_scan(shifted_params(base, direction, 24), direction, 0)
+        assert not row.flags_ok
+        assert row.error.startswith("reconstructed level 5")

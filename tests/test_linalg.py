@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from hitchin.linalg import (
     Subspace,
     WeylChamberPoint,
     cartan_projection,
+    det,
     is_generic_triple,
     jordan_projection,
+    rref,
     wedge_det,
 )
 
@@ -115,6 +118,85 @@ class TestSubspaces:
         b = Subspace.span([(2, 2, 0), (1, 3, 2)])
         assert a == b
         assert a.basis == b.basis
+
+
+#: rationals with small denominators, and the dyadic values Fraction(float)
+#: gives, whose denominators run up to 2**1074
+RATIONALS = st.one_of(
+    st.integers(-9, 9).map(Fraction),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.floats(min_value=-8, max_value=8).map(Fraction),
+)
+
+
+@st.composite
+def rational_matrices(draw, square=False):
+    """Rational matrices up to 4 x 5, often rank-deficient."""
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 5))
+    rows = [draw(st.lists(RATIONALS, min_size=n, max_size=n)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        # replace one row by a combination of the others
+        i = draw(st.integers(0, m - 1))
+        coeffs = draw(st.lists(RATIONALS, min_size=m, max_size=m))
+        rows[i] = [
+            sum((c * rows[k][j] for k, c in enumerate(coeffs) if k != i), Fraction(0))
+            for j in range(n)
+        ]
+    return rows
+
+
+def leibniz_det(rows):
+    total = Fraction(0)
+    n = len(rows)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def minor_rank(rows):
+    """Largest k with a nonzero k x k minor."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for rsel in itertools.combinations(range(m), k):
+            for csel in itertools.combinations(range(n), k):
+                if leibniz_det([[rows[i][j] for j in csel] for i in rsel]) != 0:
+                    return k
+    return 0
+
+
+class TestExactKernel:
+    @given(rational_matrices(square=True))
+    @settings(max_examples=150, deadline=None)
+    def test_det_matches_leibniz(self, rows):
+        value = det(rows, backend=EXACT)
+        assert isinstance(value, Fraction)
+        assert value == leibniz_det(rows)
+
+    @given(rational_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_shape_and_row_space(self, rows):
+        n = len(rows[0])
+        red, piv = rref(rows, EXACT)
+        assert len(red) == len(piv) == minor_rank(rows)
+        assert list(piv) == sorted(set(piv))
+        for i, (row, c) in enumerate(zip(red, piv)):
+            assert len(row) == n
+            assert all(x == 0 for x in row[:c])
+            assert row[c] == 1
+            assert all(other[c] == 0 for k, other in enumerate(red) if k != i)
+        # every input row is the combination of the RREF rows read off at the
+        # pivots; with equal dimensions the two row spaces coincide
+        for row in rows:
+            combo = [
+                sum((row[c] * r[j] for r, c in zip(red, piv)), Fraction(0))
+                for j in range(n)
+            ]
+            assert combo == list(row)
 
 
 class TestFlags:

@@ -17,10 +17,10 @@ from hitchin.pants import (
     standard_genus2,
     xi_forward,
     xi_inverse,
-    xi_inverse_dense,
-    _gap_terms,
 )
 from hitchin.invariants import shear_index_set, triple_index_set
+
+from conftest import gap_terms, xi_inverse_dense
 
 
 def random_params(rng, decomp, n, exact=True):
@@ -99,7 +99,7 @@ class TestGaps:
         seen = {}
         for slot in "ABC":
             for k in range(1, n):
-                for term in _gap_terms(slot, k, n):
+                for term in gap_terms(slot, k, n):
                     seen.setdefault(term, []).append((slot, k))
         for idx in triple_index_set(n):
             assert len(seen[("tau", idx)]) == 3  # one per slot
@@ -188,7 +188,7 @@ class TestReparameterization:
                 for k in range(1, n):
                     row = [0.0] * len(unknowns)
                     b = float(gaps[k - 1])
-                    for kind, idx in _gap_terms(slot, k, n):
+                    for kind, idx in gap_terms(slot, k, n):
                         if (kind, idx) in col:
                             row[col[(kind, idx)]] += 1.0
                         elif kind == "tau":
