@@ -123,10 +123,7 @@ def cmd_entropy_scan(cfg, out_path):
 
     decomp = cfg.decomposition()
     params = cfg.hitchin_params(decomp)
-    direction = {}
-    for label, value in cfg.direction.items():
-        direction[label] = value
-    rows = internal_sequence_scan(params, direction, cfg.steps)
+    rows = internal_sequence_scan(params, cfg.direction, cfg.steps)
     _write_csv(out_path, CSV_COLUMNS, [r.csv_row() for r in rows], cfg)
     ok = sum(1 for r in rows if r.flags_ok)
     if ok < 0.9 * len(rows):
@@ -340,6 +337,24 @@ def _selftest_bank():
             for idx in inv_mod.triple_index_set(n):
                 assert inv_mod.triple_ratio(*flags, idx) == 1
 
+    def check_fuchsian_closed_form():
+        # on the rational normal curve every shear cross ratio is the classical
+        # one, and the one based at two osculating hyperplanes its (n-1)-st power
+        def w(p, q):
+            return Fraction(p[0] * q[1] - p[1] * q[0])
+
+        for pts in (((0, 1), (1, 1), (3, 1), (2, 1)), ((1, 0), (2, 1), (5, 3), (-1, 1))):
+            p1, p2, p3, p4 = pts
+            classical = w(p1, p3) * w(p4, p2) / (w(p1, p2) * w(p4, p3))
+            for n in (2, 3, 4, 5):
+                fa, fb, fc, fd = (veronese_flag(p, n) for p in pts)
+                for x in range(1, n):
+                    shear = inv_mod.cross_ratio_flags(fa, fb, fc, fd, [(fa, x - 1), (fd, n - x - 1)])
+                    assert shear == classical, f"shear at n={n}, x={x}"
+                meet = fa.subspace(n - 1) & fd.subspace(n - 1)
+                mesh = inv_mod.cross_ratio([f.subspace(1) for f in (fa, fb, fc, fd)], meet)
+                assert mesh == classical ** (n - 1), f"mesh cross ratio at n={n}"
+
     def check_reparam_round_trip():
         from .pants import (
             HitchinParams,
@@ -393,6 +408,7 @@ def _selftest_bank():
         ("triple reconstruction round trip", check_reconstruction_round_trip),
         ("symmetric power multiplicativity", check_sym_power_multiplicative),
         ("rational-normal-curve triple ratios", check_veronese_triple_ratios),
+        ("Fuchsian closed form: shear and mesh cross ratios", check_fuchsian_closed_form),
         ("reparameterization round trip", check_reparam_round_trip),
         ("exact/float backend agreement", check_backend_agreement),
         ("entropy bound monotonicity", check_entropy_monotone),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .fuchsian import genus2_surface
-from .pants import HitchinParams, PantsInvariants, chain_decomposition
+from .pants import HitchinParams, PantsInvariants, chain_decomposition, internal_labels
 
 
 class ConfigError(ValueError):
@@ -149,6 +149,13 @@ class RunConfig:
             _str_to_label(k): parse_scalar(v, exact=False)
             for k, v in scan.get("direction", {}).items()
         }
+        labels = set(internal_labels(cfg.n))
+        for label in cfg.direction:
+            if label not in labels:
+                raise ConfigError(
+                    f"[scan].direction label {_label_to_str(label)!r} is not an "
+                    f"internal coordinate at n={cfg.n}"
+                )
         cfg.output_path = data.get("output", {}).get("path", "")
         return cfg
 

@@ -20,9 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .invariants import INFINITY, is_infinite
+from .invariants import INFINITY, is_infinite, shear_index_set, triple_index_set
 from .linalg import DegenerateError
-from .pants import PantsDecomposition, standard_genus2
+from .pants import PantsDecomposition, PantsInvariants, standard_genus2
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -166,6 +166,28 @@ def edges_cross(e1, e2):
 def separates(u, v, x, y):
     """The chord {u, v} separates x from y on the circle."""
     return in_arc(x, u, v) != in_arc(y, u, v)
+
+
+def boundary_cross_ratio(p1, p2, p3, p4):
+    """Classical cross ratio (p1-p3)(p4-p2) / ((p1-p2)(p4-p3)) in floats.
+
+    The n=2 case of ``invariants.cross_ratio`` on the lines (p, 1): the
+    point at infinity is the line (1, 0) and contributes a cancelling
+    factor 1.  A vanishing denominator alone gives ``math.inf``.
+    """
+
+    def diff(p, q):
+        if is_infinite(p) or is_infinite(q):
+            return 1.0
+        return float(p) - float(q)
+
+    num = diff(p1, p3) * diff(p4, p2)
+    den = diff(p1, p2) * diff(p4, p3)
+    if den == 0:
+        if num == 0:
+            raise DegenerateError("cross ratio of coincident boundary points")
+        return math.inf
+    return num / den
 
 
 # ---------------------------------------------------------------------------
@@ -417,58 +439,37 @@ class FuchsianSurfaceData:
 def fuchsian_invariants(surface, n):
     """Shear and triangle invariants of the n-dimensional Fuchsian point.
 
-    Evaluates the defining cross and triple ratios on the osculating flags
-    of the boundary circle.  Triangle invariants vanish identically on the
-    Fuchsian locus; they are computed rather than assumed so that the test
-    suite can check it.
+    In closed form.  The point is the surface group followed by the
+    irreducible representation of PSL(2,R), whose flags are the osculating
+    flags of the rational normal curve.  PGL(2,R) moves any three boundary
+    points to any other three, so each triple ratio is one constant, 1:
+    tau = tau' = 0.  Projecting the curve from the base of a shear cross
+    ratio (osculating planes at the edge ends of dimensions one less than
+    the two nonzero indices, which sum to n) lowers its degree from n-1 to
+    1, a Moebius map: every sigma^(n) is the n=2 shear of its edge.
     """
-    import math
-
-    from .flags import veronese_flag_float
-    from .invariants import cross_ratio_flags, is_infinite, triple_ratio
-    from .invariants import triple_index_set, shear_index_set
-    from .pants import PantsInvariants
-
-    flag_cache = {}
-
-    def flag_at(point):
-        key = "inf" if is_infinite(point) else (point.a, point.b, point.d)
-        if key not in flag_cache:
-            value = point if is_infinite(point) else float(point)
-            flag_cache[key] = veronese_flag_float(value, n)
-        return flag_cache[key]
-
     invariants = []
     for j in range(surface.decomp.num_pants):
-        a_m = surface.base_vertex(j, "a")
-        b_m = surface.base_vertex(j, "b")
-        c_m = surface.base_vertex(j, "c")
-        a_word = surface.slot_words[(j, "A")]
-        b_word = surface.slot_words[(j, "B")]
-        c_word = surface.slot_words[(j, "C")]
-        ac_pt = mobius(surface.matrix(a_word), c_m)
-        cb_pt = mobius(surface.matrix(c_word), b_m)
-        ba_pt = mobius(surface.matrix(b_word), a_m)
-        fa, fb, fc = flag_at(a_m), flag_at(b_m), flag_at(c_m)
-        f_ac, f_cb, f_ba = flag_at(ac_pt), flag_at(cb_pt), flag_at(ba_pt)
-
-        tau, taup = {}, {}
-        for (x, y, z) in triple_index_set(n):
-            tau[(x, y, z)] = math.log(float(triple_ratio(fa, fc, fb, (x, z, y))))
-            taup[(x, y, z)] = math.log(float(triple_ratio(fa, fb, f_ac, (x, y, z))))
-        sigma = {}
-        for idx in shear_index_set(n):
-            x, y, z = idx
-            if z == 0:
-                val = cross_ratio_flags(fa, fc, f_ac, fb, [(fa, x - 1), (fb, y - 1)])
-            elif y == 0:
-                val = cross_ratio_flags(fc, fb, f_cb, fa, [(fc, z - 1), (fa, x - 1)])
-            else:
-                val = cross_ratio_flags(fb, fa, f_ba, fc, [(fb, y - 1), (fc, z - 1)])
-            if is_infinite(val) or val >= 0:
-                raise SurfaceError(f"shear cross ratio at {idx} is not negative: {val}")
-            sigma[idx] = math.log(-float(val))
-        invariants.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
+        a, b, c = (surface.base_vertex(j, letter) for letter in "abc")
+        edges = {
+            "ab": (a, c, mobius(surface.slot_matrix(j, "A"), c), b),
+            "ac": (c, b, mobius(surface.slot_matrix(j, "C"), b), a),
+            "cb": (b, a, mobius(surface.slot_matrix(j, "B"), a), c),
+        }
+        shear = {}
+        for name, quad in edges.items():
+            cr = boundary_cross_ratio(*quad)
+            if not cr < 0:
+                raise SurfaceError(f"pants {j}, edge {name}: shear cross ratio {cr} >= 0")
+            shear[name] = math.log(-cr)
+        sigma = {
+            (x, y, z): shear["ab" if z == 0 else "ac" if y == 0 else "cb"]
+            for (x, y, z) in shear_index_set(n)
+        }
+        tau = {idx: 0.0 for idx in triple_index_set(n)}
+        invariants.append(
+            PantsInvariants(n=n, tau=tau, tau_prime=dict(tau), sigma=sigma)
+        )
     return invariants
 
 

@@ -333,8 +333,15 @@ class Subspace:
 
     def contains(self, vector):
         v = convert_vector(vector, self.backend)
-        red, _ = rref(list(self.basis) + [v], self.backend, ncols=self.ambient)
-        return len(red) == self.dim
+        if not self.backend.exact:
+            red, _ = rref(list(self.basis) + [v], self.backend, ncols=self.ambient)
+            return len(red) == self.dim
+        # clear v at each row's leading 1, where the other RREF rows vanish
+        for row in self.basis:
+            f = v[next(i for i, x in enumerate(row) if x)]
+            if f:
+                v = tuple(x - f * y for x, y in zip(v, row))
+        return not any(v)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)

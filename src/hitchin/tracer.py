@@ -13,10 +13,12 @@ The trace records the cyclic tuple sequence
     (pred edge class, edge class, succ edge class, Z/S type, winding count)
 
 over the binodal edges (the pivot-switch edges), one period of the
-deck action.  Winding counts are signed mesh-crossing numbers; the mesh
-of each pants curve is built once from the first eigenline cross ratio
-and transported equivariantly.  Z/S labels follow the package's fixed
-positive orientation of the boundary circle.
+deck action.  Winding counts are signed mesh-crossing numbers.  The mesh
+of each pants curve is built once and transported equivariantly; its
+anchor is fixed by the cross ratio of first lines based at the meet of
+the curve's two osculating hyperplanes, which on the Fuchsian locus is
+the classical boundary cross ratio to the power n-1.  Z/S labels follow
+the package's fixed positive orientation of the boundary circle.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .fuchsian import (
+    boundary_cross_ratio,
     cyclic_order,
     fixed_points,
     in_arc,
@@ -37,9 +40,9 @@ from .fuchsian import (
     separates,
     translation_length,
 )
-from .invariants import cross_ratio, is_infinite
+from .invariants import is_infinite
 from .flags import veronese_flag_float
-from .linalg import DegenerateError, subspace_intersect
+from .linalg import DegenerateError
 
 EDGE_ENDS = {"ab": ("a", "b"), "ac": ("a", "c"), "cb": ("c", "b")}
 #: fan families at each vertex letter: the two edge kinds through it
@@ -350,9 +353,6 @@ class PsiTracer:
         assert points_equal(self.point(att_lift), att)
 
         width = (self.n - 1) * translation_length(w_mat)
-        m_base = subspace_intersect(
-            self.flag(att).subspace(self.n - 1), self.flag(rep).subspace(self.n - 1)
-        )
 
         # x: deterministic family choice at the repelling-side fan
         kind_x = min(VERTEX_FANS[rep_lift.letter])
@@ -360,18 +360,10 @@ class PsiTracer:
         x_point = self._far_point(x_edge, rep_lift)
 
         def g_of(z_point):
-            val = cross_ratio(
-                [
-                    self.flag(att).subspace(1).line_vector(),
-                    self.flag(x_point).subspace(1).line_vector(),
-                    self.flag(z_point).subspace(1).line_vector(),
-                    self.flag(rep).subspace(1).line_vector(),
-                ],
-                m_base,
-            )
-            if is_infinite(val):
-                return math.inf
-            return abs(val)
+            # the first-line cross ratio based at the meet of the two
+            # osculating hyperplanes is the classical one to the power n-1
+            cr = boundary_cross_ratio(att, x_point, z_point, rep)
+            return abs(cr) ** (self.n - 1)
 
         best = None
         for kind in VERTEX_FANS[att_lift.letter]:
@@ -819,9 +811,12 @@ class PsiTracer:
             rep_a, att_a = fixed_points(mat2_mul(mat2_mul(eta, w_mat), mat2_inv(eta)))
             guesses = []
             for z in (xm, xp):
-                coord = _float_log_ratio(att_a, u0, z, rep_a)
-                if coord is not None:
-                    guesses.append(coord / ell)
+                try:
+                    cr = abs(boundary_cross_ratio(att_a, u0, z, rep_a))
+                except DegenerateError:
+                    continue  # the points coincide in float precision
+                if 0 < cr < math.inf:
+                    guesses.append(math.log(cr) / ell)
             if not guesses:
                 return 0
             lo = max(-cap, math.floor(min(guesses)) - 3)
@@ -841,35 +836,6 @@ class PsiTracer:
         u1, w1 = mesh_edge(k1 + 1)
         forward = in_arc(u1, u0, w0) == in_arc(xp, u0, w0)
         return count if forward else -count
-
-
-def _float_log_ratio(a, u0, z, r):
-    """log of the classical 4-point cross ratio |(a, u0, z, r)| in floats.
-
-    Used only to locate a search window; all decisions are re-verified with
-    exact arithmetic.  Returns None when the configuration degenerates in
-    float precision.
-    """
-
-    def f(p):
-        return None if is_infinite(p) else float(p)
-
-    fa, fu, fz, fr = f(a), f(u0), f(z), f(r)
-
-    def diff(p, q):
-        # (p - q) with infinity contributing a cancelling factor
-        if p is None or q is None:
-            return 1.0
-        return p - q
-
-    num = diff(fa, fz) * diff(fr, fu)
-    den = diff(fa, fu) * diff(fr, fz)
-    if den == 0 or num == 0:
-        return None
-    val = abs(num / den)
-    if val <= 0 or math.isinf(val) or math.isnan(val):
-        return None
-    return math.log(val)
 
 
 def trace_psi(surface, word, n=2, depth_cap=64):

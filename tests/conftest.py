@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from hitchin.fuchsian import genus2_surface
-from hitchin.invariants import triple_index_set
+from hitchin.flags import veronese_flag
+from hitchin.fuchsian import genus2_surface, mobius
+from hitchin.invariants import (
+    cross_ratio_flags,
+    is_infinite,
+    shear_index_set,
+    triple_index_set,
+    triple_ratio,
+)
 from hitchin.linalg import EXACT, DegenerateError, Flag, rref
 from hitchin.pants import SLOTS, PantsInvariants, slot_boundary_gaps
 from hitchin.tracer import PsiTracer
@@ -126,5 +133,48 @@ def xi_inverse_dense(params):
                 sigma[idx] = row[width]
             else:
                 taup[idx] = row[width]
+        out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
+    return out
+
+
+def fuchsian_invariants_exact_flags(surface, n):
+    """Oracle for ``fuchsian_invariants``: the defining ratios on flags.
+
+    Evaluates the triple ratios and shear cross ratios on exact osculating
+    flags of the rational normal curve at the rational points
+    ``Fraction(float(p))`` next to the boundary points, in the log
+    coordinates ``fuchsian_invariants`` returns.
+    """
+    import math
+
+    cache = {}
+
+    def flag_at(point):
+        key = "inf" if is_infinite(point) else float(point)
+        if key not in cache:
+            proj = (1, 0) if key == "inf" else (Fraction(key), 1)
+            cache[key] = veronese_flag(proj, n)
+        return cache[key]
+
+    out = []
+    for j in range(surface.decomp.num_pants):
+        a, b, c = (surface.base_vertex(j, letter) for letter in "abc")
+        fa, fb, fc = flag_at(a), flag_at(b), flag_at(c)
+        f_ac = flag_at(mobius(surface.slot_matrix(j, "A"), c))
+        f_cb = flag_at(mobius(surface.slot_matrix(j, "C"), b))
+        f_ba = flag_at(mobius(surface.slot_matrix(j, "B"), a))
+        tau, taup = {}, {}
+        for (x, y, z) in triple_index_set(n):
+            tau[(x, y, z)] = math.log(triple_ratio(fa, fc, fb, (x, z, y)))
+            taup[(x, y, z)] = math.log(triple_ratio(fa, fb, f_ac, (x, y, z)))
+        sigma = {}
+        for (x, y, z) in shear_index_set(n):
+            if z == 0:
+                val = cross_ratio_flags(fa, fc, f_ac, fb, [(fa, x - 1), (fb, y - 1)])
+            elif y == 0:
+                val = cross_ratio_flags(fc, fb, f_cb, fa, [(fc, z - 1), (fa, x - 1)])
+            else:
+                val = cross_ratio_flags(fb, fa, f_ba, fc, [(fb, y - 1), (fc, z - 1)])
+            sigma[(x, y, z)] = math.log(-val)
         out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
     return out

@@ -52,6 +52,16 @@ class TestConfig:
             run_cli(["kbound", "--seed", "1"])
         assert exc.value.code == 2
 
+    def test_direction_labels_checked_against_n(self, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict({"n": 4, "scan": {"direction": {"tau:1,1,1": 1}}})
+        assert RunConfig.from_dict({"n": 4, "scan": {"direction": {"tau:1,1,2": 1}}})
+        cfg = tmp_path / "n3_label.json"
+        cfg.write_text(json.dumps({"n": 4, "scan": {"direction": {"tau:1,1,1": 1}}}))
+        assert run_cli(["entropy-scan", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "'tau:1,1,1'" in err and "n=4" in err
+
     def test_n_range_checked(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"n": 9})
@@ -193,6 +203,22 @@ class TestCommands:
         cfg2 = tmp_path / "check.json"
         cfg2.write_text(json.dumps(data))
         assert run_cli(["invariants", "--config", str(cfg2)]) == 0
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_fuchsian_locus_domain(self, n, tmp_path):
+        cfg = {"n": n, "parameters": {"fuchsian": True}}
+        commands = ["fuchsian-gen", "invariants"]
+        if n in (5, 6):
+            cfg["scan"] = {"direction": {f"tau:1,1,{n - 2}": 1}, "steps": 3}
+            commands += ["kbound", "entropy-scan", "psi-trace"]
+        path = tmp_path / "fuchsian.json"
+        path.write_text(json.dumps(cfg))
+        for command in commands:
+            out = tmp_path / f"{command}.out"
+            argv = [command, "--config", str(path), "--out", str(out)]
+            if command == "psi-trace":
+                argv += ["--word", "abc"]
+            assert run_cli(argv) == 0, command
 
     def test_selftest_passes(self, capsys):
         assert run_cli(["selftest"]) == 0

@@ -24,6 +24,8 @@ from hitchin.fuchsian import (
 from hitchin.invariants import INFINITY
 from hitchin.pants import check_closed_leaf, lambda_gaps_from_invariants
 
+from conftest import fuchsian_invariants_exact_flags
+
 
 class TestBPoint:
     def test_square_folding(self):
@@ -158,19 +160,42 @@ class TestGenus2Surface:
                 assert not edges_cross(e1, e2)
 
 
+SURFACES = {
+    "default": {},
+    "twist": {"twist": Fraction(1, 5)},
+    "b1": {"b1": ((1, 3), (1, 4))},
+}
+
+
 class TestFuchsianInvariants:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_triangle_invariants_vanish(self, surface, n):
         for inv in fuchsian_invariants(surface, n):
             for v in list(inv.tau.values()) + list(inv.tau_prime.values()):
-                assert abs(v) < 1e-10
+                assert v == 0
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_closed_leaf_relations(self, surface, n):
-        invs = fuchsian_invariants(surface, n)
-        report = check_closed_leaf(surface.decomp, invs)
-        assert report.max_residual() < 1e-9
-        assert report.inequalities_strict(tol=1e-9)
+    @pytest.mark.parametrize(
+        "name,n",
+        [(name, n) for name in SURFACES for n in range(2, 7)]
+        + [("default", 7), ("default", 8)],
+    )
+    def test_matches_exact_flag_oracle(self, name, n):
+        surface = genus2_surface(**SURFACES[name])
+        closed = fuchsian_invariants(surface, n)
+        oracle = fuchsian_invariants_exact_flags(surface, n)
+        for inv, ref in zip(closed, oracle):
+            assert inv.tau == ref.tau and inv.tau_prime == ref.tau_prime
+            assert inv.sigma.keys() == ref.sigma.keys()
+            for idx, value in ref.sigma.items():
+                assert inv.sigma[idx] == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_closed_leaf_relations(self, n):
+        for kwargs in SURFACES.values():
+            surface = genus2_surface(**kwargs)
+            report = check_closed_leaf(surface.decomp, fuchsian_invariants(surface, n))
+            assert report.max_residual() < 1e-12
+            assert report.inequalities_strict(tol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_gaps_match_symmetric_power_spectrum(self, surface, n):
@@ -182,7 +207,6 @@ class TestFuchsianInvariants:
         from hitchin.linalg import jordan_projection
 
         invs = fuchsian_invariants(surface, n)
-        lens = surface.length_spectrum()
         for j, inv in enumerate(invs):
             gaps = lambda_gaps_from_invariants(inv)[0]
             word = surface.slot_words[(j, "A")]
@@ -191,5 +215,10 @@ class TestFuchsianInvariants:
             # the float eigensolver loses digits on the huge conjugated
             # entries as n grows; the exact-length check below is the sharp one
             assert list(gaps) == pytest.approx(list(jp.gaps()), abs=10.0 ** (2 * n - 14))
-            for g in gaps:
-                assert g == pytest.approx(lens[0], abs=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gaps_equal_curve_length(self, surface, n):
+        lens = surface.length_spectrum()
+        for inv in fuchsian_invariants(surface, n):
+            for g in lambda_gaps_from_invariants(inv)[0]:
+                assert g == pytest.approx(lens[0], abs=1e-12)

@@ -18,6 +18,7 @@ from hitchin.linalg import (
     det,
     is_generic_triple,
     jordan_projection,
+    matrix_rank,
     rref,
     wedge_det,
 )
@@ -197,6 +198,20 @@ class TestExactKernel:
                 for j in range(n)
             ]
             assert combo == list(row)
+
+    @given(rational_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_contains_matches_rank(self, rows, data):
+        n = len(rows[0])
+        space = Subspace.span(rows, backend=EXACT)
+        if data.draw(st.booleans()):
+            # a combination of the spanning rows
+            coeffs = data.draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+            v = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0)) for j in range(n)]
+        else:
+            v = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+        expected = matrix_rank(list(space.basis) + [tuple(v)], EXACT) == space.dim
+        assert space.contains(v) == expected
 
 
 class TestFlags:

@@ -1,7 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from hitchin.flags import veronese_flag
+from hitchin.fuchsian import BPoint, boundary_cross_ratio, genus2_surface, points_equal
+from hitchin.invariants import INFINITY, cross_ratio, cross_ratio_flags
 from hitchin.pants import standard_genus2
 from hitchin.tracer import (
     CountPair,
@@ -99,6 +103,58 @@ class TestMesh:
             spec = tracer2.mesh(curve)
             assert spec.width == pytest.approx(lens[curve])
 
+    @pytest.mark.parametrize("curve", [0, 1, 2])
+    def test_anchors_are_dimension_independent(self, curve):
+        surface = genus2_surface(twist=Fraction(1, 5))
+        ref = compute_mesh(surface, curve, n=2)
+        for n in range(3, 9):
+            spec = compute_mesh(surface, curve, n=n)
+            assert points_equal(spec.x_point, ref.x_point)
+            assert points_equal(spec.y_point, ref.y_point)
+            assert spec.inequality_holds()
+
+
+#: rational boundary quadruples as projective points [s:t], t = 0 at infinity
+QUADRUPLES = [
+    ((0, 1), (1, 1), (3, 1), (2, 1)),
+    ((1, 0), (2, 1), (5, 3), (-1, 1)),
+    ((1, 2), (-3, 7), (1, 0), (5, 1)),
+]
+
+
+def _classical(pts):
+    def w(p, q):
+        return Fraction(p[0] * q[1] - p[1] * q[0])
+
+    return w(pts[0], pts[2]) * w(pts[3], pts[1]) / (w(pts[0], pts[1]) * w(pts[3], pts[2]))
+
+
+class TestClosedFormIdentities:
+    """The osculating-flag ratios the Fuchsian closed forms replace."""
+
+    @pytest.mark.parametrize("pts", QUADRUPLES)
+    def test_boundary_cross_ratio(self, pts):
+        bpts = [INFINITY if t == 0 else BPoint.rational(Fraction(s, t)) for s, t in pts]
+        assert boundary_cross_ratio(*bpts) == pytest.approx(float(_classical(pts)), rel=1e-15)
+
+    def test_boundary_cross_ratio_degenerate(self):
+        p, q, r = (BPoint.rational(x) for x in (0, 1, 2))
+        assert boundary_cross_ratio(p, p, q, r) == math.inf
+        with pytest.raises(DegenerateError):
+            boundary_cross_ratio(p, p, p, r)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("pts", QUADRUPLES)
+    def test_shear_and_mesh_cross_ratios(self, pts, n):
+        fa, fb, fc, fd = (veronese_flag(p, n) for p in pts)
+        classical = _classical(pts)
+        for x in range(1, n):
+            base = [(fa, x - 1), (fd, n - x - 1)]
+            assert cross_ratio_flags(fa, fb, fc, fd, base) == classical
+        meet = fa.subspace(n - 1) & fd.subspace(n - 1)
+        lines = [f.subspace(1) for f in (fa, fb, fc, fd)]
+        assert cross_ratio(lines, meet) == classical ** (n - 1)
+
 
 class TestClosedLeafDetection:
     @pytest.mark.parametrize(
@@ -159,6 +215,13 @@ class TestTrace:
     def test_one_shot_helper(self, surface):
         psi = trace_psi(surface, "ab", n=2)
         assert r_and_s(psi).r == 1
+
+    def test_window_guess_from_float_coincident_points(self, tracer2):
+        # one winding search meets fixed points and axis endpoints that agree
+        # in float precision; it falls back to the exact scan
+        psi = tracer2.trace("DcBdBBddABcad")
+        assert not validate_psi(psi, tracer2.decomp)
+        assert len(psi.tuples) == 21
 
 
 class TestWindingValues:
