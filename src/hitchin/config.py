@@ -135,6 +135,9 @@ class RunConfig:
         cfg.genus = int(data.get("genus", 2))
         if cfg.genus < 2:
             raise ConfigError("genus must be at least 2")
+        decomp_genus = data.get("decomposition", {}).get("standard_genus", cfg.genus)
+        if int(decomp_genus) != cfg.genus:
+            raise ConfigError("decomposition genus disagrees with [genus]")
         cfg.backend = data.get("backend", "float64")
         if cfg.backend not in ("exact", "float64"):
             raise ConfigError(f"unknown backend {cfg.backend!r}")
@@ -162,11 +165,7 @@ class RunConfig:
     # -- derived objects ------------------------------------------------------
 
     def decomposition(self):
-        spec = self.raw.get("decomposition", {})
-        genus = int(spec.get("standard_genus", self.genus))
-        if genus != self.genus:
-            raise ConfigError("decomposition genus disagrees with [genus]")
-        return chain_decomposition(genus)
+        return chain_decomposition(self.genus)
 
     def surface(self):
         spec = self.raw.get("surface", {})

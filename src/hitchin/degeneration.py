@@ -15,6 +15,12 @@ to the standard and reversed coordinate flags, the triangle invariants
 pin the two opposite flags (after the cyclic/transposition reindexing
 that moves the unknown flag into the middle slot), and the shear values
 pin the fourth line.
+
+The segment-length checks on the Fuchsian locus build no flag: the
+hyperplane Q1^(k1) + Q2^(k2) of osculating subspaces is the zero set of
+(z - Q1)^k1 (z - Q2)^k2 on the rational normal curve, so each segment
+length is a sum of logs of classical boundary cross ratios, and the
+crossing average at n is n - 1 times its n = 2 value.
 """
 
 from __future__ import annotations
@@ -27,19 +33,16 @@ from .flags import (
     reconstruct_triple,
     recover_fourth_line_from_values,
 )
-from .invariants import (
-    cross_ratio_flags,
-    is_infinite,
-    plane_cross_ratio,
-    triple_index_set,
+from .fuchsian import (
+    boundary_cross_ratio,
+    fixed_points,
+    in_arc,
+    mat2_mul,
+    points_equal,
 )
-from .linalg import (
-    DegenerateError,
-    FLOAT64,
-    Flag,
-    Subspace,
-    subspace_intersect,
-)
+from .invariants import INFINITY, cross_ratio_flags, is_infinite, triple_index_set
+from .linalg import DegenerateError, FLOAT64, Flag, Subspace
+from .tracer import EdgeLift
 
 #: reindexing that brings each edge's opposite flags into the middle slot;
 #: tau' always enters inverted (the fourth vertex sits on the primed side)
@@ -290,59 +293,56 @@ def entropy_upper_bound(K, L, genus):
 
 def _neighbor_point(tracer, edge_lift, shared_point):
     p, q = tracer.edge_points(edge_lift)
-    from .fuchsian import points_equal
-
     return q if points_equal(p, shared_point) else p
 
 
-def _segment_endpoints(tracer, entry, xm, xp):
-    """Boundary points (a, b, suc/pred data) of one traced binodal edge."""
-    from .fuchsian import in_arc, points_equal
-
+def _moved_endpoints(tracer, entry, xm, xp):
+    """Boundary points (minus, plus) spanning the hyperplanes through the
+    backward- and forward-moved points of one traced binodal edge."""
     pred_e, edge_e, succ_e, _pivot = entry
     p, q = tracer.edge_points(edge_e)
     a_pt, b_pt = (p, q) if in_arc(p, xm, xp) else (q, p)
-    # succ shares exactly one endpoint of the edge; same for pred
+    # succ shares exactly one endpoint of the edge; pred the other
     sp, sq = tracer.edge_points(succ_e)
-    succ_shares_a = points_equal(sp, a_pt) or points_equal(sq, a_pt)
-    succ_far = _neighbor_point(tracer, succ_e, a_pt if succ_shares_a else b_pt)
-    pred_far = _neighbor_point(tracer, pred_e, b_pt if succ_shares_a else a_pt)
-    return a_pt, b_pt, succ_shares_a, succ_far, pred_far
+    if points_equal(sp, a_pt) or points_equal(sq, a_pt):
+        # succ pivots at a: the moving endpoint on the b side advances
+        succ_far = _neighbor_point(tracer, succ_e, a_pt)
+        pred_far = _neighbor_point(tracer, pred_e, b_pt)
+        return (pred_far, b_pt), (a_pt, succ_far)
+    succ_far = _neighbor_point(tracer, succ_e, b_pt)
+    pred_far = _neighbor_point(tracer, pred_e, a_pt)
+    return (a_pt, pred_far), (succ_far, b_pt)
+
+
+def _segment_lengths(xm, xp, minus, plus, n):
+    """Lengths of the subsegments p = 0..n-1 from the hyperplanes
+    Q1^(p) + Q2^(n-p-1), (Q1, Q2) = minus, to the same for plus.
+
+    Each length is the log of the cross ratio (xm, L-, L+, xp) on the
+    plane of the first lines at xm and xp, L± its meet with the two
+    hyperplanes.  Q1^(p) + Q2^(n-p-1) is the zero set of
+    (z - Q1)^p (z - Q2)^(n-p-1) on the rational normal curve, so the
+    cross ratio is r1^p r2^(n-p-1) with ri = rho(plus_i) / rho(minus_i)
+    and rho(q) = (xm - q)/(xp - q).  A negative ri puts the two moved
+    endpoints on opposite sides of the axis.
+    """
+    logs = []
+    for q_minus, q_plus in zip(minus, plus):
+        r_minus, r_plus = (
+            boundary_cross_ratio(xm, INFINITY, q, xp) for q in (q_minus, q_plus)
+        )
+        if 0.0 in (r_minus, r_plus) or math.inf in (r_minus, r_plus):
+            raise DegenerateError("segment endpoints are not transverse")
+        if r_plus / r_minus < 0:
+            raise DegenerateError("segment cross ratio not positive")
+        logs.append(math.log(r_plus / r_minus))
+    return [p * logs[0] + (n - p - 1) * logs[1] for p in range(n)]
 
 
 def crossing_segment_average(tracer, entry, xm, xp):
     """(1/n) sum over p of the crossing (p)-subsegment lengths of one edge."""
-    n = tracer.n
-    h_plane = tracer.flag(xm).subspace(1) | tracer.flag(xp).subspace(1)
-    a_pt, b_pt, succ_shares_a, succ_far, pred_far = _segment_endpoints(
-        tracer, entry, xm, xp
-    )
-    fa, fb = tracer.flag(a_pt), tracer.flag(b_pt)
-    fsucc, fpred = tracer.flag(succ_far), tracer.flag(pred_far)
-    if succ_shares_a:
-        # succ pivots at a: the moving endpoint on the b side advances
-        plus = lambda p: fa.subspace(p) | fsucc.subspace(n - p - 1)
-        minus = lambda p: fpred.subspace(p) | fb.subspace(n - p - 1)
-    else:
-        plus = lambda p: fsucc.subspace(p) | fb.subspace(n - p - 1)
-        minus = lambda p: fa.subspace(p) | fpred.subspace(n - p - 1)
-    total = 0.0
-    for p in range(n):
-        lp_plus = subspace_intersect(plus(p), h_plane)
-        lp_minus = subspace_intersect(minus(p), h_plane)
-        if lp_plus.dim != 1 or lp_minus.dim != 1:
-            raise DegenerateError("segment endpoints are not transverse")
-        val = plane_cross_ratio(
-            tracer.flag(xm).subspace(1) & h_plane,
-            lp_minus,
-            lp_plus,
-            tracer.flag(xp).subspace(1) & h_plane,
-            h_plane,
-        )
-        if is_infinite(val) or val <= 0:
-            raise DegenerateError("segment cross ratio not positive")
-        total += math.log(float(val))
-    return total / n
+    minus, plus = _moved_endpoints(tracer, entry, xm, xp)
+    return sum(_segment_lengths(xm, xp, minus, plus, tracer.n)) / tracer.n
 
 
 def winding_segment_lengths(tracer, entry, next_entry, xm, xp):
@@ -352,38 +352,9 @@ def winding_segment_lengths(tracer, entry, next_entry, xm, xp):
     The segment runs from the backward-moved point of the first edge to
     the forward-moved point of the second.
     """
-    n = tracer.n
-    h_plane = tracer.flag(xm).subspace(1) | tracer.flag(xp).subspace(1)
-    a1, b1, shares_a1, _, pred_far1 = _segment_endpoints(tracer, entry, xm, xp)
-    a2, b2, shares_a2, succ_far2, _ = _segment_endpoints(tracer, next_entry, xm, xp)
-    fa1, fb1 = tracer.flag(a1), tracer.flag(b1)
-    fa2, fb2 = tracer.flag(a2), tracer.flag(b2)
-    fpred1, fsucc2 = tracer.flag(pred_far1), tracer.flag(succ_far2)
-    out = []
-    for p in range(n):
-        if shares_a1:
-            minus_span = fpred1.subspace(p) | fb1.subspace(n - p - 1)
-        else:
-            minus_span = fa1.subspace(p) | fpred1.subspace(n - p - 1)
-        if shares_a2:
-            plus_span = fa2.subspace(p) | fsucc2.subspace(n - p - 1)
-        else:
-            plus_span = fsucc2.subspace(p) | fb2.subspace(n - p - 1)
-        lp_minus = subspace_intersect(minus_span, h_plane)
-        lp_plus = subspace_intersect(plus_span, h_plane)
-        if lp_plus.dim != 1 or lp_minus.dim != 1:
-            raise DegenerateError("winding segment endpoints are not transverse")
-        val = plane_cross_ratio(
-            tracer.flag(xm).subspace(1),
-            lp_minus,
-            lp_plus,
-            tracer.flag(xp).subspace(1),
-            h_plane,
-        )
-        if is_infinite(val) or val <= 0:
-            raise DegenerateError("winding cross ratio not positive")
-        out.append(math.log(float(val)))
-    return out
+    minus, _ = _moved_endpoints(tracer, entry, xm, xp)
+    _, plus = _moved_endpoints(tracer, next_entry, xm, xp)
+    return _segment_lengths(xm, xp, minus, plus, tracer.n)
 
 
 def segment_length_check(tracer, psi, index, x_mat, k_value, l_value):
@@ -396,9 +367,6 @@ def segment_length_check(tracer, psi, index, x_mat, k_value, l_value):
     The wrap-around pair translates the first edge by the deck matrix so
     the two lifts are genuinely consecutive along the axis.
     """
-    from .fuchsian import fixed_points, mat2_mul
-    from .tracer import EdgeLift
-
     xm, xp = fixed_points(x_mat)
     entry = psi.lifts[index]
     wrap = (index + 1) % len(psi.lifts)

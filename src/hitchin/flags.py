@@ -27,7 +27,6 @@ from .linalg import (
     Flag,
     Subspace,
     det,
-    infer_backend,
     rref,
     wedge_det,
 )
@@ -98,19 +97,6 @@ def veronese_flag(point, n, backend=EXACT):
     cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
     cols = [tuple(backend.convert(x) for x in col) for col in cols]
     return Flag.from_basis(cols, backend=backend)
-
-
-def veronese_flag_float(value, n):
-    """Osculating flag at a boundary point given as float or INFINITY."""
-    from .invariants import is_infinite
-
-    if is_infinite(value):
-        return veronese_flag((1, 0), n, backend=infer_backend([0.0]))
-    # affine chart z -> [z : 1]
-    frame = ((float(value), 0.0), (1.0, 1.0)) if value != 0 else ((0.0, -1.0), (1.0, 0.0))
-    rows = sym_power(frame, n)
-    cols = [tuple(float(rows[i][j]) for i in range(n)) for j in range(n)]
-    return Flag.from_basis(cols)
 
 
 def reconstruct_triple(f, h, g_line, ratios, normalize_first_coord=True):

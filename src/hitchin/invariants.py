@@ -95,18 +95,6 @@ def cross_ratio(lines, base):
     return num / den
 
 
-def cross_ratio_of_points(z1, z2, z3, z4):
-    """Classical cross ratio of four points of R u {INFINITY} on a line.
-
-    Equals ``cross_ratio`` for n = 2 with the zero base, applied to the
-    lines [z:1] (and [1:0] for the infinite point).
-    """
-    def vec(z):
-        return (1, 0) if is_infinite(z) else (z, 1)
-
-    return cross_ratio([vec(z1), vec(z2), vec(z3), vec(z4)], [])
-
-
 def transverse_line(flag, mult, rng=None):
     """Line in F^(mult+1) transverse to F^(mult).
 
@@ -270,27 +258,3 @@ def project_curve_point(e_flag, bases, target, m=1):
     if image.dim != 1:
         raise DegenerateError("projection image is not a line")
     return image
-
-
-def plane_cross_ratio(p1, p2, p3, p4, plane):
-    """Cross ratio of four lines inside a common plane H in R^n.
-
-    The lines are expressed in a basis of H and the classical 2-dimensional
-    formula applies; by coplanarity the value is base-independent.
-    """
-    from .linalg import rref
-
-    backend = plane.backend
-    u, v = plane.basis
-
-    def coords(line):
-        vec = line.line_vector() if isinstance(line, Subspace) else tuple(line)
-        # solve vec = alpha u + beta v by elimination on columns (u v vec)
-        rows = [tuple(col) for col in zip(u, v, vec)]
-        red, piv = rref(rows, backend, ncols=3)
-        if len(red) != 2 or piv[:2] != (0, 1):
-            raise DegenerateError("line does not lie in the plane")
-        return (red[0][2], red[1][2])
-
-    vecs = [coords(p) for p in (p1, p2, p3, p4)]
-    return cross_ratio(vecs, [])

@@ -17,8 +17,10 @@ deck action.  Winding counts are signed mesh-crossing numbers.  The mesh
 of each pants curve is built once and transported equivariantly; its
 anchor is fixed by the cross ratio of first lines based at the meet of
 the curve's two osculating hyperplanes, which on the Fuchsian locus is
-the classical boundary cross ratio to the power n-1.  Z/S labels follow
-the package's fixed positive orientation of the boundary circle.
+the classical boundary cross ratio to the power n-1.  The tracer
+therefore builds no n-dimensional flag: n enters only through that
+power.  Z/S labels follow the package's fixed positive orientation of
+the boundary circle.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .fuchsian import (
     separates,
     translation_length,
 )
-from .invariants import is_infinite
-from .flags import veronese_flag_float
 from .linalg import DegenerateError
 
 EDGE_ENDS = {"ab": ("a", "b"), "ac": ("a", "c"), "cb": ("c", "b")}
@@ -200,7 +200,6 @@ class PsiTracer:
         self.depth_cap = depth_cap
         self._slot_mats = {}
         self._points = {}
-        self._flags = {}
         self._partner = {}
         self._meshes = {}
         self._fan_pow = {}
@@ -319,15 +318,6 @@ class PsiTracer:
             self.surface.slot_conjugators[(v.pants, v.letter.upper())]
         )
         return mat2_mul(v.gamma, delta)
-
-    # -- flags along the boundary ---------------------------------------------
-
-    def flag(self, point):
-        key = "inf" if is_infinite(point) else (point.a, point.b, point.d)
-        if key not in self._flags:
-            value = point if is_infinite(point) else float(point)
-            self._flags[key] = veronese_flag_float(value, self.n)
-        return self._flags[key]
 
     # -- mesh ------------------------------------------------------------------
 

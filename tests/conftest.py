@@ -1,20 +1,36 @@
+import functools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from hitchin.flags import veronese_flag
-from hitchin.fuchsian import genus2_surface, mobius
+from hitchin.fuchsian import genus2_surface, in_arc, mobius, points_equal
 from hitchin.invariants import (
+    cross_ratio,
     cross_ratio_flags,
     is_infinite,
     shear_index_set,
     triple_index_set,
     triple_ratio,
 )
-from hitchin.linalg import EXACT, DegenerateError, Flag, rref
+from hitchin.linalg import EXACT, DegenerateError, Flag, Subspace, rref, subspace_intersect
 from hitchin.pants import SLOTS, PantsInvariants, slot_boundary_gaps
 from hitchin.tracer import PsiTracer
+
+
+#: the genus-2 surfaces the Fuchsian-locus tests run on
+SURFACES = {
+    "default": {},
+    "twist": {"twist": Fraction(1, 5)},
+    "b1": {"b1": ((1, 3), (1, 4))},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def named_surface(name):
+    return genus2_surface(**SURFACES[name])
 
 
 @pytest.fixture(scope="session")
@@ -137,6 +153,39 @@ def xi_inverse_dense(params):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_flag(key, n):
+    return veronese_flag((1, 0) if key == "inf" else (Fraction(key), 1), n)
+
+
+def exact_flag_at(point, n):
+    """Exact osculating flag at the rational point ``Fraction(float(point))``
+    next to a boundary point (the standard flag at INFINITY)."""
+    return _exact_flag("inf" if is_infinite(point) else float(point), n)
+
+
+def plane_cross_ratio(p1, p2, p3, p4, plane):
+    """Cross ratio of four lines inside a common plane H in R^n.
+
+    The lines are expressed in a basis of H and the classical 2-dimensional
+    formula applies; by coplanarity the value is base-independent.
+    """
+    backend = plane.backend
+    u, v = plane.basis
+
+    def coords(line):
+        vec = line.line_vector() if isinstance(line, Subspace) else tuple(line)
+        # solve vec = alpha u + beta v by elimination on columns (u v vec)
+        rows = [tuple(col) for col in zip(u, v, vec)]
+        red, piv = rref(rows, backend, ncols=3)
+        if len(red) != 2 or piv[:2] != (0, 1):
+            raise DegenerateError("line does not lie in the plane")
+        return (red[0][2], red[1][2])
+
+    vecs = [coords(p) for p in (p1, p2, p3, p4)]
+    return cross_ratio(vecs, [])
+
+
 def fuchsian_invariants_exact_flags(surface, n):
     """Oracle for ``fuchsian_invariants``: the defining ratios on flags.
 
@@ -145,24 +194,13 @@ def fuchsian_invariants_exact_flags(surface, n):
     ``Fraction(float(p))`` next to the boundary points, in the log
     coordinates ``fuchsian_invariants`` returns.
     """
-    import math
-
-    cache = {}
-
-    def flag_at(point):
-        key = "inf" if is_infinite(point) else float(point)
-        if key not in cache:
-            proj = (1, 0) if key == "inf" else (Fraction(key), 1)
-            cache[key] = veronese_flag(proj, n)
-        return cache[key]
-
     out = []
     for j in range(surface.decomp.num_pants):
         a, b, c = (surface.base_vertex(j, letter) for letter in "abc")
-        fa, fb, fc = flag_at(a), flag_at(b), flag_at(c)
-        f_ac = flag_at(mobius(surface.slot_matrix(j, "A"), c))
-        f_cb = flag_at(mobius(surface.slot_matrix(j, "C"), b))
-        f_ba = flag_at(mobius(surface.slot_matrix(j, "B"), a))
+        fa, fb, fc = (exact_flag_at(p, n) for p in (a, b, c))
+        f_ac = exact_flag_at(mobius(surface.slot_matrix(j, "A"), c), n)
+        f_cb = exact_flag_at(mobius(surface.slot_matrix(j, "C"), b), n)
+        f_ba = exact_flag_at(mobius(surface.slot_matrix(j, "B"), a), n)
         tau, taup = {}, {}
         for (x, y, z) in triple_index_set(n):
             tau[(x, y, z)] = math.log(triple_ratio(fa, fc, fb, (x, z, y)))
@@ -178,3 +216,52 @@ def fuchsian_invariants_exact_flags(surface, n):
             sigma[(x, y, z)] = math.log(-val)
         out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
     return out
+
+
+def segment_lengths_exact_flags(tracer, entry, next_entry, xm, xp):
+    """Oracle for the segment-length checks: the hyperplane construction
+    on exact osculating flags.
+
+    Each subsegment length is the log of the cross ratio (xm, L-, L+, xp)
+    on the plane H of first lines at xm and xp, where L+ and L- are the
+    meets of H with the moved hyperplanes Q1^(p) + Q2^(n-p-1).  Returns
+    the crossing average of ``entry`` and the winding lengths from
+    ``entry`` to ``next_entry``, as ``crossing_segment_average`` and
+    ``winding_segment_lengths`` do.
+    """
+    n = tracer.n
+    first = [exact_flag_at(x, n).subspace(1) for x in (xm, xp)]
+    h_plane = first[0] | first[1]
+
+    def seg_log(minus, plus, p):
+        lines = []
+        for q1, q2 in (minus, plus):
+            f1, f2 = exact_flag_at(q1, n), exact_flag_at(q2, n)
+            line = subspace_intersect(f1.subspace(p) | f2.subspace(n - p - 1), h_plane)
+            if line.dim != 1:
+                raise DegenerateError("segment endpoints are not transverse")
+            lines.append(line)
+        val = plane_cross_ratio(first[0], lines[0], lines[1], first[1], h_plane)
+        if is_infinite(val) or val <= 0:
+            raise DegenerateError("segment cross ratio not positive")
+        return math.log(val)
+
+    def moved(entry):
+        # edge (a, b) with a on the xm -> xp arc; succ and pred each share
+        # one endpoint, and the far ends move the two hyperplanes
+        pred_e, edge_e, succ_e, _pivot = entry
+        p, q = tracer.edge_points(edge_e)
+        a, b = (p, q) if in_arc(p, xm, xp) else (q, p)
+
+        def far(edge, shared):
+            u, v = tracer.edge_points(edge)
+            return v if points_equal(u, shared) else u
+
+        if any(points_equal(x, a) for x in tracer.edge_points(succ_e)):
+            return (far(pred_e, b), b), (a, far(succ_e, a))
+        return (a, far(pred_e, a)), (far(succ_e, b), b)
+
+    minus, plus = moved(entry)
+    crossing = sum(seg_log(minus, plus, p) for p in range(n)) / n
+    _, next_plus = moved(next_entry)
+    return crossing, [seg_log(minus, next_plus, p) for p in range(n)]

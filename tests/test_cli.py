@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hitchin.cli import main
 from hitchin.config import ConfigError, RunConfig, parse_scalar
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC_DIR = CONFIG_DIR.parent / "src"
 
 
 def run_cli(args):
@@ -61,6 +63,21 @@ class TestConfig:
         assert run_cli(["entropy-scan", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "'tau:1,1,1'" in err and "n=4" in err
+
+    def test_decomposition_genus_checked_at_load(self, tmp_path, capsys):
+        data = {
+            "genus": 2,
+            "decomposition": {"standard_genus": 3},
+            "parameters": {"fuchsian": True},
+        }
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+        cfg = tmp_path / "genus_mismatch.json"
+        cfg.write_text(json.dumps(data))
+        for command in ("fuchsian-gen", "kbound"):
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert run_cli(argv) == 2, command
+        assert "decomposition genus disagrees" in capsys.readouterr().err
 
     def test_n_range_checked(self):
         with pytest.raises(ConfigError):
@@ -244,10 +261,13 @@ class TestCommands:
         assert "FAIL cross-ratio swap identity" in out
 
     def test_entry_point_installed(self):
+        # the child sees the source tree too, so an uninstalled checkout works
+        path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "hitchin.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
         )
         assert proc.returncode == 0
         assert "hitchin" in proc.stdout

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -16,17 +17,62 @@ from hitchin.degeneration import (
     k_edge,
     length_lower_bound,
     shifted_params,
+    winding_segment_lengths,
 )
-from hitchin.flags import veronese_flag_float
-from hitchin.fuchsian import fixed_points, fuchsian_invariants, mobius, translation_length
+from hitchin.flags import sym_power, veronese_flag
+from hitchin.fuchsian import (
+    fixed_points,
+    fuchsian_invariants,
+    mat2_mul,
+    mobius,
+    translation_length,
+)
 from hitchin.invariants import is_infinite
-from hitchin.linalg import DegenerateError, Flag
+from hitchin.linalg import FLOAT64, DegenerateError, Flag
 from hitchin.pants import HitchinParams, internal_labels, xi_forward, xi_inverse
-from hitchin.tracer import CountPair, r_and_s
+from hitchin.tracer import CountPair, EdgeLift, PsiTracer, r_and_s
+
+from conftest import (
+    SURFACES,
+    exact_flag_at,
+    named_surface,
+    plane_cross_ratio,
+    segment_lengths_exact_flags,
+)
 
 
 def flag_at(point, n):
-    return veronese_flag_float(point if is_infinite(point) else float(point), n)
+    """Float64 osculating flag of the rational normal curve at a boundary point."""
+    if is_infinite(point):
+        return veronese_flag((1, 0), n, backend=FLOAT64)
+    # affine chart z -> [z : 1]
+    z = float(point)
+    frame = ((z, 0.0), (1.0, 1.0)) if z != 0 else ((0.0, -1.0), (1.0, 0.0))
+    rows = sym_power(frame, n)
+    return Flag.from_basis([tuple(float(rows[i][j]) for i in range(n)) for j in range(n)])
+
+
+@functools.lru_cache(maxsize=None)
+def traced(name, word):
+    """A word's encoding on a named surface; it does not depend on n
+    (``test_tracer``'s ``test_encoding_is_dimension_independent``)."""
+    surface = named_surface(name)
+    return surface, PsiTracer(surface, n=2).trace(word)
+
+
+@functools.lru_cache(maxsize=None)
+def fuchsian_k_and_l(name, n):
+    """K and L at the Fuchsian point of a named surface in dimension n.
+
+    K does not depend on n there: every flag cross ratio in ``k_edge``
+    projects to the classical one (``test_fuchsian_k_is_dimension_independent``).
+    The n = 2 value is used because ``compute_K`` still fails at n = 7, 8.
+    """
+    surface = named_surface(name)
+    k_val, _ = compute_K(surface.decomp, fuchsian_invariants(surface, 2))
+    invs = fuchsian_invariants(surface, n)
+    params = xi_forward(surface.decomp, invs, {c: (0.0,) * (n - 1) for c in range(3)})
+    return k_val, compute_L(params.boundary, n)
 
 
 def direct_quadruples(surface, j, n):
@@ -91,6 +137,12 @@ class TestComputeK:
                     k_edge(quad), abs=1e-8
                 ), (j, kind)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_fuchsian_k_is_dimension_independent(self, surface, n):
+        k_two, _ = compute_K(surface.decomp, fuchsian_invariants(surface, 2))
+        k_val, _ = compute_K(surface.decomp, fuchsian_invariants(surface, n))
+        assert k_val == pytest.approx(k_two, rel=1e-12)
+
     def test_positive_on_deformed_points(self, surface, rng):
         invs = fuchsian_invariants(surface, 3)
         gluing = {c: (0.0, 0.0) for c in range(3)}
@@ -129,48 +181,84 @@ class TestSegmentLengths:
         for word in ("ab", "bd", "abc"):
             x_mat = surface.matrix(word)
             xm, xp = fixed_points(x_mat)
-            psi = tracer2.trace(word)
+            psi = traced("default", word)[1]
             for entry in psi.lifts:
                 lhs = crossing_segment_average(tracer2, entry, xm, xp)
                 assert lhs >= k_val - 1e-9
 
-    def test_degenerate_segment_has_zero_length(self, tracer2, surface):
+    def test_degenerate_segment_has_zero_length(self, surface):
         # a subsegment with equal interior endpoints has cross ratio one
-        from hitchin.invariants import plane_cross_ratio
-
         xm, xp = fixed_points(surface.matrix("ab"))
-        h = tracer2.flag(xm).subspace(1) | tracer2.flag(xp).subspace(1)
-        mid = tracer2.flag(surface.base_vertex(0, "b")).subspace(1) & h
-        val = plane_cross_ratio(
-            tracer2.flag(xm).subspace(1), mid, mid, tracer2.flag(xp).subspace(1), h
+        first = [exact_flag_at(x, 2).subspace(1) for x in (xm, xp)]
+        h = first[0] | first[1]
+        mid = exact_flag_at(surface.base_vertex(0, "b"), 2).subspace(1) & h
+        val = plane_cross_ratio(first[0], mid, mid, first[1], h)
+        assert val == 1
+        assert math.log(val) == 0.0
+
+    @pytest.mark.parametrize(
+        "name,n,word",
+        [(name, n, "bd") for name in SURFACES for n in range(2, 7)]
+        + [("default", 7, "abc"), ("default", 8, "bd")],
+    )
+    def test_closed_form_matches_exact_flags(self, name, n, word):
+        surface, psi = traced(name, word)
+        tracer = PsiTracer(surface, n=n)
+        x_mat = surface.matrix(word)
+        xm, xp = fixed_points(x_mat)
+        # the last lift pairs with the deck translate of the first
+        wrapped = tuple(
+            EdgeLift(mat2_mul(x_mat, e.gamma), e.pants, e.kind)
+            if isinstance(e, EdgeLift)
+            else e
+            for e in psi.lifts[0]
         )
-        assert float(val) == pytest.approx(1.0)
-        assert math.log(float(val)) == pytest.approx(0.0)
+        for entry, next_entry in zip(psi.lifts, psi.lifts[1:] + (wrapped,)):
+            crossing, winding = segment_lengths_exact_flags(
+                tracer, entry, next_entry, xm, xp
+            )
+            assert crossing_segment_average(tracer, entry, xm, xp) == pytest.approx(
+                crossing, abs=1e-12
+            )
+            assert winding_segment_lengths(
+                tracer, entry, next_entry, xm, xp
+            ) == pytest.approx(winding, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_crossing_average_scales_with_n(self, n):
+        for name in SURFACES:
+            surface, psi = traced(name, "abc")
+            xm, xp = fixed_points(surface.matrix("abc"))
+            two, high = PsiTracer(surface, n=2), PsiTracer(surface, n=n)
+            for entry in psi.lifts:
+                assert crossing_segment_average(high, entry, xm, xp) == pytest.approx(
+                    (n - 1) * crossing_segment_average(two, entry, xm, xp), rel=1e-12
+                )
 
 
 class TestWindingSegments:
-    def test_segment_check_both_inequalities(self, surface, tracer2):
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_segment_check_both_inequalities(self, n):
         from hitchin.degeneration import segment_length_check
 
-        invs = fuchsian_invariants(surface, 2)
-        k_val, _ = compute_K(surface.decomp, invs)
-        params = xi_forward(surface.decomp, invs, {c: (0.0,) for c in range(3)})
-        l_val = compute_L(params.boundary, 2)
-        for word in ("abc", "bd", "aabd"):
-            x_mat = surface.matrix(word)
-            psi = tracer2.trace(word)
-            for i in range(len(psi.tuples)):
-                crossing, winding = segment_length_check(
-                    tracer2, psi, i, x_mat, k_val, l_val
-                )
-                assert crossing[0] >= crossing[1] - 1e-9
-                assert winding[0] >= winding[1] - 1e-9
+        for name in SURFACES:
+            k_val, l_val = fuchsian_k_and_l(name, n)
+            for word in ("abc", "bd", "aabd"):
+                surface, psi = traced(name, word)
+                tracer = PsiTracer(surface, n=n)
+                x_mat = surface.matrix(word)
+                for i in range(len(psi.tuples)):
+                    crossing, winding = segment_length_check(
+                        tracer, psi, i, x_mat, k_val, l_val
+                    )
+                    assert crossing[0] >= crossing[1] - 1e-9, (name, word, i)
+                    assert winding[0] >= winding[1] - 1e-9, (name, word, i)
 
     def test_small_windings_have_zero_rhs(self, surface, tracer2):
         from hitchin.degeneration import segment_length_check
 
         x_mat = surface.matrix("abc")
-        psi = tracer2.trace("abc")
+        psi = traced("default", "abc")[1]
         small = [i for i, tp in enumerate(psi.tuples) if abs(tp.t) <= 1]
         assert small
         for i in small:
@@ -199,7 +287,7 @@ class TestLengthBound:
         l_val = compute_L(params.boundary, 2)
         words = ["b", "d", "ab", "ad", "bd", "abc", "abd", "bc", "abcd", "aabd"]
         for word in words:
-            psi = tracer2.trace(word)
+            psi = traced("default", word)[1]
             counts = r_and_s(psi)
             bound = length_lower_bound(counts, k_val, l_val)
             length = translation_length(surface.matrix(word))

@@ -24,7 +24,7 @@ from hitchin.fuchsian import (
 from hitchin.invariants import INFINITY
 from hitchin.pants import check_closed_leaf, lambda_gaps_from_invariants
 
-from conftest import fuchsian_invariants_exact_flags
+from conftest import SURFACES, fuchsian_invariants_exact_flags
 
 
 class TestBPoint:
@@ -158,13 +158,6 @@ class TestGenus2Surface:
                 if any(points_equal(p, q) for p in e1 for q in e2):
                     continue
                 assert not edges_cross(e1, e2)
-
-
-SURFACES = {
-    "default": {},
-    "twist": {"twist": Fraction(1, 5)},
-    "b1": {"b1": ((1, 3), (1, 4))},
-}
 
 
 class TestFuchsianInvariants:

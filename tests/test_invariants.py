@@ -7,19 +7,18 @@ from hitchin.invariants import (
     INFINITY,
     cross_ratio,
     cross_ratio_flags,
-    cross_ratio_of_points,
     eigen_gap_check,
     eigen_gap_oracle,
     is_infinite,
-    plane_cross_ratio,
     project_curve_point,
     triple_index_set,
     triple_ratio,
 )
 from hitchin.flags import veronese_flag
+from hitchin.fuchsian import BPoint, boundary_cross_ratio
 from hitchin.linalg import DegenerateError, Flag, is_generic_triple, mat_vec
 
-from conftest import random_flag, random_unimodular
+from conftest import plane_cross_ratio, random_flag, random_unimodular
 
 
 def random_config(rng, n, count):
@@ -327,5 +326,7 @@ class TestProjection:
 class TestExtendedPoints:
     def test_classical_points_cross_ratio(self):
         # wedge convention: (inf, 1, z, 0) = 1/z on the affine chart
-        assert cross_ratio_of_points(INFINITY, 1, Fraction(1, 2), 0) == 2
-        assert cross_ratio_of_points(INFINITY, 1, Fraction(1, 4), 0) == 4
+        one, zero = BPoint.rational(1), BPoint.rational(0)
+        for z, expected in ((Fraction(1, 2), 2), (Fraction(1, 4), 4)):
+            value = boundary_cross_ratio(INFINITY, one, BPoint.rational(z), zero)
+            assert value == expected
