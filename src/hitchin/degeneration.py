@@ -9,12 +9,16 @@ collections
 
 averaged over p and minimized over the two quadruple orderings; K is the
 minimum over the six edge classes of the decomposition, L the minimal
-boundary width over n.  Away from the Fuchsian locus the four flags are
-reconstructed from the invariant data alone: the edge pair is normalized
-to the standard and reversed coordinate flags, the triangle invariants
-pin the two opposite flags (after the cyclic/transposition reindexing
-that moves the unknown flag into the middle slot), and the shear values
-pin the fourth line.
+boundary width over n.  The two orderings share their bases: a^i + b^j +
+e^k (e in {c, d}) can only sit in M_p(a, b, e), where b has multiplicity
+n-1-p, or in M_(n-1-p)(b, a, e), where a has multiplicity p.  So it serves
+p = n-1-j in one ordering and p = i in the other, and ``k_edge`` builds
+each base sum once for both.  Away from the Fuchsian locus the four flags
+are reconstructed from the invariant data alone: the edge pair is
+normalized to the standard and reversed coordinate flags, the triangle
+invariants pin the two opposite flags (after the cyclic/transposition
+reindexing that moves the unknown flag into the middle slot), and the
+shear values pin the fourth line.
 
 The segment-length checks on the Fuchsian locus build no flag: the
 hyperplane Q1^(k1) + Q2^(k2) of osculating subspaces is the zero set of
@@ -25,6 +29,7 @@ crossing average at n is n - 1 times its n = 2 value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +45,7 @@ from .fuchsian import (
     mat2_mul,
     points_equal,
 )
-from .invariants import INFINITY, cross_ratio_flags, is_infinite, triple_index_set
+from .invariants import INFINITY, based_lines, cross_ratio, is_infinite, triple_index_set
 from .linalg import DegenerateError, FLOAT64, Flag, Subspace
 from .tracer import EdgeLift
 
@@ -79,53 +84,49 @@ class EdgeQuadruple:
         return self.a.ambient
 
 
-def m_collection(fa, fb, fc, p):
-    """The subspaces a^(p-r) + b^(n-p-1) + c^(r-1), r = 1..p."""
-    n = fa.ambient
-    out = []
-    for r in range(1, p + 1):
-        base = [(fa, p - r), (fb, n - p - 1), (fc, r - 1)]
-        out.append([(f, m) for f, m in base if m > 0])
-    return out
-
-
-def _log_cross(quad_flags, base):
-    value = cross_ratio_flags(*quad_flags, base)
+def _log_cross(lines, m_space):
+    value = cross_ratio(lines, m_space)
     if is_infinite(value) or value <= 0:
         raise DegenerateError(f"crossing cross ratio not positive: {value}")
-    return math.log(float(value))
+    if isinstance(value, Fraction):
+        # an exact ratio may lie outside the float range
+        return math.log(value.numerator) - math.log(value.denominator)
+    return math.log(value)
 
 
 def k_edge(quad):
-    """K[a, b] of one edge quadruple: min of the two branch averages."""
+    """K[a, b] of one edge quadruple: min of the two branch averages.
+
+    Branch one averages over p the largest log (d, a, c, b)_M over M in
+    M_p(a, b, c) u M_(n-1-p)(b, a, d), branch two the largest
+    log (b, d, a, c)_M over M_p(a, b, d) u M_(n-1-p)(b, a, c).  A base
+    a^i + b^j + e^k sits at p = n-1-j in the branch that pairs M_p with e
+    and at p = i in the other (see the module docstring), so one pass over
+    (e, i, j) builds each base sum and its moving lines once for both.
+    """
     fa, fb, fc, fd = quad.a, quad.b, quad.c, quad.d
     n = quad.n
-    k_prime = {}
-    k_second = {}
-    for p in range(1, n - 1):
-        k_prime[p] = max(
-            _log_cross((fd, fa, fc, fb), m)
-            for m in m_collection(fa, fb, fc, p) + m_collection(fb, fa, fd, n - p - 1)
-        )
-        k_second[p] = max(
-            _log_cross((fb, fd, fa, fc), m)
-            for m in m_collection(fa, fb, fd, p) + m_collection(fb, fa, fc, n - p - 1)
-        )
-    k_prime[0] = max(
-        _log_cross((fd, fa, fc, fb), m) for m in m_collection(fb, fa, fd, n - 1)
+    k_one = [-math.inf] * n
+    k_two = [-math.inf] * n
+    for e_is_c, fe in ((True, fc), (False, fd)):
+        for i in range(n - 1):
+            for j in range(n - 1 - i):
+                base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
+                m_space, (la, lb, lc, ld) = based_lines((fa, fb, fc, fd), base)
+                p_one, p_two = (n - 1 - j, i) if e_is_c else (i, n - 1 - j)
+                k_one[p_one] = max(k_one[p_one], _log_cross((ld, la, lc, lb), m_space))
+                k_two[p_two] = max(k_two[p_two], _log_cross((lb, ld, la, lc), m_space))
+    return min(sum(k_one) / n, sum(k_two) / n)
+
+
+@functools.cache
+def _edge_frame(n):
+    """The float64 standard flag, reversed flag and all-ones line of R^n."""
+    return (
+        Flag.standard(n, backend=FLOAT64),
+        Flag.reversed_standard(n, backend=FLOAT64),
+        Subspace.span([(1.0,) * n], backend=FLOAT64),
     )
-    k_second[0] = max(
-        _log_cross((fb, fd, fa, fc), m) for m in m_collection(fb, fa, fc, n - 1)
-    )
-    k_prime[n - 1] = max(
-        _log_cross((fd, fa, fc, fb), m) for m in m_collection(fa, fb, fc, n - 1)
-    )
-    k_second[n - 1] = max(
-        _log_cross((fb, fd, fa, fc), m) for m in m_collection(fa, fb, fd, n - 1)
-    )
-    avg_prime = sum(k_prime.values()) / n
-    avg_second = sum(k_second.values()) / n
-    return min(avg_prime, avg_second)
 
 
 def edge_quadruple_from_invariants(inv, kind):
@@ -138,9 +139,7 @@ def edge_quadruple_from_invariants(inv, kind):
     """
     n = inv.n
     rules = _EDGE_RULES[kind]
-    fa = Flag.standard(n, backend=FLOAT64)
-    fb = Flag.reversed_standard(n, backend=FLOAT64)
-    ones = Subspace.span([tuple(1.0 for _ in range(n))], backend=FLOAT64)
+    fa, fb, ones = _edge_frame(n)
 
     tau_ratios = {}
     taup_ratios = {}

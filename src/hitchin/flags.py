@@ -99,7 +99,7 @@ def veronese_flag(point, n, backend=EXACT):
     return Flag.from_basis(cols, backend=backend)
 
 
-def reconstruct_triple(f, h, g_line, ratios, normalize_first_coord=True):
+def reconstruct_triple(f, h, g_line, ratios):
     """The unique flag G with given line G^(1) and triple ratios.
 
     ``ratios`` maps every index (x,y,z) with x+y+z = n to the prescribed
@@ -158,11 +158,10 @@ def reconstruct_triple(f, h, g_line, ratios, normalize_first_coord=True):
             raise DegenerateError(
                 f"reconstructed level {y0 + 1} does not extend level {y0}"
             )
-        if normalize_first_coord:
-            lead = next((x for x in new_vec if x != 0), None)
-            if lead is None:
-                raise DegenerateError(f"reconstructed level {y0 + 1} has a zero vector")
-            new_vec = tuple(x / lead for x in new_vec)
+        lead = next((x for x in new_vec if x != 0), None)
+        if lead is None:
+            raise DegenerateError(f"reconstructed level {y0 + 1} has a zero vector")
+        new_vec = tuple(x / lead for x in new_vec)
         g_basis.append(new_vec)
 
     for v in Subspace.full(n, backend).basis:
@@ -257,8 +256,9 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
             f"shear data is inconsistent: hyperplane intersection has dim {len(kernel)}"
         )
     d_vec = kernel[0]
-    # the recovered line must be transverse to every M + A and M + B
-    scale = max(abs(float(x)) for x in d_vec)
+    # the recovered line must be transverse to every M + A and M + B; in
+    # floats, up to rounding at the scale of the kernel vector
+    tol = 0 if backend.exact else 1e-12 * max(1.0, max(abs(x) for x in d_vec))
     for x in range(1, n):
         m_rows = list(a_flag.subspace(x - 1).basis) + list(
             b_flag.subspace(n - x - 1).basis
@@ -266,17 +266,14 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
         a_line = transverse_line(a_flag, x - 1)
         b_line = transverse_line(b_flag, n - x - 1)
         for other in (a_line, b_line):
-            w = wedge_det(m_rows + [other, d_vec])
-            if (backend.exact and w == 0) or (
-                not backend.exact and abs(w) <= 1e-12 * max(1.0, scale)
-            ):
+            if abs(wedge_det(m_rows + [other, d_vec])) <= tol:
                 raise DegenerateError(
                     "shear data forces a degenerate fourth line"
                 )
     return Subspace.span(kernel, ambient=n, backend=backend)
 
 
-def extract_shear_values(a_flag, b_flag, c_line, d_line, rng=None):
+def extract_shear_values(a_flag, b_flag, c_line, d_line):
     """Cross-ratio values (A,C,D,B)_{A^(x-1)+B^(n-x-1)} for x = 1..n-1."""
     from .invariants import cross_ratio, transverse_line
 
@@ -286,7 +283,7 @@ def extract_shear_values(a_flag, b_flag, c_line, d_line, rng=None):
     out = {}
     for x in range(1, n):
         m = a_flag.subspace(x - 1) | b_flag.subspace(n - x - 1)
-        a_line = transverse_line(a_flag, x - 1, rng=rng)
-        b_line = transverse_line(b_flag, n - x - 1, rng=rng)
+        a_line = transverse_line(a_flag, x - 1)
+        b_line = transverse_line(b_flag, n - x - 1)
         out[x] = cross_ratio([a_line, c_vec, d_vec, b_line], m)
     return out

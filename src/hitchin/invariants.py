@@ -17,7 +17,6 @@ from __future__ import annotations
 from .linalg import (
     DegenerateError,
     Subspace,
-    jordan_projection,
     mat_vec,
     wedge_det,
 )
@@ -127,6 +126,29 @@ def _moving_line(flag, base_flags_mults, rng=None):
     return transverse_line(flag, mult, rng=rng)
 
 
+def based_lines(flags, base, rng=None):
+    """The base sum M and one moving line per flag.
+
+    ``base`` is a list of (Flag, multiplicity) pairs with multiplicities
+    summing to n-2 and a direct sum M of dimension n-2.  A flag that also
+    carries base multiplicity m is represented by a line of its level m+1
+    transverse to its level m; see :func:`transverse_line`.
+    """
+    n = flags[0].ambient
+    total = sum(m for _, m in base)
+    if total != n - 2:
+        raise DegenerateError(
+            f"base multiplicities sum to {total}, expected {n - 2}"
+        )
+    m_space = Subspace.zero(n, flags[0].backend)
+    for bflag, mult in base:
+        if mult:
+            m_space = m_space | bflag.subspace(mult)
+    if m_space.dim != n - 2:
+        raise DegenerateError("degenerate configuration: base sum is not direct")
+    return m_space, [_moving_line(f, base, rng=rng) for f in flags]
+
+
 def cross_ratio_flags(a, b, c, d, base, rng=None):
     """Cross ratio (A,B,C,D)_M with M a sum of flag subspaces.
 
@@ -135,21 +157,7 @@ def cross_ratio_flags(a, b, c, d, base, rng=None):
     representatives are then chosen transversally, and the value does not
     depend on that choice.
     """
-    flags = (a, b, c, d)
-    n = a.ambient
-    backend = a.backend
-    total = sum(m for _, m in base)
-    if total != n - 2:
-        raise DegenerateError(
-            f"base multiplicities sum to {total}, expected {n - 2}"
-        )
-    m_space = Subspace.zero(n, backend)
-    for bflag, mult in base:
-        if mult:
-            m_space = m_space | bflag.subspace(mult)
-    if m_space.dim != n - 2:
-        raise DegenerateError("degenerate configuration: base sum is not direct")
-    lines = [_moving_line(f, base, rng=rng) for f in flags]
+    m_space, lines = based_lines((a, b, c, d), base, rng=rng)
     return cross_ratio(lines, m_space)
 
 
@@ -218,14 +226,6 @@ def eigen_gap_check(matrix, i, j, line):
     l_vec = tuple(float(x) for x in line)
     gl = mat_vec([tuple(float(x) for x in row) for row in matrix], l_vec)
     return cross_ratio([vj, l_vec, gl, vi], m_rows)
-
-
-def eigen_gap_oracle(matrix, i, j):
-    """exp(lambda_i - lambda_j) straight from the Jordan projection."""
-    import math
-
-    lam = jordan_projection(matrix).entries
-    return math.exp(lam[i - 1] - lam[j - 1])
 
 
 def project_curve_point(e_flag, bases, target, m=1):

@@ -15,7 +15,15 @@ from hitchin.invariants import (
     triple_index_set,
     triple_ratio,
 )
-from hitchin.linalg import EXACT, DegenerateError, Flag, Subspace, rref, subspace_intersect
+from hitchin.linalg import (
+    EXACT,
+    DegenerateError,
+    Flag,
+    Subspace,
+    jordan_projection,
+    rref,
+    subspace_intersect,
+)
 from hitchin.pants import SLOTS, PantsInvariants, slot_boundary_gaps
 from hitchin.tracer import PsiTracer
 
@@ -151,6 +159,52 @@ def xi_inverse_dense(params):
                 taup[idx] = row[width]
         out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
     return out
+
+
+def eigen_gap_oracle(matrix, i, j):
+    """exp(lambda_i - lambda_j) straight from the Jordan projection."""
+    lam = jordan_projection(matrix).entries
+    return math.exp(lam[i - 1] - lam[j - 1])
+
+
+def _m_collection(fa, fb, fc, p):
+    """The bases a^(p-r) + b^(n-p-1) + c^(r-1), r = 1..p."""
+    n = fa.ambient
+    out = []
+    for r in range(1, p + 1):
+        base = [(fa, p - r), (fb, n - p - 1), (fc, r - 1)]
+        out.append([(f, m) for f, m in base if m > 0])
+    return out
+
+
+def k_edge_two_branches(quad):
+    """Oracle for ``k_edge``: each branch built collection by collection.
+
+    Branch one averages over p the largest log (d, a, c, b)_M over
+    M_p(a, b, c) u M_(n-1-p)(b, a, d), branch two the largest
+    log (b, d, a, c)_M over M_p(a, b, d) u M_(n-1-p)(b, a, c); every
+    cross ratio is evaluated from scratch by ``cross_ratio_flags``.
+    """
+    fa, fb, fc, fd = quad.a, quad.b, quad.c, quad.d
+    n = quad.n
+
+    def log_cross(flags, base):
+        value = cross_ratio_flags(*flags, base)
+        if is_infinite(value) or value <= 0:
+            raise DegenerateError(f"crossing cross ratio not positive: {value}")
+        return math.log(float(value))
+
+    averages = []
+    for order, near, far in (
+        ((fd, fa, fc, fb), fc, fd),
+        ((fb, fd, fa, fc), fd, fc),
+    ):
+        total = 0.0
+        for p in range(n):
+            bases = _m_collection(fa, fb, near, p) + _m_collection(fb, fa, far, n - 1 - p)
+            total += max(log_cross(order, base) for base in bases)
+        averages.append(total / n)
+    return min(averages)
 
 
 @functools.lru_cache(maxsize=None)

@@ -33,7 +33,6 @@ from hitchin.fuchsian import fuchsian_invariants, genus2_surface, translation_le
 from hitchin.invariants import (
     cross_ratio,
     eigen_gap_check,
-    eigen_gap_oracle,
     is_infinite,
     triple_index_set,
     triple_ratio,
@@ -56,7 +55,7 @@ from hitchin.pants import (
 )
 from hitchin.tracer import PsiTracer, cyclic_equal, r_and_s, validate_psi
 
-from conftest import gap_terms, random_flag, random_unimodular
+from conftest import eigen_gap_oracle, gap_terms, random_flag, random_unimodular
 
 GOLDEN = json.loads(
     (Path(__file__).resolve().parent / "golden" / "degeneration.json").read_text()

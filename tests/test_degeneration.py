@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,12 @@ from hitchin.degeneration import (
     shifted_params,
     winding_segment_lengths,
 )
-from hitchin.flags import sym_power, veronese_flag
+from hitchin.flags import (
+    reconstruct_triple,
+    recover_fourth_line_from_values,
+    sym_power,
+    veronese_flag,
+)
 from hitchin.fuchsian import (
     fixed_points,
     fuchsian_invariants,
@@ -27,14 +33,15 @@ from hitchin.fuchsian import (
     mobius,
     translation_length,
 )
-from hitchin.invariants import is_infinite
-from hitchin.linalg import FLOAT64, DegenerateError, Flag
+from hitchin.invariants import is_infinite, triple_index_set
+from hitchin.linalg import EXACT, FLOAT64, DegenerateError, Flag, Subspace
 from hitchin.pants import HitchinParams, internal_labels, xi_forward, xi_inverse
 from hitchin.tracer import CountPair, EdgeLift, PsiTracer, r_and_s
 
 from conftest import (
     SURFACES,
     exact_flag_at,
+    k_edge_two_branches,
     named_surface,
     plane_cross_ratio,
     segment_lengths_exact_flags,
@@ -90,6 +97,38 @@ def direct_quadruples(surface, j, n):
     }
 
 
+def reconstructed_quadruple(n, tau, shear, taup):
+    """Exact edge quadruple on the standard frame from ratio and shear data.
+
+    ``tau`` and ``taup`` give T_{x,y,z} of C and D for every index,
+    ``shear`` the cross-ratio value (A, C, D, B) at every level.
+    """
+    fa = Flag.standard(n, backend=EXACT)
+    fb = Flag.reversed_standard(n, backend=EXACT)
+    ones = Subspace.span([(Fraction(1),) * n], backend=EXACT)
+    fc = reconstruct_triple(fa, fb, ones, tau)
+    d_line = recover_fourth_line_from_values(fa, fb, ones, shear)
+    fd = reconstruct_triple(fa, fb, d_line, taup)
+    return EdgeQuadruple(a=fa, b=fb, c=fc, d=fd)
+
+
+def small_height_quadruple(n, seed):
+    """Reconstructed quadruple with positive ratios p/q, 1 <= p, q <= 5."""
+    rng = random.Random(seed)
+    value = lambda: Fraction(rng.randint(1, 5), rng.randint(1, 5))  # noqa: E731
+    tau = {idx: value() for idx in triple_index_set(n)}
+    taup = {idx: value() for idx in triple_index_set(n)}
+    shear = {k: -value() for k in range(1, n)}
+    return reconstructed_quadruple(n, tau, shear, taup)
+
+
+def veronese_quadruple(surface, n):
+    """Exact osculating flags at a, b, c and the far vertex of edge ab."""
+    a, b, c = (surface.base_vertex(0, letter) for letter in "abc")
+    ac = mobius(surface.matrix(surface.slot_words[(0, "A")]), c)
+    return EdgeQuadruple(*(exact_flag_at(p, n) for p in (a, b, c, ac)))
+
+
 class TestKEdge:
     def test_two_dimensional_value(self):
         # classical quadruple with both branch cross ratios equal to 2
@@ -123,6 +162,20 @@ class TestKEdge:
             a=quad.a.apply(m), b=quad.b.apply(m), c=quad.c.apply(m), d=quad.d.apply(m)
         )
         assert k_edge(moved) == pytest.approx(base, abs=1e-8)
+
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_two_branch_oracle(self, surface, n):
+        quads = [veronese_quadruple(surface, n), small_height_quadruple(n, 100 + n)]
+        for quad in quads:
+            assert k_edge(quad) == pytest.approx(k_edge_two_branches(quad), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_exact_ratio_beyond_float_range(self, n):
+        ones = {idx: Fraction(1) for idx in triple_index_set(n)}
+        shear = {k: Fraction(-(10**400)) for k in range(1, n)}
+        quad = reconstructed_quadruple(n, ones, shear, ones)
+        assert math.isfinite(k_edge(quad))
 
 
 class TestComputeK:

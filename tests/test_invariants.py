@@ -8,7 +8,6 @@ from hitchin.invariants import (
     cross_ratio,
     cross_ratio_flags,
     eigen_gap_check,
-    eigen_gap_oracle,
     is_infinite,
     project_curve_point,
     triple_index_set,
@@ -18,7 +17,7 @@ from hitchin.flags import veronese_flag
 from hitchin.fuchsian import BPoint, boundary_cross_ratio
 from hitchin.linalg import DegenerateError, Flag, is_generic_triple, mat_vec
 
-from conftest import plane_cross_ratio, random_flag, random_unimodular
+from conftest import eigen_gap_oracle, plane_cross_ratio, random_flag, random_unimodular
 
 
 def random_config(rng, n, count):
