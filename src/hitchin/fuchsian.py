@@ -2,9 +2,10 @@ r"""Exact Fuchsian surface-group machinery on the upper half-plane boundary.
 
 Boundary points are quadratic irrationals a + b sqrt(D) (or the point at
 infinity), so every incidence and cyclic-order decision made by the curve
-tracer is exact integer arithmetic -- fixed points of rational hyperbolic
-matrices live in real quadratic fields and rational Moebius maps preserve
-them.
+tracer is exact: float-filtered, exact on fallback.  Fixed points of
+rational hyperbolic matrices live in real quadratic fields and rational
+Moebius maps preserve them; ``cmp_points`` decides a sign in float64 when a
+forward error bound proves it and in exact rational arithmetic otherwise.
 
 The default genus-2 group doubles a one-holed torus group <a, b> with
 tr[a, b] < -2 across its boundary axis: the half-turn psi about a rational
@@ -99,8 +100,64 @@ def _sgn(x):
     return (x > 0) - (x < 0)
 
 
+#: exact fallbacks taken by ``cmp_points`` since import (the filtered
+#: path never touches it)
+exact_fallbacks = 0
+
+_EPS = 2.0**-53
+#: the smallest subnormal float, 2 eta with eta = 2^-1075 the largest
+#: absolute rounding error below the normal range
+_TINY = 2.0**-1074
+
+
 def cmp_points(p, q):
-    """Exact sign of p - q for finite boundary points."""
+    r"""Sign of p - q for finite boundary points, always exact.
+
+    A float64 filter decides first.  With u = 2^-53, each rational
+    converts correctly rounded (``numerator / denominator``): relative
+    error at most u, or absolute error at most eta = 2^-1075 below the
+    normal range.  ``math.sqrt(d)`` is within 1.5 u of sqrt(d) (rounding
+    of d, then of the root), the product b * sqrt(d) and the sum
+    a + b sqrt(d) add one rounding each, and the final subtraction keeps
+    the sign.  So each computed point is within
+
+        2 u |a| + 4.5 u |b| sqrt(d) + eta (2 + sqrt(d))
+
+    of its value (eta alone for a rational point), and the sign of the
+    float difference is the exact sign once it exceeds
+
+        5 u (|a_p| + |b_p| sqrt(d_p) + |a_q| + |b_q| sqrt(d_q)) + 2^-1074 (2 + sqrt(d_p) + sqrt(d_q)),
+
+    evaluated in floats from the converted values: the factor 5 leaves
+    room for the O(u^2) terms and the rounding of the bound itself, and
+    the second term is the underflow floor.  An overflowing conversion
+    (``OverflowError``), an infinite or NaN difference, or a difference
+    inside the bound -- equal points always are -- takes the exact
+    branch, which counts itself in ``exact_fallbacks``.
+    """
+    pa, pb = p.a, p.b
+    qa, qb = q.a, q.b
+    try:
+        sp, sq = math.sqrt(p.d), math.sqrt(q.d)
+        xa = pa.numerator / pa.denominator
+        xb = pb.numerator / pb.denominator * sp
+        ya = qa.numerator / qa.denominator
+        yb = qb.numerator / qb.denominator * sq
+        diff = (xa + xb) - (ya + yb)
+    except OverflowError:
+        return _cmp_exact(p, q)
+    bound = 5 * _EPS * (abs(xa) + abs(xb) + abs(ya) + abs(yb)) + _TINY * (2 + sp + sq)
+    if diff > bound:
+        return 1
+    if -diff > bound:
+        return -1
+    return _cmp_exact(p, q)
+
+
+def _cmp_exact(p, q):
+    """Exact sign of p - q in rational arithmetic: the filter's fallback."""
+    global exact_fallbacks
+    exact_fallbacks += 1
     if p.d == q.d:
         return BPoint(p.a - q.a, p.b - q.b, p.d).sign() if p.d else _sgn(p.a - q.a)
     # u single-radical, w pure radical in the other field
@@ -129,26 +186,29 @@ def points_equal(p, q):
     return cmp_points(p, q) == 0
 
 
-def _lt(p, q):
-    """Linear order with the infinite point as maximum."""
+def _cmp_circle(p, q):
+    """Sign of p - q in the linear order with the infinite point as maximum."""
     if is_infinite(p):
-        return False
+        return 0 if is_infinite(q) else 1
     if is_infinite(q):
-        return True
-    return cmp_points(p, q) < 0
+        return -1
+    return cmp_points(p, q)
 
 
 def cyclic_order(p, q, r):
     """+1 if p, q, r are in positive cyclic order on R u {inf}, else -1.
 
     Raises on coincident points -- callers are responsible for the
-    transversality preconditions.
+    transversality preconditions.  Each of the three pairwise comparisons
+    runs once: p < q < r and its two rotations are the even orderings,
+    so the order is the sign -[p:q][q:r][p:r] of the comparison product.
     """
-    if points_equal(p, q) or points_equal(q, r) or points_equal(p, r):
+    pq = _cmp_circle(p, q)
+    qr = _cmp_circle(q, r)
+    pr = _cmp_circle(p, r)
+    if pq == 0 or qr == 0 or pr == 0:
         raise DegenerateError("cyclic order of coincident boundary points")
-    if _lt(p, q):
-        return 1 if (_lt(q, r) or _lt(r, p)) else -1
-    return 1 if (_lt(q, r) and _lt(r, p)) else -1
+    return -pq * qr * pr
 
 
 def in_arc(x, u, v):
@@ -235,12 +295,12 @@ def is_hyperbolic(m):
 
 
 def mobius(m, p):
-    """Image of a boundary point under a rational Moebius matrix."""
+    """Image of a boundary point under a rational or integer Moebius matrix."""
     (a, b), (c, d) = m
     if is_infinite(p):
         if c == 0:
             return INFINITY
-        return BPoint.rational(a / c)
+        return BPoint.rational(Fraction(a, c))
     na, nb = a * p.a + b, a * p.b
     da, db = c * p.a + d, c * p.b
     if da == 0 and db == 0:

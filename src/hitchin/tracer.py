@@ -409,7 +409,14 @@ class PsiTracer:
     # -- walking the axis -------------------------------------------------------
 
     def trace(self, word):
-        """The cyclic encoding of the conjugacy class of ``word``."""
+        """The cyclic encoding of the conjugacy class of ``word``.
+
+        The lift caches (vertex points and fan powers, keyed by group
+        element) start empty for every word, so a long-lived tracer holds
+        the lifts of one word at a time rather than of every word it saw.
+        """
+        self._points = {}
+        self._fan_pow = {}
         x_mat = self.surface.matrix(word)
         if not is_hyperbolic(x_mat):
             raise TraceError(f"word {word!r} is not hyperbolic")
@@ -746,16 +753,20 @@ class PsiTracer:
         spec = self.mesh(cid)
         eta = self.mesh_anchor(v)
         w_mat = self.surface.matrix(spec.word)
-        w_inv = mat2_inv(w_mat)
+        # the Moebius action is projective, so the anchors eta w^k run as
+        # integer matrices: w^-1 is the adjugate, and no product reduces
+        w_int = _integer_matrix(w_mat)
+        (a, b), (c, d) = w_int
+        w_adj = ((d, -b), (-c, a))
 
-        cache = {0: eta}
+        cache = {0: _integer_matrix(eta)}
 
         def anchor(k):
             if k not in cache:
                 if k > 0:
-                    cache[k] = mat2_mul(anchor(k - 1), w_mat)
+                    cache[k] = mat2_mul(anchor(k - 1), w_int)
                 else:
-                    cache[k] = mat2_mul(anchor(k + 1), w_inv)
+                    cache[k] = mat2_mul(anchor(k + 1), w_adj)
             return cache[k]
 
         def mesh_edge(k):
@@ -826,6 +837,15 @@ class PsiTracer:
         u1, w1 = mesh_edge(k1 + 1)
         forward = in_arc(u1, u0, w0) == in_arc(xp, u0, w0)
         return count if forward else -count
+
+
+def _integer_matrix(m):
+    """The primitive integer matrix projectively equal to a rational one."""
+    entries = [x for row in m for x in row]
+    scale = math.lcm(*(x.denominator for x in entries))
+    ints = [x.numerator * (scale // x.denominator) for x in entries]
+    g = math.gcd(*ints)
+    return ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))
 
 
 def trace_psi(surface, word, n=2, depth_cap=64):

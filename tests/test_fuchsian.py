@@ -1,8 +1,12 @@
 import math
+from decimal import Context
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hitchin import fuchsian
 from hitchin.fuchsian import (
     BPoint,
     SurfaceError,
@@ -21,7 +25,8 @@ from hitchin.fuchsian import (
     separates,
     translation_length,
 )
-from hitchin.invariants import INFINITY
+from hitchin.invariants import INFINITY, is_infinite
+from hitchin.linalg import DegenerateError
 from hitchin.pants import check_closed_leaf, lambda_gaps_from_invariants
 
 from conftest import SURFACES, fuchsian_invariants_exact_flags
@@ -64,6 +69,217 @@ class TestBPoint:
         assert edges_cross((pts[0], pts[2]), (pts[1], pts[3]))
 
 
+#: oracle precision: enough digits for heights up to 10^450 and gaps down
+#: to 10^-400 of the magnitude
+ORACLE = Context(prec=1200)
+
+
+def oracle_value(p):
+    """a + b sqrt(d) of a finite point to ORACLE precision."""
+
+    def dec(x):
+        return ORACLE.divide(x.numerator, x.denominator)
+
+    return ORACLE.add(dec(p.a), ORACLE.multiply(dec(p.b), ORACLE.sqrt(p.d)))
+
+
+def oracle_cmp(p, q):
+    """Sign of p - q at 1200 digits; differences below 10^-1000 of the
+    magnitude count as zero (the strategies never make such gaps)."""
+    x, y = oracle_value(p), oracle_value(q)
+    diff = ORACLE.subtract(x, y)
+    scale = max(abs(x), abs(y), ORACLE.create_decimal("1e-330"))
+    if abs(diff) <= ORACLE.multiply(scale, ORACLE.create_decimal("1e-1000")):
+        return 0
+    return 1 if diff > 0 else -1
+
+
+def oracle_cyclic(p, q, r):
+    """Cyclic order from the oracle's sorted order (infinity last)."""
+    pts = [p, q, r]
+
+    def key(i):
+        return (1, 0) if is_infinite(pts[i]) else (0, oracle_value(pts[i]))
+
+    order = sorted(range(3), key=key)
+    return 1 if order in ([0, 1, 2], [1, 2, 0], [2, 0, 1]) else -1
+
+
+NON_SQUARES = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 101, 9973]
+
+
+@st.composite
+def rationals(draw, lo=-(10**12), hi=10**12, den=10**12):
+    return Fraction(draw(st.integers(lo, hi)), draw(st.integers(1, den)))
+
+
+@st.composite
+def points(draw, scale=Fraction(1)):
+    """Finite points a + b sqrt(d), a third of them rational."""
+    a = draw(rationals()) * scale
+    if draw(st.integers(0, 2)) == 0:
+        return BPoint.make(a)
+    b = draw(rationals().filter(bool)) * scale
+    return BPoint.make(a, b, draw(st.sampled_from(NON_SQUARES)))
+
+
+@st.composite
+def near_ties(draw, scale=Fraction(1)):
+    """(p, q) with q - p tiny and nonzero: same field shifted by eps, or
+    another field with the rational part rounded to k digits of p."""
+    p = draw(points(scale))
+    k = draw(st.integers(15, 300))
+    if draw(st.booleans()):
+        eps = Fraction(draw(st.sampled_from([-1, 1])), 10**k) * scale
+        return p, BPoint(p.a + eps, p.b, p.d)
+    b = draw(rationals().filter(bool)) * scale
+    d = draw(st.sampled_from(NON_SQUARES))
+    rest = ORACLE.subtract(
+        oracle_value(p), ORACLE.multiply(ORACLE.divide(b.numerator, b.denominator), ORACLE.sqrt(d))
+    )
+    unit = Fraction(1, 10**k) * scale
+    a = Fraction(round(Fraction(rest) / unit)) * unit
+    return p, BPoint.make(a, b, d)
+
+
+@st.composite
+def equal_pairs(draw, scale=Fraction(1)):
+    """One value stored two ways: b sqrt(s^2 d) unreduced against s b sqrt(d)."""
+    a = draw(rationals()) * scale
+    b = draw(rationals().filter(bool)) * scale
+    d = draw(st.sampled_from(NON_SQUARES))
+    s = draw(st.integers(2, 9))
+    return BPoint(a, b, d * s * s), BPoint(a, s * b, d)
+
+
+#: heights beyond the float range: the conversion raises OverflowError
+HUGE = Fraction(10**400)
+#: values at the subnormal scale
+SUBNORMAL = Fraction(1, 10**320)
+
+#: Near-ties whose float difference errs against the true sign by 3.98 and
+#: 2.99 u (|a_p| + |b_p| sqrt(d_p) + |a_q| + |b_q| sqrt(d_q)), u = 2^-53:
+#: every rounding in p errs upward (the conversion of a d beyond 2^53 in the
+#: first), and q was searched for a large downward error.  The true
+#: difference p - q is negative, about 10^-25 of the magnitude.
+ADVERSARIAL = [
+    (
+        BPoint(
+            Fraction(-49, 104857600),
+            Fraction(451820068004212951, 450359962737049600),
+            18486523820612913193,
+        ),
+        BPoint(
+            Fraction(-48701393120852357211883388279, 10**35),
+            Fraction(452062378005681349, 214748364800),
+            4198844,
+        ),
+    ),
+    (
+        BPoint(
+            Fraction(-49, 6710886400),
+            Fraction(451308281118499051, 450359962737049600),
+            4503600164234487,
+        ),
+        BPoint(
+            Fraction(-77157414295475346057244349, 10**35),
+            Fraction(499246895088118049, 13743895347200),
+            3427487,
+        ),
+    ),
+]
+
+
+def check_cmp(p, q):
+    expected = oracle_cmp(p, q)
+    assert cmp_points(p, q) == expected
+    assert cmp_points(q, p) == -expected
+    # the fallback on its own, whether or not the filter needed it here
+    assert fuchsian._cmp_exact(p, q) == expected
+
+
+class TestFilteredComparison:
+    """``cmp_points`` and ``cyclic_order`` against a 1200-digit oracle."""
+
+    @given(points(), points())
+    @settings(max_examples=150, deadline=None)
+    def test_random_pairs(self, p, q):
+        check_cmp(p, q)
+
+    @given(near_ties())
+    @settings(max_examples=150, deadline=None)
+    def test_near_ties(self, pair):
+        check_cmp(*pair)
+
+    @given(equal_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_equal_points_stored_two_ways(self, pair):
+        p, q = pair
+        assert cmp_points(p, q) == 0 and cmp_points(q, p) == 0
+        assert points_equal(p, q)
+
+    def test_equal_radicals(self):
+        assert cmp_points(BPoint(Fraction(0), Fraction(1), 8), BPoint.make(0, 2, 2)) == 0
+        assert cmp_points(BPoint(Fraction(3), Fraction(0), 5), BPoint.make(3)) == 0
+
+    @given(near_ties(scale=HUGE))
+    @settings(max_examples=40, deadline=None)
+    def test_heights_beyond_float_range(self, pair):
+        check_cmp(*pair)
+
+    def test_radicand_beyond_float_range(self):
+        d = 10**400 + 1
+        p = BPoint(Fraction(0), Fraction(1), d)
+        q = BPoint(Fraction(10**200), Fraction(0), 0)
+        assert cmp_points(p, q) == 1 and cmp_points(q, p) == -1
+
+    @given(near_ties(scale=SUBNORMAL))
+    @settings(max_examples=100, deadline=None)
+    def test_subnormal_near_ties(self, pair):
+        check_cmp(*pair)
+
+    @given(equal_pairs(scale=SUBNORMAL))
+    @settings(max_examples=40, deadline=None)
+    def test_subnormal_equal_points(self, pair):
+        assert cmp_points(*pair) == 0
+
+    @pytest.mark.parametrize("pair", ADVERSARIAL)
+    def test_adversarial_rounding(self, pair):
+        p, q = pair
+        assert oracle_cmp(p, q) == -1
+        check_cmp(p, q)
+        neg = [BPoint(-x.a, -x.b, x.d) for x in pair]
+        check_cmp(*neg)
+
+    @given(near_ties(), points(), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_cyclic_order(self, pair, r, slot):
+        pts = [*pair, r]
+        if slot < 3:
+            pts[slot] = INFINITY
+        finite = [x for x in pts if not is_infinite(x)]
+        tied = any(
+            oracle_cmp(x, y) == 0 for i, x in enumerate(finite) for y in finite[i + 1 :]
+        )
+        if tied:
+            with pytest.raises(DegenerateError):
+                cyclic_order(*pts)
+            return
+        expected = oracle_cyclic(*pts)
+        assert cyclic_order(*pts) == expected
+        assert cyclic_order(pts[1], pts[2], pts[0]) == expected
+        assert cyclic_order(pts[1], pts[0], pts[2]) == -expected
+
+    def test_fallback_counter(self):
+        separated = [BPoint.make(0, 1, 2), BPoint.make(1, 1, 3), BPoint.rational(Fraction(7, 2))]
+        before = fuchsian.exact_fallbacks
+        assert cmp_points(separated[0], separated[1]) == -1
+        assert cyclic_order(*separated) == 1
+        assert fuchsian.exact_fallbacks == before
+        assert points_equal(BPoint(Fraction(0), Fraction(1), 8), BPoint.make(0, 2, 2))
+        assert fuchsian.exact_fallbacks == before + 1
+
+
 class TestMoebius:
     def test_action_matches_float(self):
         m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
@@ -72,6 +288,14 @@ class TestMoebius:
         zf = float(p)
         expected = (2 * zf + 1) / (zf + 1)
         assert float(q) == pytest.approx(expected)
+
+    def test_integer_matrix_acts_like_its_rational_multiple(self):
+        m = ((Fraction(2, 3), Fraction(1, 5)), (Fraction(1, 7), Fraction(3, 2)))
+        scaled = ((140, 42), (30, 315))  # 210 m: the same projective map
+        for p in (BPoint.make(Fraction(1, 2), Fraction(1, 3), 5), BPoint.rational(-4), INFINITY):
+            assert mobius(scaled, p) == mobius(m, p)
+        # infinity goes to a / c exactly, not through a float quotient
+        assert mobius(((1, 0), (3, 1)), INFINITY) == BPoint.rational(Fraction(1, 3))
 
     def test_pole_goes_to_infinity(self):
         m = ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))

@@ -224,6 +224,21 @@ class TestTrace:
         assert len(psi.tuples) == 21
 
 
+class TestLiftCaches:
+    def test_caches_hold_one_word(self, surface):
+        """A long-lived tracer keeps the lift caches of the last word only."""
+        shared = PsiTracer(surface, n=2)
+        for curve in range(surface.decomp.num_curves):
+            shared.mesh(curve)
+        for word in ("ab", "bd", "abc", "aabc", "bcd", "adC", "abcd", "bD"):
+            shared.trace(word)
+            fresh = PsiTracer(surface, n=2)
+            fresh._meshes = shared._meshes
+            fresh.trace(word)
+            assert len(shared._points) == len(fresh._points), word
+            assert len(shared._fan_pow) == len(fresh._fan_pow), word
+
+
 class TestWindingValues:
     def test_reference_windings(self, tracer2):
         # frozen from the exact tracer; the full-scan and windowed search
