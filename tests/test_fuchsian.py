@@ -3,7 +3,7 @@ from decimal import Context
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitchin import fuchsian
