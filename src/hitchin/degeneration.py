@@ -45,7 +45,7 @@ from .fuchsian import (
     mat2_mul,
     points_equal,
 )
-from .invariants import INFINITY, based_lines, cross_ratio, is_infinite, triple_index_set
+from .invariants import INFINITY, based_lines, cross_ratios, is_infinite, triple_index_set
 from .linalg import DegenerateError, FLOAT64, Flag, Subspace
 from .tracer import EdgeLift
 
@@ -84,8 +84,7 @@ class EdgeQuadruple:
         return self.a.ambient
 
 
-def _log_cross(lines, m_space):
-    value = cross_ratio(lines, m_space)
+def _log_cross(value):
     if is_infinite(value) or value <= 0:
         raise DegenerateError(f"crossing cross ratio not positive: {value}")
     if isinstance(value, Fraction):
@@ -102,20 +101,25 @@ def k_edge(quad):
     log (b, d, a, c)_M over M_p(a, b, d) u M_(n-1-p)(b, a, c).  A base
     a^i + b^j + e^k sits at p = n-1-j in the branch that pairs M_p with e
     and at p = i in the other (see the module docstring), so one pass over
-    (e, i, j) builds each base sum and its moving lines once for both.
+    (e, i, j) builds each base sum once and takes both orderings of its
+    four moving lines from one reduction modulo the base.  Each moving line
+    depends only on its flag and multiplicity and is built once per edge.
     """
-    fa, fb, fc, fd = quad.a, quad.b, quad.c, quad.d
+    fa, fb, fc, fd = flags = (quad.a, quad.b, quad.c, quad.d)
     n = quad.n
     k_one = [-math.inf] * n
     k_two = [-math.inf] * n
+    lines = {}
     for e_is_c, fe in ((True, fc), (False, fd)):
         for i in range(n - 1):
             for j in range(n - 1 - i):
                 base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
-                m_space, (la, lb, lc, ld) = based_lines((fa, fb, fc, fd), base)
+                m_base, moving = based_lines(flags, base, lines=lines)
+                # (d, a, c, b) for branch one, (b, d, a, c) for branch two
+                values = cross_ratios(moving, m_base, ((3, 0, 2, 1), (1, 3, 0, 2)))
                 p_one, p_two = (n - 1 - j, i) if e_is_c else (i, n - 1 - j)
-                k_one[p_one] = max(k_one[p_one], _log_cross((ld, la, lc, lb), m_space))
-                k_two[p_two] = max(k_two[p_two], _log_cross((lb, ld, la, lc), m_space))
+                for k_branch, p, value in zip((k_one, k_two), (p_one, p_two), values):
+                    k_branch[p] = max(k_branch[p], _log_cross(value))
     return min(sum(k_one) / n, sum(k_two) / n)
 
 

@@ -27,6 +27,7 @@ from .linalg import (
     Flag,
     Subspace,
     det,
+    reduce_modulo,
     rref,
     wedge_det,
 )
@@ -220,14 +221,21 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     """Same as :func:`recover_fourth_line` with raw cross-ratio values.
 
     ``values[x]`` = (A, C, D, B)_{A^(x-1)+B^(n-x-1)}; exact scalars keep
-    the whole computation exact.
+    the whole computation exact.  On exact flags every wedge [M u w] of a
+    level comes from the 2 x 2 minor of u and w reduced modulo its base M
+    (``linalg.reduce_modulo``), and a wedge linear in d from the minors
+    with the reduced unit vectors.  One nonzero factor scales a level's
+    whole equation, so its kernel, and the line, are those of the n x n
+    wedges, which float flags keep.
     """
     from .invariants import transverse_line
 
     n = a_flag.ambient
     backend = a_flag.backend
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = []
+    checks = []
     for x in range(1, n):
         y = n - x
         v = backend.convert(values[x]) if backend.exact else float(values[x])
@@ -238,16 +246,24 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
         a_line = transverse_line(a_flag, x - 1)
         b_line = transverse_line(b_flag, y - 1)
         # v = [M a d][M b c] / ([M a c][M b d]) is linear in d
-        w_ad = _partial_wedge_functional(m_rows + [a_line], backend)
-        w_bd = _partial_wedge_functional(m_rows + [b_line], backend)
-        k_bc = wedge_det(m_rows + [b_line, c_vec])
-        k_ac = wedge_det(m_rows + [a_line, c_vec])
+        if backend.exact:
+            pa, pb, pc, *pe = reduce_modulo([a_line, b_line, c_vec] + units, m_rows)
+            w_ad = tuple(pa[0] * e[1] - pa[1] * e[0] for e in pe)
+            w_bd = tuple(pb[0] * e[1] - pb[1] * e[0] for e in pe)
+            k_bc = pb[0] * pc[1] - pb[1] * pc[0]
+            k_ac = pa[0] * pc[1] - pa[1] * pc[0]
+        else:
+            w_ad = _partial_wedge_functional(m_rows + [a_line], backend)
+            w_bd = _partial_wedge_functional(m_rows + [b_line], backend)
+            k_bc = wedge_det(m_rows + [b_line, c_vec])
+            k_ac = wedge_det(m_rows + [a_line, c_vec])
         if k_ac == 0 or k_bc == 0:
             raise DegenerateError("edge configuration is not generic")
         row = tuple(
             wa * k_bc - v * k_ac * wb for wa, wb in zip(w_ad, w_bd)
         )
         rows.append(row)
+        checks += [(m_rows, a_line, w_ad), (m_rows, b_line, w_bd)]
     from .linalg import nullspace
 
     kernel = nullspace(rows, backend, n)
@@ -259,17 +275,14 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     # the recovered line must be transverse to every M + A and M + B; in
     # floats, up to rounding at the scale of the kernel vector
     tol = 0 if backend.exact else 1e-12 * max(1.0, max(abs(x) for x in d_vec))
-    for x in range(1, n):
-        m_rows = list(a_flag.subspace(x - 1).basis) + list(
-            b_flag.subspace(n - x - 1).basis
-        )
-        a_line = transverse_line(a_flag, x - 1)
-        b_line = transverse_line(b_flag, n - x - 1)
-        for other in (a_line, b_line):
-            if abs(wedge_det(m_rows + [other, d_vec])) <= tol:
-                raise DegenerateError(
-                    "shear data forces a degenerate fourth line"
-                )
+    for m_rows, other, w_od in checks:
+        if backend.exact:
+            # [M other d] up to the level's nonzero factor
+            wedge = sum(w * d for w, d in zip(w_od, d_vec))
+        else:
+            wedge = wedge_det(m_rows + [other, d_vec])
+        if abs(wedge) <= tol:
+            raise DegenerateError("shear data forces a degenerate fourth line")
     return Subspace.span(kernel, ambient=n, backend=backend)
 
 

@@ -392,6 +392,14 @@ class FuchsianSurfaceData:
     def __post_init__(self):
         self._matrix_cache = {}
         self._vertex_cache = {}
+        # only the words the surface names itself are kept; any other word
+        # (a traced curve, say) is evaluated afresh, so the cache is bounded
+        self._named_words = (
+            {ch for letter in self.generators for ch in (letter, letter.upper())}
+            | set(self.curve_words.values())
+            | set(self.slot_words.values())
+            | set(self.slot_conjugators.values())
+        )
         self._validate()
 
     # -- word evaluation ----------------------------------------------------
@@ -406,7 +414,8 @@ class FuchsianSurfaceData:
             else:
                 g = mat2_inv(self.generators[ch.lower()])
             m = mat2_mul(m, g)
-        self._matrix_cache[word] = m
+        if word in self._named_words:
+            self._matrix_cache[word] = m
         return m
 
     def slot_matrix(self, pants, slot):

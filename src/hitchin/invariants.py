@@ -10,14 +10,27 @@ at infinity.  The triple ratio T_{x,y,z} of a generic flag triple is the
 six-wedge expression on compatible bases.  Both are insensitive to all
 basis and representative choices, which the test suite checks rather than
 assumes.
+
+Every wedge of one ratio contains the same base: M for a cross ratio,
+F^(x-1) + G^(y-1) + H^(z-1) for a triple ratio.  So exact values come from
+reducing the moving vectors modulo that base once
+(``linalg.reduce_modulo``) and taking 2 x 2 or 3 x 3 minors of their
+integer coordinates, the same rationals as the n x n wedges.  Float input
+keeps the n x n LU wedges: the same reduction in floats rounds
+differently and moves float64 scan values near the edge of the domain by
+up to 7e-9 relative (n = 3, tau(1,1,1) ray), more than the 1e-9 the
+recorded float64 references are checked to.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .linalg import (
     DegenerateError,
     Subspace,
     mat_vec,
+    reduce_modulo,
     wedge_det,
 )
 
@@ -53,8 +66,28 @@ def cross_ratio(lines, base):
     """Cross ratio of four lines based at an (n-2)-dimensional subspace.
 
     ``lines`` are four 1-dimensional :class:`Subspace` objects (or raw
-    vectors), ``base`` a Subspace of dimension n-2 containing none of them.
-    Returns a scalar or :data:`INFINITY`.
+    vectors), ``base`` a Subspace of dimension n-2 containing none of them,
+    or n-2 raw rows.  Returns a scalar or :data:`INFINITY`.
+
+    Exact input is reduced modulo the base (``linalg.reduce_modulo``): in
+    R^n / M the four lines are points of a plane, and the value is their
+    classical cross ratio from 2 x 2 minors of integer coordinates.  The
+    base's own factor and each line's scaling appear as often in the
+    numerator as in the denominator, so this is the same rational as the
+    n x n wedge formula.  Float input keeps the LU wedge determinants: the
+    reduction in floats rounds differently, and the recorded float64
+    reference values depend on the LU rounding.  A rank-deficient exact
+    base raises DegenerateError naming its rank.
+    """
+    return next(cross_ratios(lines, base, ((0, 1, 2, 3),)))
+
+
+def cross_ratios(lines, base, orders):
+    """:func:`cross_ratio` of the same four lines in several orders.
+
+    ``orders`` holds permutations of (0, 1, 2, 3).  The values come one by
+    one, so a caller that checks each sees the errors in order; exact input
+    is reduced modulo the base once for all of them.
     """
     if len(lines) != 4:
         raise DegenerateError("cross ratio needs exactly four lines")
@@ -62,31 +95,56 @@ def cross_ratio(lines, base):
     n = len(reps[0])
     if isinstance(base, Subspace):
         mrows = list(base.basis)
+        exact = base.backend.exact and _is_exact(reps)
     else:
         mrows = [tuple(v) for v in base]
+        exact = _is_exact(reps + mrows)
     if len(mrows) != n - 2:
         raise DegenerateError(
             f"cross ratio base must have dimension {n - 2}, got {len(mrows)}"
         )
-    l1, l2, l3, l4 = reps
+    if exact:
+        pts = reduce_modulo(reps, base if isinstance(base, Subspace) else mrows)
+        for order in orders:
+            yield _plane_cross_ratio(*(pts[i] for i in order))
+    else:
+        for order in orders:
+            yield _float_cross_ratio(*(reps[i] for i in order), mrows)
+
+
+def _is_exact(rows):
+    return all(isinstance(x, (Fraction, int)) for row in rows for x in row)
+
+
+def _plane_cross_ratio(p1, p2, p3, p4):
+    """[p1 p3][p4 p2] / ([p1 p2][p4 p3]) for integer points of the plane."""
+
+    def w(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    num = w(p1, p3) * w(p4, p2)
+    den = w(p1, p2) * w(p4, p3)
+    if den == 0:
+        if num == 0:
+            raise DegenerateError(
+                "cross ratio undefined: three of the hyperplanes M+L_i agree"
+            )
+        return INFINITY
+    return Fraction(num, den)
+
+
+def _float_cross_ratio(l1, l2, l3, l4, mrows):
+    """The wedge formula through n x n LU determinants."""
 
     def w(u, v):
         return wedge_det(mrows + [u, v])
 
     num = w(l1, l3) * w(l4, l2)
     den = w(l1, l2) * w(l4, l3)
-    if isinstance(num, float) or isinstance(den, float):
-        # float mode: a denominator at rounding scale is a true infinity
-        scale = max(abs(num), abs(den))
-        if abs(den) <= 1e-13 * scale:
-            if abs(num) <= 1e-13 * scale or scale == 0:
-                raise DegenerateError(
-                    "cross ratio undefined: three of the hyperplanes M+L_i agree"
-                )
-            return INFINITY
-        return num / den
-    if den == 0:
-        if num == 0:
+    # a denominator at rounding scale is a true infinity
+    scale = max(abs(num), abs(den))
+    if abs(den) <= 1e-13 * scale:
+        if abs(num) <= 1e-13 * scale or scale == 0:
             raise DegenerateError(
                 "cross ratio undefined: three of the hyperplanes M+L_i agree"
             )
@@ -117,22 +175,19 @@ def transverse_line(flag, mult, rng=None):
     return vec
 
 
-def _moving_line(flag, base_flags_mults, rng=None):
-    mult = 0
-    for bflag, bm in base_flags_mults:
-        if bflag is flag:
-            mult = bm
-            break
-    return transverse_line(flag, mult, rng=rng)
-
-
-def based_lines(flags, base, rng=None):
-    """The base sum M and one moving line per flag.
+def based_lines(flags, base, rng=None, lines=None):
+    """The base M and one moving line per flag.
 
     ``base`` is a list of (Flag, multiplicity) pairs with multiplicities
-    summing to n-2 and a direct sum M of dimension n-2.  A flag that also
-    carries base multiplicity m is represented by a line of its level m+1
-    transverse to its level m; see :func:`transverse_line`.
+    summing to n-2 and a direct sum M of dimension n-2.  On exact flags M
+    comes back as the summands' stacked RREF rows, which
+    :func:`cross_ratio` reduces by itself (a sum that is not direct shows
+    there as a rank-deficient base); on float flags it is the sum
+    Subspace, whose rows the LU wedges use.  A flag that also carries base
+    multiplicity m is represented by a line of its level m+1 transverse to
+    its level m; see :func:`transverse_line`.  ``lines``, a dict keyed by
+    (position in ``flags``, multiplicity), keeps those lines across calls
+    on the same flags.
     """
     n = flags[0].ambient
     total = sum(m for _, m in base)
@@ -140,13 +195,25 @@ def based_lines(flags, base, rng=None):
         raise DegenerateError(
             f"base multiplicities sum to {total}, expected {n - 2}"
         )
-    m_space = Subspace.zero(n, flags[0].backend)
-    for bflag, mult in base:
-        if mult:
-            m_space = m_space | bflag.subspace(mult)
-    if m_space.dim != n - 2:
-        raise DegenerateError("degenerate configuration: base sum is not direct")
-    return m_space, [_moving_line(f, base, rng=rng) for f in flags]
+    backend = flags[0].backend
+    if backend.exact:
+        m_space = [row for bflag, mult in base for row in bflag.subspace(mult).basis]
+    else:
+        m_space = Subspace.zero(n, backend)
+        for bflag, mult in base:
+            if mult:
+                m_space = m_space | bflag.subspace(mult)
+        if m_space.dim != n - 2:
+            raise DegenerateError("degenerate configuration: base sum is not direct")
+    if lines is None:
+        lines = {}
+    out = []
+    for pos, flag in enumerate(flags):
+        key = (pos, next((m for bflag, m in base if bflag is flag), 0))
+        if key not in lines:
+            lines[key] = transverse_line(flag, key[1], rng=rng)
+        out.append(lines[key])
+    return m_space, out
 
 
 def cross_ratio_flags(a, b, c, d, base, rng=None):
@@ -183,21 +250,56 @@ def shear_index_set(n):
 
 
 def triple_ratio(f, g, h, index):
-    """Triple ratio T_{x,y,z}(F, G, H) of a generic flag triple."""
+    """Triple ratio T_{x,y,z}(F, G, H) of a generic flag triple.
+
+    The six wedges [F^(i) ^ G^(j) ^ H^(k)] on compatible bases all contain
+    the base F^(x-1) + G^(y-1) + H^(z-1) of dimension n-3.  Exact flags
+    reduce the six further basis vectors modulo that base once
+    (``linalg.reduce_modulo``) and take each wedge as a 3 x 3 minor of
+    their integer coordinates.  Every vector, the base factor and the signs
+    of the row permutations that move the base rows first enter the
+    numerator and the denominator equally often, so the value is the same
+    rational as the n x n wedge formula.  Float flags keep the LU
+    wedge determinants, as :func:`cross_ratio` does.  A rank-deficient
+    exact base raises DegenerateError naming its rank.
+    """
     x, y, z = index
     n = f.ambient
     if x + y + z != n or min(x, y, z) < 1:
         raise DegenerateError(f"index {(x, y, z)} not admissible for n={n}")
     fb, gb, hb = f.compatible_basis(), g.compatible_basis(), h.compatible_basis()
 
-    def w(i, j, k):
-        return wedge_det(list(fb[:i]) + list(gb[:j]) + list(hb[:k]))
+    exact = f.backend.exact and g.backend.exact and h.backend.exact
+    if exact:
+        base = list(fb[: x - 1]) + list(gb[: y - 1]) + list(hb[: z - 1])
+        ext = reduce_modulo([fb[x - 1], fb[x], gb[y - 1], gb[y], hb[z - 1], hb[z]], base)
+
+        def w(i, j, k):
+            # the rows of fb[:i] + gb[:j] + hb[:k] beyond the base: a from F,
+            # b from G, the rest from H.  Moving the base rows first passes
+            # the F rows over y+z-2 base rows and the G rows over z-1, so
+            # wedge (a, b) carries the sign (-1)^(a(y+z-2) + b(z-1)); the
+            # exponents add up to 3(y+z-2) + 3(z-1) over the numerator's
+            # (a, b) = (1, 0), (2, 1), (0, 2) and over the denominator's
+            # (1, 2), (0, 1), (2, 0) alike, so the signs cancel and are left out
+            a, b = i - x + 1, j - y + 1
+            u, v, t = ext[:a] + ext[2 : 2 + b] + ext[4 : 7 - a - b]
+            return (
+                u[0] * (v[1] * t[2] - v[2] * t[1])
+                - u[1] * (v[0] * t[2] - v[2] * t[0])
+                + u[2] * (v[0] * t[1] - v[1] * t[0])
+            )
+
+    else:
+
+        def w(i, j, k):
+            return wedge_det(list(fb[:i]) + list(gb[:j]) + list(hb[:k]))
 
     num = w(x, y - 1, z + 1) * w(x + 1, y, z - 1) * w(x - 1, y + 1, z)
     den = w(x, y + 1, z - 1) * w(x - 1, y, z + 1) * w(x + 1, y - 1, z)
     if den == 0:
         raise DegenerateError("triple ratio of a non-generic triple")
-    return num / den
+    return Fraction(num, den) if exact else num / den
 
 
 def eigen_gap_check(matrix, i, j, line):

@@ -8,7 +8,9 @@ a computation never mixes them.
 * The exact backend works over ``fractions.Fraction``, where identities
   hold on the nose.  Its determinant, rank, RREF and kernel all come from
   one fraction-free (Bareiss) Gauss-Jordan elimination on integer rows,
-  ``_eliminate``.
+  ``_eliminate``.  ``reduce_modulo`` reads vectors modulo a base in
+  integer coordinates, which turns wedges that share that base into small
+  minors.
 * The float64 backend takes determinants from ``numpy.linalg.det`` and
   row-reduces with partial pivoting, deciding rank with the relative
   pivot threshold ``PIVOT_RTOL``.
@@ -159,6 +161,52 @@ def _eliminate(a, ncols, reduce_above=True):
         piv_cols.append(c)
         r += 1
     return piv_cols, sign
+
+
+def reduce_modulo(vectors, base):
+    """Integer coordinates of exact vectors modulo the span of ``base``.
+
+    ``base`` is a :class:`Subspace` or a list of m independent rational
+    rows in R^n.  Each vector v is reduced modulo the base and read off in
+    the k = n - m columns without a pivot:
+
+        coords(v) = c * s_v * (v - sum_i v[p_i] r_i)[free columns],
+
+    where r_i are the RREF rows of the base with pivots p_i, s_v > 0 is the
+    lcm of v's denominators and c != 0 is one factor common to all vectors.
+    So for k vectors, the k x k determinant of their coordinates is
+    [base ^ v_1 ^ ... ^ v_k] times c^k * s_1 * ... * s_k and a nonzero
+    factor that depends only on the base.  A Subspace already holds RREF
+    rows, which only need a common denominator (c is its lcm); raw rows go
+    through ``_eliminate`` first (c is its last pivot).  Raises
+    DegenerateError naming the rank when the raw rows are dependent.
+    """
+    if isinstance(base, Subspace):
+        ncols = base.ambient
+        c = math.lcm(*(x.denominator for row in base.basis for x in row))
+        rows = [[x.numerator * (c // x.denominator) for x in row] for row in base.basis]
+        # a RREF row leads with its pivot
+        piv = [next(j for j, x in enumerate(row) if x) for row in rows]
+    else:
+        rows, _ = _integer_rows(base)
+        ncols = len(vectors[0])
+        piv = _eliminate(rows, ncols)[0]
+        if len(piv) < len(rows):
+            raise DegenerateError(
+                f"base of {len(rows)} rows is rank-deficient: rank {len(piv)}"
+            )
+        c = rows[-1][piv[-1]] if rows else 1
+    free = [j for j in range(ncols) if j not in piv]
+    out = []
+    for v in vectors:
+        if len(v) != ncols:
+            raise BackendError(f"vector of dimension {len(v)} modulo a base in R^{ncols}")
+        s = math.lcm(*(x.denominator for x in v))
+        v = [x.numerator * (s // x.denominator) for x in v]
+        # clear v at each pivot; the base rows carry c there and 0 at the others
+        coeffs = [(v[p], row) for p, row in zip(piv, rows) if v[p]]
+        out.append(tuple(c * v[j] - sum(f * row[j] for f, row in coeffs) for j in free))
+    return out
 
 
 # ---------------------------------------------------------------------------

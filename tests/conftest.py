@@ -8,6 +8,7 @@ import pytest
 from hitchin.flags import veronese_flag
 from hitchin.fuchsian import genus2_surface, in_arc, mobius, points_equal
 from hitchin.invariants import (
+    INFINITY,
     cross_ratio,
     cross_ratio_flags,
     is_infinite,
@@ -23,6 +24,7 @@ from hitchin.linalg import (
     jordan_projection,
     rref,
     subspace_intersect,
+    wedge_det,
 )
 from hitchin.pants import SLOTS, PantsInvariants, slot_boundary_gaps
 from hitchin.tracer import PsiTracer
@@ -159,6 +161,44 @@ def xi_inverse_dense(params):
                 taup[idx] = row[width]
         out.append(PantsInvariants(n=n, tau=tau, tau_prime=taup, sigma=sigma))
     return out
+
+
+def cross_ratio_wedges(lines, base):
+    """Oracle for exact ``cross_ratio``: the n x n wedge formula
+
+        [M^L1^L3][M^L4^L2] / ([M^L1^L2][M^L4^L3])
+
+    through ``wedge_det``, on a Subspace base or raw rows.
+    """
+    reps = [l.line_vector() if isinstance(l, Subspace) else tuple(l) for l in lines]
+    mrows = list(base.basis) if isinstance(base, Subspace) else [tuple(v) for v in base]
+
+    def w(u, v):
+        return wedge_det(mrows + [u, v])
+
+    l1, l2, l3, l4 = reps
+    num = w(l1, l3) * w(l4, l2)
+    den = w(l1, l2) * w(l4, l3)
+    if den == 0:
+        if num == 0:
+            raise DegenerateError("cross ratio undefined: 0/0")
+        return INFINITY
+    return num / den
+
+
+def triple_ratio_wedges(f, g, h, index):
+    """Oracle for exact ``triple_ratio``: six n x n wedges on compatible bases."""
+    x, y, z = index
+    fb, gb, hb = f.compatible_basis(), g.compatible_basis(), h.compatible_basis()
+
+    def w(i, j, k):
+        return wedge_det(list(fb[:i]) + list(gb[:j]) + list(hb[:k]))
+
+    num = w(x, y - 1, z + 1) * w(x + 1, y, z - 1) * w(x - 1, y + 1, z)
+    den = w(x, y + 1, z - 1) * w(x - 1, y, z + 1) * w(x + 1, y - 1, z)
+    if den == 0:
+        raise DegenerateError("triple ratio of a non-generic triple")
+    return num / den
 
 
 def eigen_gap_oracle(matrix, i, j):

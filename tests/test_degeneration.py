@@ -1,3 +1,4 @@
+import collections
 import functools
 import math
 import random
@@ -169,6 +170,22 @@ class TestKEdge:
         quads = [veronese_quadruple(surface, n), small_height_quadruple(n, 100 + n)]
         for quad in quads:
             assert k_edge(quad) == pytest.approx(k_edge_two_branches(quad), rel=1e-12)
+
+    def test_moving_lines_built_once(self, monkeypatch):
+        # a moving line depends only on its flag and multiplicity
+        from hitchin import invariants
+
+        quad = small_height_quadruple(5, 105)
+        calls = collections.Counter()
+        original = invariants.transverse_line
+
+        def counting(flag, mult, rng=None):
+            calls[(id(flag), mult)] += 1
+            return original(flag, mult, rng=rng)
+
+        monkeypatch.setattr(invariants, "transverse_line", counting)
+        k_edge(quad)
+        assert calls and max(calls.values()) == 1
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_ratio_beyond_float_range(self, n):

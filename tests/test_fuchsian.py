@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Context
 from fractions import Fraction
 
@@ -357,6 +358,29 @@ class TestGenus2Surface:
     def test_rejects_twist_outside_axis(self):
         with pytest.raises(SurfaceError):
             genus2_surface(twist=Fraction(100))
+
+    def test_tracing_leaves_the_matrix_cache_alone(self):
+        """Only the words the surface names itself are memoised."""
+        from hitchin.tracer import PsiTracer
+
+        s = genus2_surface()
+        tracer = PsiTracer(s, n=2)
+        tracer.trace("ab")
+        before = len(s._matrix_cache)
+        rng = random.Random(50)
+        words = set()
+        while len(words) < 50:
+            w = [rng.choice("abcdABCD")]
+            while len(w) < rng.randint(2, 3):
+                ch = rng.choice("abcdABCD")
+                if ch != w[-1].swapcase():
+                    w.append(ch)
+            word = "".join(w)
+            if word[0] != word[-1].swapcase() and is_hyperbolic(s.matrix(word)):
+                words.add(word)
+        for word in sorted(words):
+            tracer.trace(word)
+        assert len(s._matrix_cache) == before
 
     def test_triangulation_orbit_non_crossing(self, surface):
         # 1-ball sample of edge lifts: exact non-crossing check

@@ -1,7 +1,11 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hitchin.invariants import (
     INFINITY,
@@ -15,9 +19,24 @@ from hitchin.invariants import (
 )
 from hitchin.flags import veronese_flag
 from hitchin.fuchsian import BPoint, boundary_cross_ratio
-from hitchin.linalg import DegenerateError, Flag, is_generic_triple, mat_vec
+from hitchin.linalg import (
+    EXACT,
+    DegenerateError,
+    Flag,
+    Subspace,
+    is_generic_triple,
+    mat_vec,
+    matrix_rank,
+)
 
-from conftest import eigen_gap_oracle, plane_cross_ratio, random_flag, random_unimodular
+from conftest import (
+    cross_ratio_wedges,
+    eigen_gap_oracle,
+    plane_cross_ratio,
+    random_flag,
+    random_unimodular,
+    triple_ratio_wedges,
+)
 
 
 def random_config(rng, n, count):
@@ -129,6 +148,132 @@ class TestCrossRatio:
                 [tuple(map(float, b)) for b in base],
             )
             assert abs(float(v) - w) <= 1e-9 * max(1.0, abs(w))
+
+
+#: rationals of three heights: small p/q, dyadics Fraction(float), and
+#: numerators and denominators near 10^50
+HEIGHTS = {
+    "small": lambda r: Fraction(r.randint(-9, 9), r.randint(1, 9)),
+    "dyadic": lambda r: Fraction(math.ldexp(r.uniform(-1, 1), r.randint(-40, 3))),
+    "huge": lambda r: Fraction(r.randint(-(10**50), 10**50), r.randint(10**49, 10**50)),
+}
+LINE_CASES = ("generic", "infinity", "one", "undefined", "rank")
+
+
+def height_vectors(draw, n):
+    """A function drawing vectors in R^n of one height; hypothesis picks the
+    height and the seed, and the seed the entries."""
+    entry = HEIGHTS[draw(st.sampled_from(sorted(HEIGHTS)))]
+    r = random.Random(draw(st.integers(0, 2**32)))
+
+    def vector(zeros=()):
+        return tuple(Fraction(0) if j in zeros else entry(r) for j in range(n))
+
+    return vector
+
+
+@st.composite
+def based_configurations(draw):
+    """Four lines and a base in R^n, n = 2..8, of one height.
+
+    The base is raw rows, the same rows' Subspace, or its RREF rows in
+    reverse (not echelon) order; its rows vanish on up to two columns, so
+    the pivots need not lead.  ``case`` makes lines coincide (INFINITY, 1,
+    0/0) or the raw base rank-deficient.
+    """
+    n = draw(st.integers(2, 8))
+    vector = height_vectors(draw, n)
+    zeros = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    base = [vector(zeros) for _ in range(n - 2)]
+    lines = [vector() for _ in range(4)]
+    case = draw(st.sampled_from(LINE_CASES if base else LINE_CASES[:-1]))
+    if case == "infinity":
+        lines[1] = tuple(-2 * x for x in lines[0])
+    elif case == "one":
+        lines[2] = tuple(3 * x for x in lines[1])
+    elif case == "undefined":
+        lines[1] = lines[2] = lines[0]
+    elif case == "rank":
+        base[-1] = tuple(sum(col[:-1], Fraction(0)) for col in zip(*base))
+        return lines, base, case
+    form = draw(st.sampled_from(("raw", "subspace", "reversed")))
+    if form != "raw" and matrix_rank(base, EXACT) == n - 2:
+        space = Subspace.span(base, ambient=n, backend=EXACT)
+        base = space if form == "subspace" else list(space.basis)[::-1]
+    return lines, base, case
+
+
+class TestReductionMatchesWedges:
+    """Exact ratios by reduction modulo the base equal the n x n wedge formulas."""
+
+    @given(based_configurations())
+    @settings(max_examples=100, deadline=None)
+    def test_cross_ratio(self, config):
+        lines, base, case = config
+        try:
+            expected = cross_ratio_wedges(lines, base)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                cross_ratio(lines, base)
+        else:
+            value = cross_ratio(lines, base)
+            assert value == expected
+            assert is_infinite(value) or isinstance(value, Fraction)
+        if case == "rank":
+            rank = matrix_rank(base, EXACT)
+            with pytest.raises(DegenerateError, match=f"rank {rank}"):
+                cross_ratio(lines, base)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_coincident_lines(self, n, rng):
+        lines, base = random_config(rng, n, 4)
+        l1, l2, l3, l4 = lines
+        for b in (base, Subspace.span(base, ambient=n, backend=EXACT)):
+            assert cross_ratio([l1, l1, l3, l4], b) == INFINITY
+            assert cross_ratio([l1, l2, l2, l4], b) == 1
+            with pytest.raises(DegenerateError, match="three of the hyperplanes"):
+                cross_ratio([l1, l1, l1, l4], b)
+            assert cross_ratio(lines, b) == cross_ratio_wedges(lines, b)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_rank_deficient_base_names_its_rank(self, n, rng):
+        lines, base = random_config(rng, n, 4)
+        base[0] = (Fraction(0),) * n
+        with pytest.raises(DegenerateError, match=f"rank {n - 3}"):
+            cross_ratio(lines, base)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_triple_ratio(self, data):
+        n = data.draw(st.integers(3, 8))
+        vector = height_vectors(data.draw, n)
+        bases = [[vector() for _ in range(n)] for _ in range(3)]
+        if data.draw(st.booleans()):
+            # G^(1) = F^(1): bases through both are rank-deficient
+            bases[1][0] = bases[0][0]
+        try:
+            f, g, h = (Flag.from_basis(b) for b in bases)
+        except DegenerateError:
+            assume(False)
+        index = data.draw(st.sampled_from(triple_index_set(n)))
+        try:
+            expected = triple_ratio_wedges(f, g, h, index)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                triple_ratio(f, g, h, index)
+        else:
+            value = triple_ratio(f, g, h, index)
+            assert value == expected and isinstance(value, Fraction)
+
+    def test_triple_ratio_rank_deficient_base_names_its_rank(self, rng):
+        n = 5
+        f, h = random_flag(rng, n), random_flag(rng, n)
+        g = Flag.from_basis([f.compatible_basis()[0]] + [
+            tuple(Fraction(rng.randint(-6, 6)) for _ in range(n)) for _ in range(n - 1)
+        ])
+        # the base F^(1) + G^(1) + H^(0) of T_{2,2,1} has rank 1
+        with pytest.raises(DegenerateError, match="rank 1"):
+            triple_ratio(f, g, h, (2, 2, 1))
 
 
 class TestCrossRatioFlags:

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hitchin.linalg import (
@@ -19,6 +20,7 @@ from hitchin.linalg import (
     is_generic_triple,
     jordan_projection,
     matrix_rank,
+    reduce_modulo,
     rref,
     wedge_det,
 )
@@ -212,6 +214,54 @@ class TestExactKernel:
             v = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
         expected = matrix_rank(list(space.basis) + [tuple(v)], EXACT) == space.dim
         assert space.contains(v) == expected
+
+
+class TestReduceModulo:
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_minors_are_wedges_times_one_factor(self, data):
+        """Every k x k minor of the coordinates is the wedge with the base
+        times the vectors' own lcms and one factor shared by all of them."""
+        n = data.draw(st.integers(2, 6))
+        m = data.draw(st.integers(0, n - 1))
+        zero_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=n - m))
+        r = random.Random(data.draw(st.integers(0, 2**32)))
+        kinds = (
+            lambda: Fraction(r.randint(-9, 9)),
+            lambda: Fraction(r.randint(-9, 9), r.randint(1, 12)),
+            lambda: Fraction(math.ldexp(r.uniform(-1, 1), r.randint(-1070, 3))),
+        )
+
+        def vector(zeros=()):
+            return [Fraction(0) if j in zeros else r.choice(kinds)() for j in range(n)]
+
+        rows = [vector(zero_cols) for _ in range(m)]
+        assume(matrix_rank(rows, EXACT) == m)
+        base = Subspace.span(rows, ambient=n, backend=EXACT) if data.draw(st.booleans()) else rows
+        base_rows = list(base.basis) if isinstance(base, Subspace) else rows
+        k = n - m
+        # the unit vectors include some without an entry at any pivot
+        units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        vectors = [vector() for _ in range(k)] + units
+        coords = reduce_modulo(vectors, base)
+        assert all(len(c) == k and all(isinstance(x, int) for x in c) for c in coords)
+        factors = set()
+        for start in range(len(vectors) - k + 1):
+            window = range(start, start + k)
+            wedge = wedge_det(base_rows + [vectors[i] for i in window])
+            minor = wedge_det([coords[i] for i in window])
+            assert (wedge == 0) == (minor == 0)
+            if wedge:
+                scale = math.prod(
+                    math.lcm(*(x.denominator for x in vectors[i])) for i in window
+                )
+                factors.add(minor / (scale * wedge))
+        assert len(factors) == 1
+
+    def test_dependent_rows_name_the_rank(self):
+        rows = [(1, 2, 3, 4), (2, 4, 6, 8)]
+        with pytest.raises(DegenerateError, match="rank 1"):
+            reduce_modulo([(0, 0, 1, 0)], rows)
 
 
 class TestFlags:
