@@ -224,20 +224,28 @@ def _selftest_bank():
 
     from . import invariants as inv_mod
     from .flags import extract_triple_ratios, reconstruct_triple, sym_power, veronese_flag
-    from .linalg import Flag, is_generic_triple, wedge_det
+    from .linalg import Flag, draw_generic, is_generic_triple, wedge_det
 
     rng = random.Random(0)
 
     def rand_flag(n):
-        while True:
+        def sample():
             vecs = [[Fraction(rng.randint(-6, 6)) for _ in range(n)] for _ in range(n)]
-            try:
-                return Flag.from_basis(vecs)
-            except DegenerateError:
-                continue
+            return Flag.from_basis(vecs)
+
+        return draw_generic(sample, f"flag in R^{n}")
+
+    def rand_generic_triple(n):
+        def sample():
+            f, g, h = rand_flag(n), rand_flag(n), rand_flag(n)
+            if not is_generic_triple(f, g, h):
+                raise DegenerateError("flag triple is not generic")
+            return f, g, h
+
+        return draw_generic(sample, f"generic flag triple in R^{n}")
 
     def rand_lines_and_base(n, count):
-        while True:
+        def sample():
             lines = [
                 tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(count)
             ]
@@ -245,17 +253,12 @@ def _selftest_bank():
                 tuple(Fraction(rng.randint(-9, 9)) for _ in range(n))
                 for _ in range(n - 2)
             ]
-            try:
-                vals = [
-                    inv_mod.cross_ratio(
-                        [lines[0], lines[1], lines[2], lines[3]], base
-                    )
-                ]
-                if any(inv_mod.is_infinite(v) for v in vals):
-                    continue
-                return lines, base
-            except DegenerateError:
-                continue
+            value = inv_mod.cross_ratio([lines[0], lines[1], lines[2], lines[3]], base)
+            if inv_mod.is_infinite(value):
+                raise DegenerateError("cross ratio is infinite")
+            return lines, base
+
+        return draw_generic(sample, f"finite cross ratio in R^{n}")
 
     def check_wedge_antisymmetry():
         for n in (2, 3, 4, 5):
@@ -300,10 +303,7 @@ def _selftest_bank():
 
     def check_triple_cyclic_symmetry():
         for n in (3, 4):
-            while True:
-                f, g, h = rand_flag(n), rand_flag(n), rand_flag(n)
-                if is_generic_triple(f, g, h):
-                    break
+            f, g, h = rand_generic_triple(n)
             for idx in inv_mod.triple_index_set(n):
                 x, y, z = idx
                 lhs = inv_mod.triple_ratio(f, g, h, idx)
@@ -311,11 +311,7 @@ def _selftest_bank():
                 assert lhs == rhs, "cyclic symmetry of the triple ratio"
 
     def check_reconstruction_round_trip():
-        n = 3
-        while True:
-            f, g, h = rand_flag(n), rand_flag(n), rand_flag(n)
-            if is_generic_triple(f, g, h):
-                break
+        f, g, h = rand_generic_triple(3)
         ratios = extract_triple_ratios(f, g, h)
         g2 = reconstruct_triple(f, h, g.subspace(1), ratios)
         assert g2 == g, "triple reconstruction round trip"

@@ -11,6 +11,17 @@ Three constructions feed everything downstream:
 * recovering the fourth line of an edge configuration from its shear
   values by intersecting the hyperplanes each shear pins down.
 
+On exact flags both rebuilds reduce their vectors modulo a shared base
+(``linalg.reduce_modulo``) and work with small integer minors.  In the
+triple rebuild, index (x, y0, z) reads its two coefficient ratios and its
+hyperplane off 3 x 3 minors modulo F^(x-1) + G^(y0-1) + H^(z-1) (see
+:func:`reconstruct_triple`), and a level is the kernel of its integer
+hyperplane functionals.  Each minor carries the scale of every vector in
+it, and each vector appears as often in a ratio's numerator as in its
+denominator, or rescales the ratio and the vector it multiplies alike; so
+primitive integer representatives give the same hyperplanes.  Float flags
+keep the coordinate solves and hyperplane meets.
+
 Conventions: a projective-line point [s:t] is the column vector (s, t);
 the flag base point is [1:0], whose osculating flag is the standard
 coordinate flag.
@@ -27,6 +38,8 @@ from .linalg import (
     Flag,
     Subspace,
     det,
+    det3,
+    nullspace,
     reduce_modulo,
     rref,
     wedge_det,
@@ -108,6 +121,27 @@ def reconstruct_triple(f, h, g_line, ratios):
     level y0: each index (x, y0, z) pins down the hyperplane
     F^(x-1) + G^(y0+1) + H^(z-1) through a coefficient ratio, and the next
     flag level is the intersection of those hyperplanes.
+
+    With compatible bases f_i, g_j, h_k, expand f_(x+1) and h_(z+1) in the
+    basis f_1..f_x, g_1..g_y0, h_1..h_z.  By Cramer's rule, with [u v w]
+    the wedge of the base F^(x-1) + G^(y0-1) + H^(z-1) and u, v, w,
+
+        a_mid / a_top = [f_x f_(x+1) h_z] / [f_x g_y0 f_(x+1)]
+
+    (the coefficients of f_(x+1) on g_y0 and on h_z), and
+
+        c_low / c_mid = [h_(z+1) g_y0 h_z] / [f_x h_(z+1) h_z]
+
+    (those of h_(z+1) on f_x and on g_y0).  The new level satisfies
+    [g_y0, beta f_x + h_z, d] = 0 for d in it, with beta = -T (a_mid /
+    a_top) (c_low / c_mid).  Exact flags take every bracket as a 3 x 3
+    minor of the vectors reduced modulo that base, and the functional in d
+    from the reduced unit vectors; the level is the kernel of the
+    n - y0 - 1 integer functionals (``Subspace.kernel``).  Rescaling f_x
+    rescales beta inversely, rescaling h_z rescales beta alike, and every
+    other scale cancels in its ratio, so primitive integer representatives
+    give the same flag.  Float flags solve for the coordinates and meet
+    the spanned hyperplanes.
     """
     n = f.ambient
     backend = f.backend
@@ -115,6 +149,8 @@ def reconstruct_triple(f, h, g_line, ratios):
     hb = h.compatible_basis()
     g_vec = g_line.line_vector() if isinstance(g_line, Subspace) else tuple(g_line)
     g_basis = [tuple(backend.convert(x) for x in g_vec)]
+    if backend.exact:
+        return _reconstruct_exact(fb, hb, g_basis, ratios)
 
     for y0 in range(1, n - 1):
         hyperplanes = []
@@ -177,8 +213,88 @@ def reconstruct_triple(f, h, g_line, ratios):
     return Flag.from_basis(g_basis, backend=backend)
 
 
+def _primitive(v):
+    """The primitive integer vector on the line of a rational vector."""
+    m = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (m // x.denominator) for x in v]
+    d = math.gcd(*ints) or 1
+    return tuple(x // d for x in ints)
+
+
+def _reconstruct_exact(fb, hb, g_basis, ratios):
+    """:func:`reconstruct_triple` on exact flags, by reduction modulo the
+    base F^(x-1) + G^(y0-1) + H^(z-1) of each index."""
+    n = len(fb)
+    fi = [_primitive(v) for v in fb]
+    hi = [_primitive(v) for v in hb]
+    gi = [_primitive(g_basis[0])]
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    current = Subspace.span(g_basis, ambient=n, backend=EXACT)
+    chain = [current]
+    for y0 in range(1, n - 1):
+        rows = []
+        for x in range(1, n - y0):
+            z = n - x - y0
+            t_val = ratios[(x, y0, z)]
+            base = fi[: x - 1] + gi[: y0 - 1] + hi[: z - 1]
+            try:
+                f0, f1, g, h0, h1, *es = reduce_modulo(
+                    [fi[x - 1], fi[x], gi[y0 - 1], hi[z - 1], hi[z]] + units, base
+                )
+            except DegenerateError:
+                raise DegenerateError("coordinate basis is degenerate") from None
+            if det3(f0, g, h0) == 0:
+                raise DegenerateError("coordinate basis is degenerate")
+            a_mid, a_top = det3(f0, f1, h0), det3(f0, g, f1)
+            c_low, c_mid = det3(h1, g, h0), det3(f0, h1, h0)
+            if a_top == 0 or a_mid == 0 or c_mid == 0 or c_low == 0:
+                raise DegenerateError(
+                    f"ratio data forces a degenerate configuration at level {y0}"
+                )
+            t_val = EXACT.convert(t_val)
+            # p = den * (beta f_x + h_z) with beta = num / den; the functional
+            # d -> [g_y0, p, d] is w . d for w = g_y0 x p, kept primitive so
+            # the level's elimination works on small integers
+            num = -t_val.numerator * a_mid * c_low
+            den = t_val.denominator * a_top * c_mid
+            p = [num * a + den * b for a, b in zip(f0, h0)]
+            w = (
+                g[1] * p[2] - g[2] * p[1],
+                g[2] * p[0] - g[0] * p[2],
+                g[0] * p[1] - g[1] * p[0],
+            )
+            rows.append(_primitive([w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in es]))
+        meet = Subspace.kernel(rows, n)
+        if meet.dim != y0 + 1:
+            raise DegenerateError(
+                f"hyperplane intersection at level {y0} has dimension {meet.dim}"
+            )
+        if any(sum(a * b for a, b in zip(row, v)) for row in rows for v in gi):
+            raise DegenerateError("reconstructed level does not extend the flag")
+        new_vec = next((v for v in meet.basis if not current.contains(v)), None)
+        if new_vec is None:
+            raise DegenerateError(
+                f"reconstructed level {y0 + 1} does not extend level {y0}"
+            )
+        g_basis.append(new_vec)
+        gi.append(_primitive(new_vec))
+        chain.append(meet)
+        current = meet
+    if current.dim != n - 1:
+        raise DegenerateError(
+            f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
+            f"vector completes the flag"
+        )
+    g_basis.append(next(e for e in Subspace.full(n, EXACT).basis if not current.contains(e)))
+    return Flag(chain, basis=g_basis)
+
+
 def _coordinates(basis, vector, backend):
-    """Coordinates of ``vector`` in ``basis`` (must be a basis of R^n)."""
+    """Coordinates of ``vector`` in ``basis`` (must be a basis of R^n).
+
+    Float reconstruction only: exact flags take coefficient ratios from
+    minors instead.  It goes when the scan reconstructs on exact flags.
+    """
     n = len(vector)
     rows = [tuple(col) for col in zip(*basis, vector)]
     red, piv = rref(rows, backend, ncols=n + 1)
@@ -264,8 +380,6 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
         )
         rows.append(row)
         checks += [(m_rows, a_line, w_ad), (m_rows, b_line, w_bd)]
-    from .linalg import nullspace
-
     kernel = nullspace(rows, backend, n)
     if len(kernel) != 1:
         raise DegenerateError(

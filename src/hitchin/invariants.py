@@ -29,6 +29,7 @@ from fractions import Fraction
 from .linalg import (
     DegenerateError,
     Subspace,
+    det3,
     mat_vec,
     reduce_modulo,
     wedge_det,
@@ -283,12 +284,7 @@ def triple_ratio(f, g, h, index):
             # (a, b) = (1, 0), (2, 1), (0, 2) and over the denominator's
             # (1, 2), (0, 1), (2, 0) alike, so the signs cancel and are left out
             a, b = i - x + 1, j - y + 1
-            u, v, t = ext[:a] + ext[2 : 2 + b] + ext[4 : 7 - a - b]
-            return (
-                u[0] * (v[1] * t[2] - v[2] * t[1])
-                - u[1] * (v[0] * t[2] - v[2] * t[0])
-                + u[2] * (v[0] * t[1] - v[1] * t[0])
-            )
+            return det3(*(ext[:a] + ext[2 : 2 + b] + ext[4 : 7 - a - b]))
 
     else:
 

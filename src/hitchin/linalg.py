@@ -38,6 +38,25 @@ class DegenerateError(ValueError):
     """A genericity/transversality precondition failed."""
 
 
+#: draws a sampling loop makes before it gives up
+DRAW_TRIES = 100
+
+
+def draw_generic(sample, what):
+    """The first value of ``sample()`` that does not raise DegenerateError.
+
+    Random-sampling loops reject degenerate draws through this, so a fault
+    that makes every draw degenerate raises DegenerateError naming ``what``
+    after DRAW_TRIES draws instead of looping forever.
+    """
+    for _ in range(DRAW_TRIES):
+        try:
+            return sample()
+        except DegenerateError as exc:
+            last = exc
+    raise DegenerateError(f"no {what} in {DRAW_TRIES} draws; the last: {last}")
+
+
 class Backend:
     """Scalar arithmetic tag: exact rationals or float64."""
 
@@ -213,6 +232,15 @@ def reduce_modulo(vectors, base):
 # determinants
 
 
+def det3(u, v, w):
+    """Determinant of the 3 x 3 matrix with rows u, v, w."""
+    return (
+        u[0] * (v[1] * w[2] - v[2] * w[1])
+        - u[1] * (v[0] * w[2] - v[2] * w[0])
+        + u[2] * (v[0] * w[1] - v[1] * w[0])
+    )
+
+
 def det(rows, backend=None):
     """Determinant of a square matrix, backend-aware."""
     n = len(rows)
@@ -344,6 +372,29 @@ class Subspace:
         return cls(ambient, red, backend)
 
     @classmethod
+    def kernel(cls, rows, ambient):
+        """Right kernel of exact rows in R^ambient, from one elimination.
+
+        Eliminating with the columns in reverse order puts the pivots as
+        far right as they go, so the other columns are the first ones the
+        kernel projects onto isomorphically (by matroid duality), which are
+        the pivots of its RREF: the kernel vector with 1 in one of them and
+        0 in the others is an RREF row.
+        """
+        a, _ = _integer_rows([tuple(row[::-1]) for row in rows])
+        piv = _eliminate(a, ambient)[0]
+        d = a[len(piv) - 1][piv[-1]] if piv else 1
+        pivot_rows = {ambient - 1 - c: a[i] for i, c in enumerate(piv)}
+        basis = []
+        for j in range(ambient):
+            if j not in pivot_rows:
+                v = [Fraction(int(k == j)) for k in range(ambient)]
+                for p, row in pivot_rows.items():
+                    v[p] = Fraction(-row[ambient - 1 - j], d)
+                basis.append(tuple(v))
+        return cls(ambient, tuple(basis), EXACT)
+
+    @classmethod
     def zero(cls, ambient, backend):
         return cls(ambient, (), backend)
 
@@ -388,7 +439,7 @@ class Subspace:
         for row in self.basis:
             f = v[next(i for i, x in enumerate(row) if x)]
             if f:
-                v = tuple(x - f * y for x, y in zip(v, row))
+                v = tuple(x - f * y if y else x for x, y in zip(v, row))
         return not any(v)
 
     def contains_subspace(self, other):
@@ -451,7 +502,8 @@ class Flag:
 
     __slots__ = ("ambient", "backend", "_chain", "_basis")
 
-    def __init__(self, chain, backend=None):
+    def __init__(self, chain, backend=None, basis=None):
+        """``basis``, if given, is a compatible basis of the chain."""
         chain = tuple(chain)
         if not chain:
             raise DegenerateError("empty flag")
@@ -469,7 +521,7 @@ class Flag:
         self.ambient = ambient
         self.backend = backend
         self._chain = chain
-        self._basis = None
+        self._basis = None if basis is None else tuple(basis)
 
     @classmethod
     def from_basis(cls, vectors, backend=None):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from hitchin.flags import veronese_flag
 from hitchin.fuchsian import genus2_surface, in_arc, mobius, points_equal
@@ -21,6 +22,8 @@ from hitchin.linalg import (
     DegenerateError,
     Flag,
     Subspace,
+    draw_generic,
+    is_generic_triple,
     jordan_projection,
     rref,
     subspace_intersect,
@@ -55,14 +58,26 @@ def tracer2(surface):
 
 def random_flag(rng, n, span=6):
     """A random exact flag with small integer data."""
-    while True:
+
+    def sample():
         vecs = [
             [Fraction(rng.randint(-span, span)) for _ in range(n)] for _ in range(n)
         ]
-        try:
-            return Flag.from_basis(vecs)
-        except DegenerateError:
-            continue
+        return Flag.from_basis(vecs)
+
+    return draw_generic(sample, f"flag in R^{n}")
+
+
+def generic_triple(rng, n, span=6):
+    """Three random flags (see ``random_flag``) in general position."""
+
+    def sample():
+        f, g, h = (random_flag(rng, n, span) for _ in range(3))
+        if not is_generic_triple(f, g, h):
+            raise DegenerateError("flag triple is not generic")
+        return f, g, h
+
+    return draw_generic(sample, f"generic flag triple in R^{n}")
 
 
 def random_unimodular(rng, n, steps=6):
@@ -76,6 +91,27 @@ def random_unimodular(rng, n, steps=6):
         for k in range(n):
             m[i][k] += c * m[j][k]
     return tuple(tuple(row) for row in m)
+
+
+#: rationals of three heights: small p/q, dyadics Fraction(float), and
+#: numerators and denominators near 10^50
+HEIGHTS = {
+    "small": lambda r: Fraction(r.randint(-9, 9), r.randint(1, 9)),
+    "dyadic": lambda r: Fraction(math.ldexp(r.uniform(-1, 1), r.randint(-40, 3))),
+    "huge": lambda r: Fraction(r.randint(-(10**50), 10**50), r.randint(10**49, 10**50)),
+}
+
+
+def height_vectors(draw, n, height=None):
+    """A function drawing vectors in R^n of one height; hypothesis picks the
+    height, unless given, and the seed, and the seed the entries."""
+    entry = HEIGHTS[height or draw(st.sampled_from(sorted(HEIGHTS)))]
+    r = random.Random(draw(st.integers(0, 2**32)))
+
+    def vector(zeros=()):
+        return tuple(Fraction(0) if j in zeros else entry(r) for j in range(n))
+
+    return vector
 
 
 @pytest.fixture
@@ -199,6 +235,83 @@ def triple_ratio_wedges(f, g, h, index):
     if den == 0:
         raise DegenerateError("triple ratio of a non-generic triple")
     return num / den
+
+
+def reconstruct_triple_hyperplanes(f, h, g_line, ratios):
+    """Oracle for exact ``reconstruct_triple``: the hyperplane loop.
+
+    For each level y0 and each index (x, y0, z) it solves for the
+    coordinates of f_(x+1) and h_(z+1) in the basis f_1..f_x, g_1..g_y0,
+    h_1..h_z by RREF, spans the hyperplane F^(x-1) + G^(y0) + H^(z-1) +
+    (beta f_x + h_z) and meets the hyperplanes of the level; the flag is
+    completed by the first coordinate vector outside the last level.
+    """
+    n = f.ambient
+    backend = f.backend
+    fb = f.compatible_basis()
+    hb = h.compatible_basis()
+    g_vec = g_line.line_vector() if isinstance(g_line, Subspace) else tuple(g_line)
+    g_basis = [tuple(backend.convert(x) for x in g_vec)]
+
+    def coordinates(basis, vector):
+        rows = [tuple(col) for col in zip(*basis, vector)]
+        red, piv = rref(rows, backend, ncols=n + 1)
+        if len(red) != n or piv != tuple(range(n)):
+            raise DegenerateError("coordinate basis is degenerate")
+        return tuple(red[i][n] for i in range(n))
+
+    for y0 in range(1, n - 1):
+        hyperplanes = []
+        for x in range(1, n - y0):
+            z = n - x - y0
+            t_val = ratios[(x, y0, z)]
+            coords_basis = list(fb[:x]) + g_basis + list(hb[:z])
+            alpha = coordinates(coords_basis, fb[x])
+            gamma = coordinates(coords_basis, hb[z])
+            a_top, a_mid = alpha[n - 1], alpha[x + y0 - 1]
+            c_mid, c_low = gamma[x + y0 - 1], gamma[x - 1]
+            if a_top == 0 or a_mid == 0 or c_mid == 0 or c_low == 0:
+                raise DegenerateError(
+                    f"ratio data forces a degenerate configuration at level {y0}"
+                )
+            beta = -backend.convert(t_val) * a_mid * c_low / (a_top * c_mid)
+            spanning = (
+                list(fb[: x - 1])
+                + g_basis
+                + list(hb[: z - 1])
+                + [tuple(beta * fx + hz for fx, hz in zip(fb[x - 1], hb[z - 1]))]
+            )
+            hyperplanes.append(Subspace.span(spanning, ambient=n, backend=backend))
+        meet = hyperplanes[0]
+        for hp in hyperplanes[1:]:
+            meet = meet & hp
+        if meet.dim != y0 + 1:
+            raise DegenerateError(
+                f"hyperplane intersection at level {y0} has dimension {meet.dim}"
+            )
+        current = Subspace.span(g_basis, ambient=n, backend=backend)
+        if not meet.contains_subspace(current):
+            raise DegenerateError("reconstructed level does not extend the flag")
+        new_vec = next((v for v in meet.basis if not current.contains(v)), None)
+        if new_vec is None:
+            raise DegenerateError(
+                f"reconstructed level {y0 + 1} does not extend level {y0}"
+            )
+        lead = next((x for x in new_vec if x != 0), None)
+        if lead is None:
+            raise DegenerateError(f"reconstructed level {y0 + 1} has a zero vector")
+        g_basis.append(tuple(x / lead for x in new_vec))
+
+    for v in Subspace.full(n, backend).basis:
+        if Subspace.span(g_basis + [v], ambient=n, backend=backend).dim == n:
+            g_basis.append(v)
+            break
+    else:
+        raise DegenerateError(
+            f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
+            f"vector completes the flag"
+        )
+    return Flag.from_basis(g_basis, backend=backend)
 
 
 def eigen_gap_oracle(matrix, i, j):

@@ -260,6 +260,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL cross-ratio swap identity" in out
 
+    def test_selftest_fails_when_no_draw_is_generic(self, monkeypatch, capsys):
+        # a fault that makes every random triple degenerate ends the bank's
+        # bounded draws with a DegenerateError instead of looping forever
+        from hitchin import linalg
+
+        monkeypatch.setattr(linalg, "is_generic_triple", lambda f, g, h: False)
+        assert run_cli(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL triple-ratio cyclic symmetry: no generic flag triple in R^3" in out
+        assert "FAIL triple reconstruction round trip: no generic flag triple" in out
+
     def test_entry_point_installed(self):
         # the child sees the source tree too, so an uninstalled checkout works
         path = [str(SRC_DIR), os.environ.get("PYTHONPATH", "")]

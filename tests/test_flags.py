@@ -1,8 +1,12 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hitchin.flags import (
     extract_shear_values,
@@ -19,13 +23,20 @@ from hitchin.linalg import (
     DegenerateError,
     Flag,
     Subspace,
-    is_generic_triple,
+    draw_generic,
     mat_mul,
     matrix_rank,
     EXACT,
 )
 
-from conftest import random_flag, random_unimodular
+from conftest import (
+    HEIGHTS,
+    generic_triple,
+    height_vectors,
+    random_flag,
+    random_unimodular,
+    reconstruct_triple_hyperplanes,
+)
 
 
 def rand_sl2(rng):
@@ -137,10 +148,7 @@ class TestReconstruction:
     def test_round_trip_random(self, rng):
         for n in (3, 4, 5):
             for _ in range(4):
-                while True:
-                    f, g, h = (random_flag(rng, n) for _ in range(3))
-                    if is_generic_triple(f, g, h):
-                        break
+                f, g, h = generic_triple(rng, n)
                 ratios = extract_triple_ratios(f, g, h)
                 g2 = reconstruct_triple(f, h, g.subspace(1), ratios)
                 assert g2 == g
@@ -148,10 +156,7 @@ class TestReconstruction:
 
     def test_float_round_trip(self, rng):
         n = 4
-        while True:
-            f, g, h = (random_flag(rng, n) for _ in range(3))
-            if is_generic_triple(f, g, h):
-                break
+        f, g, h = generic_triple(rng, n)
         ff = Flag.from_basis([tuple(map(float, v)) for v in f.compatible_basis()])
         gf = Flag.from_basis([tuple(map(float, v)) for v in g.compatible_basis()])
         hf = Flag.from_basis([tuple(map(float, v)) for v in h.compatible_basis()])
@@ -166,6 +171,118 @@ class TestReconstruction:
             qb, _ = np.linalg.qr(b.T)
             sin_theta = np.linalg.norm(qa - qb @ (qb.T @ qa), 2)
             assert sin_theta < 1e-8
+
+
+#: the messages of the DegenerateErrors reconstruct_triple raises begin so
+RECONSTRUCTION_FAILURES = (
+    "coordinate basis",
+    "ratio data forces",
+    "hyperplane intersection at level",
+    "reconstructed level",
+)
+
+
+def reconstruction_outcome(reconstruct, *args):
+    """The flag, or the start of the message it fails with."""
+    try:
+        return reconstruct(*args)
+    except DegenerateError as exc:
+        prefix = next((p for p in RECONSTRUCTION_FAILURES if str(exc).startswith(p)), None)
+        assert prefix is not None, f"unclassified failure: {exc}"
+        return prefix
+
+
+class TestReconstructionMatchesHyperplanes:
+    """The exact route equals the hyperplane loop, failures included."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_general_position(self, data):
+        height = data.draw(st.sampled_from(sorted(HEIGHTS)))
+        # the loop takes seconds at n >= 6 on ~10^50 heights
+        n = data.draw(st.integers(2, 5 if height == "huge" else 8))
+        vector = height_vectors(data.draw, n, height)
+        try:
+            f, g, h = (Flag.from_basis([vector() for _ in range(n)]) for _ in range(3))
+            ratios = extract_triple_ratios(f, g, h)
+        except DegenerateError:
+            assume(False)
+        got = reconstruct_triple(f, h, g.subspace(1), ratios)
+        assert got == reconstruct_triple_hyperplanes(f, h, g.subspace(1), ratios)
+        assert got == g
+        assert extract_triple_ratios(f, got, h) == ratios
+
+    @pytest.mark.parametrize("n", (7, 8))
+    @pytest.mark.parametrize("kind", ("small", "dyadic"))
+    def test_edge_frame(self, n, kind):
+        # the standard and reversed flags around the all-ones line and a
+        # recovered fourth line, as an exact edge builds them
+        r = random.Random(n)
+        if kind == "small":
+            value = lambda: Fraction(r.randint(1, 9), r.randint(1, 9))  # noqa: E731
+        else:
+            value = lambda: Fraction(math.exp(r.uniform(-2.0, 2.0)))  # noqa: E731
+        f, h = Flag.standard(n), Flag.reversed_standard(n)
+        ones = Subspace.span([(Fraction(1),) * n])
+        d_line = recover_fourth_line_from_values(f, h, ones, {k: -value() for k in range(1, n)})
+        for line in (ones, d_line):
+            ratios = {idx: value() for idx in triple_index_set(n)}
+            got = reconstruct_triple(f, h, line, ratios)
+            assert got == reconstruct_triple_hyperplanes(f, h, line, ratios)
+            assert got.subspace(1) == line
+            assert extract_triple_ratios(f, got, h) == ratios
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_failures_on_degenerate_data(self, data):
+        # entries in {-1, 0, 1} and ratios with 0 make every check fire
+        n = data.draw(st.integers(2, 5))
+        entries = st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+        try:
+            f, h = (
+                Flag.from_basis([data.draw(entries) for _ in range(n)]) for _ in range(2)
+            )
+        except DegenerateError:
+            assume(False)
+        line = tuple(data.draw(entries))
+        values = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-3)))
+        ratios = {idx: data.draw(values) for idx in triple_index_set(n)}
+        got = reconstruction_outcome(reconstruct_triple, f, h, line, ratios)
+        assert got == reconstruction_outcome(reconstruct_triple_hyperplanes, f, h, line, ratios)
+
+    @pytest.mark.parametrize(
+        "n, line, prefix",
+        [
+            # G^(1) = F^(1): F^(1) + G^(1) + H^(1) is not a basis
+            (3, (1, 0, 0), "coordinate basis"),
+            # G^(1) in F^(2): f_2 has no h_1 coefficient (a_top = 0)
+            (3, (1, 1, 0), "ratio data forces"),
+            # n = 2 has no levels to build, and a zero line is no level 1
+            (2, (0, 0), "reconstructed level"),
+        ],
+    )
+    def test_failure_messages(self, n, line, prefix):
+        f, h = Flag.standard(n), Flag.reversed_standard(n)
+        ratios = {idx: Fraction(2) for idx in triple_index_set(n)}
+        for reconstruct in (reconstruct_triple, reconstruct_triple_hyperplanes):
+            with pytest.raises(DegenerateError, match=f"^{prefix}"):
+                reconstruct(f, h, line, ratios)
+
+    def test_dependent_hyperplanes_fail_the_level(self, monkeypatch):
+        # exact data cannot get here: once the coordinate-basis and ratio
+        # checks pass, F and H are transverse modulo G^(y0), and in a frame
+        # where they are standard and reversed the level's functionals are
+        # e_x - beta_x e_(x+1), independent for every beta.  So stand in a
+        # kernel that is too large.
+        n = 4
+        def too_large(cls, rows, ambient):
+            return Subspace.full(ambient, EXACT)
+
+        monkeypatch.setattr(Subspace, "kernel", classmethod(too_large))
+        f, h = Flag.standard(n), Flag.reversed_standard(n)
+        ratios = {idx: Fraction(2) for idx in triple_index_set(n)}
+        with pytest.raises(DegenerateError, match="^hyperplane intersection at level 1"):
+            reconstruct_triple(f, h, Subspace.span([(1,) * n]), ratios)
 
 
 class TestRatioEscape:
@@ -219,15 +336,15 @@ class TestFourthLine:
     def test_round_trip_random(self, rng):
         for n in (3, 4, 5):
             a, b = Flag.standard(n), Flag.reversed_standard(n)
-            while True:
+
+            def sample():
                 c, dd = random_flag(rng, n), random_flag(rng, n)
-                try:
-                    vals = extract_shear_values(a, b, c.subspace(1), dd.subspace(1))
-                except DegenerateError:
-                    continue
+                vals = extract_shear_values(a, b, c.subspace(1), dd.subspace(1))
                 if any(is_infinite(v) for v in vals.values()):
-                    continue
-                break
+                    raise DegenerateError("infinite shear value")
+                return c, dd, vals
+
+            c, dd, vals = draw_generic(sample, f"edge with finite shears in R^{n}")
             got = recover_fourth_line_from_values(a, b, c.subspace(1), vals)
             assert got == dd.subspace(1)
 

@@ -1,5 +1,3 @@
-import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +22,7 @@ from hitchin.linalg import (
     DegenerateError,
     Flag,
     Subspace,
-    is_generic_triple,
+    draw_generic,
     mat_vec,
     matrix_rank,
 )
@@ -32,6 +30,8 @@ from hitchin.linalg import (
 from conftest import (
     cross_ratio_wedges,
     eigen_gap_oracle,
+    generic_triple,
+    height_vectors,
     plane_cross_ratio,
     random_flag,
     random_unimodular,
@@ -41,23 +41,21 @@ from conftest import (
 
 def random_config(rng, n, count):
     """Random lines and a base with all needed wedges nonzero."""
-    while True:
+
+    def sample():
         lines = [
             tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(count)
         ]
         base = [
             tuple(Fraction(rng.randint(-9, 9)) for _ in range(n)) for _ in range(n - 2)
         ]
-        try:
-            vals = []
-            for i in range(count - 3):
-                v = cross_ratio(lines[i : i + 4], base)
-                if is_infinite(v) or v == 0 or v == 1:
-                    raise DegenerateError("resample")
-                vals.append(v)
-            return lines, base
-        except DegenerateError:
-            continue
+        for i in range(count - 3):
+            v = cross_ratio(lines[i : i + 4], base)
+            if is_infinite(v) or v == 0 or v == 1:
+                raise DegenerateError(f"cross ratio {v}")
+        return lines, base
+
+    return draw_generic(sample, f"configuration of {count} lines in R^{n}")
 
 
 class TestCrossRatio:
@@ -150,26 +148,7 @@ class TestCrossRatio:
             assert abs(float(v) - w) <= 1e-9 * max(1.0, abs(w))
 
 
-#: rationals of three heights: small p/q, dyadics Fraction(float), and
-#: numerators and denominators near 10^50
-HEIGHTS = {
-    "small": lambda r: Fraction(r.randint(-9, 9), r.randint(1, 9)),
-    "dyadic": lambda r: Fraction(math.ldexp(r.uniform(-1, 1), r.randint(-40, 3))),
-    "huge": lambda r: Fraction(r.randint(-(10**50), 10**50), r.randint(10**49, 10**50)),
-}
 LINE_CASES = ("generic", "infinity", "one", "undefined", "rank")
-
-
-def height_vectors(draw, n):
-    """A function drawing vectors in R^n of one height; hypothesis picks the
-    height and the seed, and the seed the entries."""
-    entry = HEIGHTS[draw(st.sampled_from(sorted(HEIGHTS)))]
-    r = random.Random(draw(st.integers(0, 2**32)))
-
-    def vector(zeros=()):
-        return tuple(Fraction(0) if j in zeros else entry(r) for j in range(n))
-
-    return vector
 
 
 @st.composite
@@ -279,14 +258,13 @@ class TestReductionMatchesWedges:
 class TestCrossRatioFlags:
     def test_moving_subspace_choice_independent(self, rng):
         n = 4
-        while True:
+
+        def sample():
             a, b, c, d = (random_flag(rng, n) for _ in range(4))
             base = [(a, 1), (b, 1)]
-            try:
-                v1 = cross_ratio_flags(a, c, d, b, base)
-                break
-            except DegenerateError:
-                continue
+            return a, b, c, d, base, cross_ratio_flags(a, c, d, b, base)
+
+        a, b, c, d, base, v1 = draw_generic(sample, "flag quadruple in R^4")
         np_rng = np.random.default_rng(3)
         v2 = cross_ratio_flags(a, c, d, b, base, rng=np_rng)
         assert v1 == v2
@@ -364,10 +342,7 @@ class TestTripleRatio:
     def test_brute_force_oracle(self, rng):
         # independent evaluation via numpy determinants
         n = 4
-        while True:
-            f, g, h = (random_flag(rng, n) for _ in range(3))
-            if is_generic_triple(f, g, h):
-                break
+        f, g, h = generic_triple(rng, n)
         fb = [list(map(float, v)) for v in f.compatible_basis()]
         gb = [list(map(float, v)) for v in g.compatible_basis()]
         hb = [list(map(float, v)) for v in h.compatible_basis()]
@@ -390,10 +365,7 @@ class TestTripleRatio:
 
     def test_cyclic_symmetry(self, rng):
         for n in (3, 4, 5):
-            while True:
-                f, g, h = (random_flag(rng, n) for _ in range(3))
-                if is_generic_triple(f, g, h):
-                    break
+            f, g, h = generic_triple(rng, n)
             for x, y, z in triple_index_set(n):
                 v = triple_ratio(f, g, h, (x, y, z))
                 assert v == triple_ratio(g, h, f, (y, z, x))
@@ -401,10 +373,7 @@ class TestTripleRatio:
 
     def test_transposition_inverts(self, rng):
         n = 4
-        while True:
-            f, g, h = (random_flag(rng, n) for _ in range(3))
-            if is_generic_triple(f, g, h):
-                break
+        f, g, h = generic_triple(rng, n)
         for x, y, z in triple_index_set(n):
             assert triple_ratio(f, g, h, (x, y, z)) * triple_ratio(
                 f, h, g, (x, z, y)
@@ -412,10 +381,7 @@ class TestTripleRatio:
 
     def test_unimodular_invariance(self, rng):
         n = 3
-        while True:
-            f, g, h = (random_flag(rng, n) for _ in range(3))
-            if is_generic_triple(f, g, h):
-                break
+        f, g, h = generic_triple(rng, n)
         m = random_unimodular(rng, n)
         v = triple_ratio(f, g, h, (1, 1, 1))
         assert triple_ratio(f.apply(m), g.apply(m), h.apply(m), (1, 1, 1)) == v

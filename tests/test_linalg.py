@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hitchin.linalg import (
+    DRAW_TRIES,
     EXACT,
     BackendError,
     DegenerateError,
@@ -17,9 +18,11 @@ from hitchin.linalg import (
     WeylChamberPoint,
     cartan_projection,
     det,
+    draw_generic,
     is_generic_triple,
     jordan_projection,
     matrix_rank,
+    nullspace,
     reduce_modulo,
     rref,
     wedge_det,
@@ -214,6 +217,46 @@ class TestExactKernel:
             v = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
         expected = matrix_rank(list(space.basis) + [tuple(v)], EXACT) == space.dim
         assert space.contains(v) == expected
+
+
+class TestKernel:
+    @given(rational_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_basis_of_the_kernel(self, rows):
+        n = len(rows[0])
+        kernel = Subspace.kernel(rows, n)
+        expected = Subspace.span(nullspace(rows, EXACT, n), ambient=n, backend=EXACT)
+        # the same RREF rows, not just the same span
+        assert kernel.basis == expected.basis
+        assert kernel.dim == n - matrix_rank(rows, EXACT)
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows for v in kernel.basis)
+
+    def test_no_rows_give_the_whole_space(self):
+        assert Subspace.kernel([], 3) == Subspace.full(3, EXACT)
+
+
+class TestDrawGeneric:
+    def test_returns_the_first_generic_draw(self):
+        draws = iter(range(10))
+
+        def sample():
+            k = next(draws)
+            if k < 3:
+                raise DegenerateError(f"draw {k}")
+            return k
+
+        assert draw_generic(sample, "value") == 3
+
+    def test_gives_up_and_names_what_never_came_out(self):
+        calls = []
+
+        def sample():
+            calls.append(1)
+            raise DegenerateError("always degenerate")
+
+        with pytest.raises(DegenerateError, match=f"no generic widget in {DRAW_TRIES} draws.*always"):
+            draw_generic(sample, "generic widget")
+        assert len(calls) == DRAW_TRIES
 
 
 class TestReduceModulo:
