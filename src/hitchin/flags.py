@@ -16,11 +16,10 @@ On exact flags both rebuilds reduce their vectors modulo a shared base
 triple rebuild, index (x, y0, z) reads its two coefficient ratios and its
 hyperplane off 3 x 3 minors modulo F^(x-1) + G^(y0-1) + H^(z-1) (see
 :func:`reconstruct_triple`), and a level is the kernel of its integer
-hyperplane functionals.  Each minor carries the scale of every vector in
-it, and each vector appears as often in a ratio's numerator as in its
-denominator, or rescales the ratio and the vector it multiplies alike; so
-primitive integer representatives give the same hyperplanes.  Float flags
-keep the coordinate solves and hyperplane meets.
+hyperplane functionals.  A minor scales with every vector in it, but no
+hyperplane moves when a basis vector is rescaled, so primitive integer
+representatives give the same flag.  Float flags keep the coordinate
+solves and hyperplane meets.
 
 Conventions: a projective-line point [s:t] is the column vector (s, t);
 the flag base point is [1:0], whose osculating flag is the standard
@@ -137,11 +136,13 @@ def reconstruct_triple(f, h, g_line, ratios):
     a_top) (c_low / c_mid).  Exact flags take every bracket as a 3 x 3
     minor of the vectors reduced modulo that base, and the functional in d
     from the reduced unit vectors; the level is the kernel of the
-    n - y0 - 1 integer functionals (``Subspace.kernel``).  Rescaling f_x
-    rescales beta inversely, rescaling h_z rescales beta alike, and every
-    other scale cancels in its ratio, so primitive integer representatives
-    give the same flag.  Float flags solve for the coordinates and meet
-    the spanned hyperplanes.
+    n - y0 - 1 integer functionals (``Subspace.kernel``).  Per-vector
+    scales cancel: f_(x+1) and h_(z+1) appear in numerator and
+    denominator alike, a scale on g_y0 enters the two ratios inversely,
+    and one on f_x or h_z changes beta so that beta f_x + h_z keeps its
+    line.  So primitive integer representatives give the same flag.
+    Float flags solve for the coordinates and meet the spanned
+    hyperplanes.
     """
     n = f.ambient
     backend = f.backend

@@ -221,7 +221,7 @@ class TestExactKernel:
 
 class TestKernel:
     @given(rational_matrices())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_canonical_basis_of_the_kernel(self, rows):
         n = len(rows[0])
         kernel = Subspace.kernel(rows, n)
