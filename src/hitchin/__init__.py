@@ -53,7 +53,7 @@ from .pants import (
     xi_inverse,
 )
 from .fuchsian import FuchsianSurfaceData, fuchsian_invariants, genus2_surface
-from .tracer import PsiEncoding, PsiTracer, compute_mesh, r_and_s, trace_psi, validate_psi
+from .tracer import PsiEncoding, PsiTracer, r_and_s, validate_psi
 from .degeneration import (
     compute_K,
     compute_L,
@@ -86,7 +86,6 @@ __all__ = [
     "check_closed_leaf",
     "compute_K",
     "compute_L",
-    "compute_mesh",
     "count_bound_gamma0",
     "count_bound_gamma1",
     "cross_ratio",
@@ -110,7 +109,6 @@ __all__ = [
     "subspace_intersect",
     "subspace_sum",
     "sym_power",
-    "trace_psi",
     "triple_index_set",
     "triple_ratio",
     "validate_psi",

@@ -43,28 +43,24 @@ from .fuchsian import (
     fixed_points,
     in_arc,
     mat2_mul,
-    points_equal,
 )
 from .invariants import INFINITY, based_lines, cross_ratios, is_infinite, triple_index_set
 from .linalg import DegenerateError, FLOAT64, Flag, Subspace
-from .tracer import EdgeLift
+from .tracer import EdgeLift, shared_letter
 
 #: reindexing that brings each edge's opposite flags into the middle slot;
 #: tau' always enters inverted (the fourth vertex sits on the primed side)
 _EDGE_RULES = {
     "ab": {
-        "tau_perm": lambda p, q, r: (p, r, q),
-        "taup_perm": lambda p, q, r: (p, r, q),
+        "perm": lambda p, q, r: (p, r, q),
         "shear": lambda n, k: (k, n - k, 0),
     },
     "ac": {
-        "tau_perm": lambda p, q, r: (r, q, p),
-        "taup_perm": lambda p, q, r: (r, q, p),
+        "perm": lambda p, q, r: (r, q, p),
         "shear": lambda n, k: (n - k, 0, k),
     },
     "cb": {
-        "tau_perm": lambda p, q, r: (q, p, r),
-        "taup_perm": lambda p, q, r: (q, p, r),
+        "perm": lambda p, q, r: (q, p, r),
         "shear": lambda n, k: (0, k, n - k),
     },
 }
@@ -148,8 +144,9 @@ def edge_quadruple_from_invariants(inv, kind):
     tau_ratios = {}
     taup_ratios = {}
     for idx in triple_index_set(n):
-        tau_ratios[idx] = math.exp(float(inv.tau[rules["tau_perm"](*idx)]))
-        taup_ratios[idx] = math.exp(-float(inv.tau_prime[rules["taup_perm"](*idx)]))
+        moved = rules["perm"](*idx)
+        tau_ratios[idx] = math.exp(float(inv.tau[moved]))
+        taup_ratios[idx] = math.exp(-float(inv.tau_prime[moved]))
     fc = reconstruct_triple(fa, fb, ones, tau_ratios)
     shear_values = {
         k: -math.exp(float(inv.sigma[rules["shear"](n, k)])) for k in range(1, n)
@@ -294,27 +291,21 @@ def entropy_upper_bound(K, L, genus):
 # segment-length checks on the Fuchsian locus
 
 
-def _neighbor_point(tracer, edge_lift, shared_point):
-    p, q = tracer.edge_points(edge_lift)
-    return q if points_equal(p, shared_point) else p
-
-
 def _moved_endpoints(tracer, entry, xm, xp):
     """Boundary points (minus, plus) spanning the hyperplanes through the
     backward- and forward-moved points of one traced binodal edge."""
     pred_e, edge_e, succ_e, _pivot = entry
-    p, q = tracer.edge_points(edge_e)
-    a_pt, b_pt = (p, q) if in_arc(p, xm, xp) else (q, p)
-    # succ shares exactly one endpoint of the edge; pred the other
-    sp, sq = tracer.edge_points(succ_e)
-    if points_equal(sp, a_pt) or points_equal(sq, a_pt):
-        # succ pivots at a: the moving endpoint on the b side advances
-        succ_far = _neighbor_point(tracer, succ_e, a_pt)
-        pred_far = _neighbor_point(tracer, pred_e, b_pt)
-        return (pred_far, b_pt), (a_pt, succ_far)
-    succ_far = _neighbor_point(tracer, succ_e, b_pt)
-    pred_far = _neighbor_point(tracer, pred_e, a_pt)
-    return (a_pt, pred_far), (succ_far, b_pt)
+    # succ shares one end of the edge, pred the other
+    succ_letter = shared_letter(edge_e, succ_e)
+    pivot = tracer.point(edge_e.end(succ_letter))
+    other = tracer.point(edge_e.far_end(succ_letter))
+    succ_far = tracer.point(succ_e.far_end(succ_letter))
+    pred_far = tracer.point(pred_e.far_end(shared_letter(pred_e, edge_e)))
+    if in_arc(pivot, xm, xp):
+        # succ pivots at the end on the arc from xm to xp: the moving
+        # endpoint on the other side advances
+        return (pred_far, other), (pivot, succ_far)
+    return (other, pred_far), (succ_far, pivot)
 
 
 def _segment_lengths(xm, xp, minus, plus, n):

@@ -34,6 +34,7 @@ from .fuchsian import (
     fixed_points,
     in_arc,
     is_hyperbolic,
+    mat2_eq_projective,
     mat2_inv,
     mat2_mul,
     MAT2_ID,
@@ -45,6 +46,8 @@ from .fuchsian import (
 from .linalg import DegenerateError
 
 EDGE_ENDS = {"ab": ("a", "b"), "ac": ("a", "c"), "cb": ("c", "b")}
+#: the vertex letter of a triangle opposite each edge kind
+_OPPOSITE_LETTER = {"ab": "c", "ac": "b", "cb": "a"}
 #: fan families at each vertex letter: the two edge kinds through it
 VERTEX_FANS = {"a": ("ac", "ab"), "b": ("ab", "cb"), "c": ("ac", "cb")}
 _SHARED_LETTER = {
@@ -74,6 +77,13 @@ class VertexLift:
 
 @dataclass(frozen=True)
 class EdgeLift:
+    """The lift gamma * (base edge ``kind`` of ``pants``).
+
+    Its ends are named by the letters of ``kind``: the end named l is the
+    vertex lift (gamma, pants, l) in both triangles that hold the edge, and
+    two edges of one triangle share the end ``_SHARED_LETTER`` names.
+    """
+
     gamma: tuple
     pants: int
     kind: str
@@ -81,6 +91,19 @@ class EdgeLift:
     @property
     def edge_class(self):
         return (self.pants, self.kind)
+
+    def end(self, letter):
+        return VertexLift(self.gamma, self.pants, letter)
+
+    def far_end(self, letter):
+        """The end other than the one named by ``letter``."""
+        l1, l2 = EDGE_ENDS[self.kind]
+        return self.end(l2 if letter == l1 else l1)
+
+
+def shared_letter(e1, e2):
+    """The letter of the end shared by two edges of one triangle."""
+    return _SHARED_LETTER[frozenset((e1.kind, e2.kind))]
 
 
 @dataclass(frozen=True)
@@ -219,13 +242,8 @@ class PsiTracer:
     def slot_mat(self, pants, letter):
         return self._slot_mats[(pants, letter.upper())]
 
-    def edge_vertices(self, e):
-        l1, l2 = EDGE_ENDS[e.kind]
-        return VertexLift(e.gamma, e.pants, l1), VertexLift(e.gamma, e.pants, l2)
-
     def edge_points(self, e):
-        v1, v2 = self.edge_vertices(e)
-        return self.point(v1), self.point(v2)
+        return tuple(self.point(e.end(letter)) for letter in EDGE_ENDS[e.kind])
 
     def adjacent_triangles(self, e):
         g, j = e.gamma, e.pants
@@ -252,34 +270,26 @@ class PsiTracer:
         gb = mat2_mul(g, mat2_inv(self.slot_mat(j, "b")))
         return (EdgeLift(g, j, "ab"), EdgeLift(ga, j, "ac"), EdgeLift(gb, j, "cb"))
 
-    def same_edge(self, e1, e2):
-        if e1.edge_class != e2.edge_class:
-            return False
-        p1, q1 = self.edge_points(e1)
-        p2, q2 = self.edge_points(e2)
-        return (points_equal(p1, p2) and points_equal(q1, q2)) or (
-            points_equal(p1, q2) and points_equal(q1, p2)
-        )
+    @staticmethod
+    def same_edge(e1, e2):
+        """Equal lifts: an edge joins fixed points of two different curves,
+        so no group element but the identity fixes it."""
+        return e1.edge_class == e2.edge_class and mat2_eq_projective(e1.gamma, e2.gamma)
 
     def fan_edge(self, v, kind, k):
         """k-th fan edge of the given family at vertex v."""
         key = (v.gamma, v.pants, v.letter)
+        # the cached powers run over one range of k around 0
         cache = self._fan_pow.setdefault(key, {0: v.gamma})
         if k not in cache:
             s = self.slot_mat(v.pants, v.letter)
-            if k > 0:
-                base = max(kk for kk in cache if 0 <= kk < k)
-                g = cache[base]
-                for kk in range(base + 1, k + 1):
-                    g = mat2_mul(g, s)
-                    cache[kk] = g
-            else:
-                base = min(kk for kk in cache if k < kk <= 0)
-                sinv = mat2_inv(s)
-                g = cache[base]
-                for kk in range(base - 1, k - 1, -1):
-                    g = mat2_mul(g, sinv)
-                    cache[kk] = g
+            step, base = (1, max(cache)) if k > 0 else (-1, min(cache))
+            if step < 0:
+                s = mat2_inv(s)
+            g = cache[base]
+            for kk in range(base + step, k + step, step):
+                g = mat2_mul(g, s)
+                cache[kk] = g
         return EdgeLift(cache[k], v.pants, kind)
 
     def leaf_endpoints(self, v):
@@ -347,7 +357,7 @@ class PsiTracer:
         # x: deterministic family choice at the repelling-side fan
         kind_x = min(VERTEX_FANS[rep_lift.letter])
         x_edge = self.fan_edge(rep_lift, kind_x, 0)
-        x_point = self._far_point(x_edge, rep_lift)
+        x_point = self.point(x_edge.far_end(rep_lift.letter))
 
         def g_of(z_point):
             # the first-line cross ratio based at the meet of the two
@@ -375,18 +385,13 @@ class PsiTracer:
         self._meshes[curve_id] = spec
         return spec
 
-    def _far_point(self, edge, vertex):
-        p, q = self.edge_points(edge)
-        vp = self.point(vertex)
-        return q if points_equal(p, vp) else p
-
     def _minimize_g(self, v, kind, g_of):
         """Smallest g >= 1 along one fan family; None if out of window."""
         pts = {}
 
         def far(k):
             if k not in pts:
-                pts[k] = self._far_point(self.fan_edge(v, kind, k), v)
+                pts[k] = self.point(self.fan_edge(v, kind, k).far_end(v.letter))
             return pts[k]
 
         g0, g1 = g_of(far(0)), g_of(far(1))
@@ -425,8 +430,6 @@ class PsiTracer:
             start = self._find_crossing_edge(xm, xp)
         except _ClosedLeafHit as hit:
             return PsiEncoding(tuples=(), closed_leaf_curve=hit.curve)
-        if isinstance(start, int):
-            return PsiEncoding(tuples=(), closed_leaf_curve=start)
         return self._walk_period(start, x_mat, xm, xp)
 
     # helper predicates ----------------------------------------------------
@@ -435,17 +438,19 @@ class PsiTracer:
         p, q = self.edge_points(e)
         return separates(p, q, xm, xp)
 
-    def _vertex_hits_axis(self, v, xm, xp):
+    def _guard_vertex(self, v, xm, xp):
+        """Raise ``_ClosedLeafHit`` when the axis ends at vertex v."""
         p = self.point(v)
-        return points_equal(p, xm) or points_equal(p, xp)
+        if points_equal(p, xm) or points_equal(p, xp):
+            raise _ClosedLeafHit(self.curve_of_vertex(v))
 
     def _leaf_jump_target(self, v, xm, xp, other_point):
         """If the leaf at v separates both axis endpoints from our side,
-        return the partner lift to jump to; else None."""
+        return the partner lift to jump to; else None.  Raises
+        ``_ClosedLeafHit`` when the axis is this leaf."""
         rep, att = self.leaf_endpoints(v)
         if points_equal(att, xm) or points_equal(att, xp):
-            # the axis IS this leaf
-            return "closed"
+            raise _ClosedLeafHit(self.curve_of_vertex(v))
         if separates(rep, att, xm, xp):
             return None
         if not separates(rep, att, xm, other_point):
@@ -455,14 +460,13 @@ class PsiTracer:
     def _find_crossing_edge(self, xm, xp):
         """Walk the dual graph toward the axis; return a separating edge.
 
-        Returns the curve id instead when the axis is a closed-leaf lift.
+        Raises ``_ClosedLeafHit`` when the axis is a closed-leaf lift.
         """
         tri = TriangleLift(MAT2_ID, 0, False)
         for _ in range(4 * self.depth_cap):
             verts = self.triangle_vertices(tri)
             for v in verts:
-                if self._vertex_hits_axis(v, xm, xp):
-                    return self.curve_of_vertex(v)
+                self._guard_vertex(v, xm, xp)
             pts = [self.point(v) for v in verts]
             if cyclic_order(pts[0], pts[1], pts[2]) < 0:
                 verts = (verts[0], verts[2], verts[1])
@@ -482,13 +486,11 @@ class PsiTracer:
                 raise TraceError("straddling triangle without separating edge")
             # step across the edge subtending the common arc
             u, w = verts[arc_m], verts[(arc_m + 1) % 3]
-            exit_edge = self._edge_between(tri, u, w)
+            exit_edge = self._opposite_edge(tri, verts[(arc_m + 2) % 3].letter)
             third = pts[(arc_m + 2) % 3]
             jumped = False
             for v in (u, w):
                 target = self._leaf_jump_target(v, xm, xp, third)
-                if target == "closed":
-                    return self.curve_of_vertex(v)
                 if target is not None:
                     res = self._fan_locate(target, xm, xp)
                     if isinstance(res, EdgeLift):
@@ -501,15 +503,11 @@ class PsiTracer:
             tri = self._other_triangle(exit_edge, tri)
         raise TraceError("axis search exceeded the configured depth")
 
-    def _edge_between(self, tri, v1, v2):
-        p1, p2 = self.point(v1), self.point(v2)
-        for e in self.triangle_edges(tri):
-            q1, q2 = self.edge_points(e)
-            if (points_equal(p1, q1) and points_equal(p2, q2)) or (
-                points_equal(p1, q2) and points_equal(p2, q1)
-            ):
-                return e
-        raise TraceError("triangle edge lookup failed")  # pragma: no cover
+    def _opposite_edge(self, tri, letter):
+        """The edge of the triangle opposite its vertex named ``letter``."""
+        return next(
+            e for e in self.triangle_edges(tri) if _OPPOSITE_LETTER[e.kind] == letter
+        )
 
     def _other_triangle(self, edge, tri):
         t1, t2 = self.adjacent_triangles(edge)
@@ -517,24 +515,14 @@ class PsiTracer:
             return t2
         return t1
 
-    def _far_vertex(self, edge, vertex):
-        v1, v2 = self.edge_vertices(edge)
-        vp = self.point(vertex)
-        return v2 if points_equal(self.point(v1), vp) else v1
-
-    def _guard_vertex(self, v, xm, xp):
-        if self._vertex_hits_axis(v, xm, xp):
-            raise _ClosedLeafHit(self.curve_of_vertex(v))
-
     def _fan_locate(self, v, xm, xp):
         """A separating fan edge at v, or the sector triangle holding the axis."""
         kind1, kind2 = VERTEX_FANS[v.letter]
-        vp = self.point(v)
         for radius in (8, self.depth_cap):
             for k in self._search_ks(radius):
                 for kind in (kind1, kind2):
                     e = self.fan_edge(v, kind, k)
-                    self._guard_vertex(self._far_vertex(e, v), xm, xp)
+                    self._guard_vertex(e.far_end(v.letter), xm, xp)
                     if self._edge_separates(e, xm, xp):
                         return e
             # no separating fan edge: the axis may sit inside one sector
@@ -547,8 +535,6 @@ class PsiTracer:
                         for tv in verts:
                             self._guard_vertex(tv, xm, xp)
                         pts = [self.point(t) for t in verts]
-                        if not any(points_equal(p, vp) for p in pts):
-                            continue
                         if self._triangle_holds(pts, xm) and self._triangle_holds(
                             pts, xp
                         ):
@@ -575,28 +561,19 @@ class PsiTracer:
 
     def _step(self, edge, xm, xp):
         """Next crossed edge and the pivot vertex shared with it."""
-        tri = self._far_triangle(edge, xp)
-        everts = self.edge_vertices(edge)
-        epts = [self.point(v) for v in everts]
-        for e in self.triangle_edges(tri):
-            if self.same_edge(e, edge):
-                continue
-            if self._edge_separates(e, xm, xp):
-                q1, q2 = self.edge_points(e)
-                for v, p in zip(everts, epts):
-                    if points_equal(p, q1) or points_equal(p, q2):
-                        return e, v
+        for e in self.triangle_edges(self._far_triangle(edge, xp)):
+            # the triangle holds one edge of each kind, ``edge`` among them
+            if e.kind != edge.kind and self._edge_separates(e, xm, xp):
+                return e, edge.end(shared_letter(edge, e))
         raise TraceError("walk lost the axis")  # pragma: no cover
 
     def _far_triangle(self, edge, xp):
         p, q = self.edge_points(edge)
+        third = "abc".index(_OPPOSITE_LETTER[edge.kind])
         for tri in self.adjacent_triangles(edge):
-            for v in self.triangle_vertices(tri):
-                vp = self.point(v)
-                if points_equal(vp, p) or points_equal(vp, q):
-                    continue
-                if in_arc(vp, p, q) == in_arc(xp, p, q):
-                    return tri
+            vp = self.point(self.triangle_vertices(tri)[third])
+            if in_arc(vp, p, q) == in_arc(xp, p, q):
+                return tri
         raise TraceError("no far triangle")  # pragma: no cover
 
     def _walk_period(self, start, x_mat, xm, xp):
@@ -607,7 +584,7 @@ class PsiTracer:
         prev_pivot = None
         events = []
         lifts = []
-        stop_points = None
+        stop_edge = None
         pending = None  # joining vertex lift of the open binodal stretch
         guard = 0
         while True:
@@ -615,32 +592,19 @@ class PsiTracer:
             if guard > 64 * self.depth_cap:
                 raise TraceError("period walk exceeded the configured depth")
             nxt, pivot = self._step(edge, xm, xp)
-            switched = prev_pivot is not None and not points_equal(
-                self.point(pivot), self.point(prev_pivot)
-            )
-            if switched:
-                if stop_points is None:
+            # both pivots are ends of ``edge``, named by their letters
+            if prev_pivot is not None and pivot.letter != prev_pivot.letter:
+                if stop_edge is None:
                     # first binodal edge anchors the period
-                    p, q = self.edge_points(edge)
-                    stop_points = (mobius(x_mat, p), mobius(x_mat, q))
+                    stop_edge = EdgeLift(mat2_mul(x_mat, edge.gamma), edge.pants, edge.kind)
                 else:
-                    p, q = self.edge_points(edge)
-                    at_stop = (
-                        points_equal(p, stop_points[0])
-                        and points_equal(q, stop_points[1])
-                    ) or (
-                        points_equal(p, stop_points[1])
-                        and points_equal(q, stop_points[0])
-                    )
-                    if at_stop:
-                        # the closing stretch's winding belongs to the last tuple
-                        events[-1] = dataclasses.replace(
-                            events[-1], t=self._winding(pending, xm, xp)
-                        )
-                        return PsiEncoding(tuples=tuple(events), lifts=tuple(lifts))
+                    # a stretch closes here; the period's closing stretch
+                    # belongs to its last tuple
                     events[-1] = dataclasses.replace(
                         events[-1], t=self._winding(pending, xm, xp)
                     )
+                    if self.same_edge(edge, stop_edge):
+                        return PsiEncoding(tuples=tuple(events), lifts=tuple(lifts))
                 ztype = "Z" if in_arc(self.point(pivot), xp, xm) else "S"
                 events.append(
                     PsiTuple(
@@ -657,7 +621,7 @@ class PsiTracer:
             # only when the crossing still lies ahead of the current edge
             rep, att = self.leaf_endpoints(pivot)
             if separates(rep, att, xm, xp):
-                other = self._far_point(edge, pivot)
+                other = self.point(edge.far_end(pivot.letter))
                 if separates(rep, att, other, xp):
                     prev_edge, edge, prev_pivot = self._leaf_jump(pivot, xm, xp)
                     continue
@@ -670,7 +634,6 @@ class PsiTracer:
         the main walk resumes just before the exit binodal fires.
         """
         vp = self.partner_lift(pivot)
-        vpp = self.point(vp)
         candidates = []
         for kind in VERTEX_FANS[vp.letter]:
             found = self._crossing_window_end(vp, kind, xm, xp)
@@ -683,7 +646,7 @@ class PsiTracer:
         for k_exit, kind, leaf_dir in candidates:
             exit_edge = self.fan_edge(vp, kind, k_exit)
             _, piv = self._step(exit_edge, xm, xp)
-            if not points_equal(self.point(piv), vpp):
+            if piv.letter != vp.letter:
                 pred_edge = self._fan_neighbor_toward_leaf(
                     vp, kind, k_exit, leaf_dir, xm, xp
                 )
@@ -730,16 +693,17 @@ class PsiTracer:
         """
         kinds = VERTEX_FANS[vp.letter]
         other = kinds[0] if kind == kinds[1] else kinds[1]
-        exit_far = self._far_point(self.fan_edge(vp, kind, k_exit), vp)
-        leafward = self._far_point(self.fan_edge(vp, kind, k_exit + leaf_dir), vp)
-        vpp = self.point(vp)
-        if in_arc(vpp, exit_far, leafward):
+        exit_far, leafward = (
+            self.point(self.fan_edge(vp, kind, k).far_end(vp.letter))
+            for k in (k_exit, k_exit + leaf_dir)
+        )
+        if in_arc(self.point(vp), exit_far, leafward):
             lo, hi = leafward, exit_far
         else:
             lo, hi = exit_far, leafward
         for k in (k_exit - 1, k_exit, k_exit + 1, k_exit - 2, k_exit + 2):
             e = self.fan_edge(vp, other, k)
-            far = self._far_point(e, vp)
+            far = self.point(e.far_end(vp.letter))
             if points_equal(far, exit_far) or points_equal(far, leafward):
                 continue
             if in_arc(far, lo, hi):
@@ -806,26 +770,31 @@ class PsiTracer:
             # the axis dips into the collar and leaves on the same side; the
             # window (if any) sits where the anchor orbit passes the axis
             # endpoints, located by the float translation coordinate and
-            # verified exactly
+            # verified exactly.  The coordinate is read in the curve's own
+            # frame (the cross ratio is Moebius invariant): at the anchor the
+            # four points can coincide in float precision.
             ell = translation_length(w_mat)
-            u0 = mesh_edge(0)[0]
-            rep_a, att_a = fixed_points(mat2_mul(mat2_mul(eta, w_mat), mat2_inv(eta)))
+            rep_w, att_w = fixed_points(w_mat)
+            (a, b), (c, d) = cache[0]
+            eta_adj = ((d, -b), (-c, a))
             guesses = []
             for z in (xm, xp):
                 try:
-                    cr = abs(boundary_cross_ratio(att_a, u0, z, rep_a))
+                    cr = abs(
+                        boundary_cross_ratio(att_w, spec.x_point, mobius(eta_adj, z), rep_w)
+                    )
                 except DegenerateError:
                     continue  # the points coincide in float precision
                 if 0 < cr < math.inf:
                     guesses.append(math.log(cr) / ell)
-            if not guesses:
-                return 0
-            lo = max(-cap, math.floor(min(guesses)) - 3)
-            hi = min(cap, math.ceil(max(guesses)) + 3)
-            while lo > -cap and side(lo) != s_lo:
-                lo = max(-cap, lo - 4)
-            while hi < cap and side(hi) != s_lo:
-                hi = min(cap, hi + 4)
+            lo, hi = -cap, cap
+            if guesses:
+                lo = max(-cap, math.floor(min(guesses)) - 3)
+                hi = min(cap, math.ceil(max(guesses)) + 3)
+                while lo > -cap and side(lo) != s_lo:
+                    lo = max(-cap, lo - 4)
+                while hi < cap and side(hi) != s_lo:
+                    hi = min(cap, hi + 4)
             ks = [k for k in range(lo, hi + 1) if side(k) == 0]
             if not ks:
                 return 0
@@ -846,13 +815,3 @@ def _integer_matrix(m):
     ints = [x.numerator * (scale // x.denominator) for x in entries]
     g = math.gcd(*ints)
     return ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))
-
-
-def trace_psi(surface, word, n=2, depth_cap=64):
-    """One-shot trace of a word on a surface."""
-    return PsiTracer(surface, n=n, depth_cap=depth_cap).trace(word)
-
-
-def compute_mesh(surface, curve_id, n=2, depth_cap=64):
-    """Mesh anchor of a pants curve for the dimension-n Fuchsian data."""
-    return PsiTracer(surface, n=n, depth_cap=depth_cap).mesh(curve_id)

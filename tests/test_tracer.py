@@ -1,29 +1,58 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hitchin.flags import veronese_flag
-from hitchin.fuchsian import BPoint, boundary_cross_ratio, genus2_surface, points_equal
+from hitchin.fuchsian import BPoint, boundary_cross_ratio, genus2_surface, mat2_mul, points_equal
 from hitchin.invariants import INFINITY, cross_ratio, cross_ratio_flags
 from hitchin.pants import standard_genus2
 from hitchin.tracer import (
+    EDGE_ENDS,
     CountPair,
+    EdgeLift,
     PsiEncoding,
     PsiTracer,
     PsiTuple,
     TraceError,
-    compute_mesh,
     cyclic_equal,
     r_and_s,
-    trace_psi,
+    shared_letter,
     validate_psi,
 )
 from hitchin.linalg import DegenerateError
 
+#: encodings of the benchmark pool's words of length 2 to 4, copied from
+#: its reference (an integer is the curve of a closed-leaf word)
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "tracer.json").read_text()
+)["encodings"]
+
+#: words and the letters y whose conjugates y w y^-1 once traced to another
+#: encoding: the same-side winding window was guessed at an anchor with
+#: entries near 1e8, where the four points of its cross ratio coincide in
+#: float precision
+LARGE_ANCHOR_CONJUGATES = {
+    "BaaDcBBBBDcd": "b",
+    "CCddbbaDADbb": "dCD",
+    "CaDCadCaadbb": "CD",
+    "aCDABDCAcbdd": "ab",
+    "cBaCBdBDBaB": "cdD",
+    "cBdBBddABca": "dD",
+    "cbbADbDcbAbD": "cd",
+}
+
 
 def conj(word, y):
     return y + word + y[::-1].swapcase()
+
+
+def encode(psi):
+    if psi.is_closed_leaf:
+        return psi.closed_leaf_curve
+    return [[list(tp.pred), list(tp.edge), list(tp.succ), tp.type, tp.t] for tp in psi.tuples]
 
 
 class TestCounts:
@@ -94,7 +123,7 @@ class TestMesh:
     def test_inequality_across_dimensions(self, surface):
         for n in (2, 3, 4):
             for curve in (0, 1, 2):
-                spec = compute_mesh(surface, curve, n=n)
+                spec = PsiTracer(surface, n=n).mesh(curve)
                 assert spec.inequality_holds()
 
     def test_mesh_width_is_power_length(self, surface, tracer2):
@@ -106,9 +135,9 @@ class TestMesh:
     @pytest.mark.parametrize("curve", [0, 1, 2])
     def test_anchors_are_dimension_independent(self, curve):
         surface = genus2_surface(twist=Fraction(1, 5))
-        ref = compute_mesh(surface, curve, n=2)
+        ref = PsiTracer(surface, n=2).mesh(curve)
         for n in range(3, 9):
-            spec = compute_mesh(surface, curve, n=n)
+            spec = PsiTracer(surface, n=n).mesh(curve)
             assert points_equal(spec.x_point, ref.x_point)
             assert points_equal(spec.y_point, ref.y_point)
             assert spec.inequality_holds()
@@ -213,8 +242,18 @@ class TestTrace:
             assert r_and_s(tracer2.trace(conj("abd", y))) == base
 
     def test_one_shot_helper(self, surface):
-        psi = trace_psi(surface, "ab", n=2)
+        psi = PsiTracer(surface, n=2).trace("ab")
         assert r_and_s(psi).r == 1
+
+    def test_conjugates_with_large_anchors(self, tracer2):
+        for word, letters in LARGE_ANCHOR_CONJUGATES.items():
+            base = tracer2.trace(word)
+            for y in letters:
+                assert cyclic_equal(base, tracer2.trace(conj(word, y))), (word, y)
+
+    def test_golden_short_words(self, tracer2):
+        wrong = [w for w, expect in GOLDEN.items() if encode(tracer2.trace(w)) != expect]
+        assert wrong == []
 
     def test_window_guess_from_float_coincident_points(self, tracer2):
         # one winding search meets fixed points and axis endpoints that agree
@@ -258,3 +297,51 @@ class TestWindingValues:
             values.append(abs(psi.tuples[0].t))
         assert values == sorted(values)
         assert values[-1] > values[0]
+
+
+def _common_points(tracer, e1, e2):
+    """Endpoints of e1 that are endpoints of e2, by point comparison."""
+    ends2 = tracer.edge_points(e2)
+    return [p for p in tracer.edge_points(e1) if any(points_equal(p, q) for q in ends2)]
+
+
+class TestLiftIdentity:
+    """Each combinatorial lift answer against the point comparison it replaces."""
+
+    @pytest.mark.parametrize("word", ["bd", "abc", "aaaab", "adC", "DcBdBBddABcad"])
+    def test_against_points(self, tracer2, word):
+        psi = tracer2.trace(word)
+        x_mat = tracer2.surface.matrix(word)
+        edges = [e for entry in psi.lifts for e in entry[:3]]
+        edges += [EdgeLift(mat2_mul(x_mat, e.gamma), e.pants, e.kind) for e in edges]
+        for e1 in edges:
+            for e2 in edges:
+                by_points = e1.edge_class == e2.edge_class and len(
+                    _common_points(tracer2, e1, e2)
+                ) == 2
+                assert tracer2.same_edge(e1, e2) == by_points
+        for e in edges:
+            points = tracer2.edge_points(e)
+            for letter in EDGE_ENDS[e.kind]:
+                near = tracer2.point(e.end(letter))
+                far = tracer2.point(e.far_end(letter))
+                assert not points_equal(near, far)
+                assert any(points_equal(far, p) for p in points)
+            # an end is named by the same letter in both triangles holding it
+            for tri in tracer2.adjacent_triangles(e):
+                verts = tracer2.triangle_vertices(tri)
+                for te in tracer2.triangle_edges(tri):
+                    for letter in EDGE_ENDS[te.kind]:
+                        vertex = verts["abc".index(letter)]
+                        assert points_equal(
+                            tracer2.point(te.end(letter)), tracer2.point(vertex)
+                        )
+        for pred, edge, succ, pivot in psi.lifts:
+            (at_succ,) = _common_points(tracer2, edge, succ)
+            (at_pred,) = _common_points(tracer2, edge, pred)
+            assert points_equal(tracer2.point(pivot), at_succ)
+            assert points_equal(tracer2.point(edge.end(shared_letter(edge, succ))), at_succ)
+            assert points_equal(tracer2.point(edge.end(shared_letter(pred, edge))), at_pred)
+            # the pivot switches at every binodal edge
+            assert pivot.letter != shared_letter(pred, edge)
+            assert not points_equal(at_succ, at_pred)
