@@ -99,18 +99,18 @@ def k_edge(quad):
     and at p = i in the other (see the module docstring), so one pass over
     (e, i, j) builds each base sum once and takes both orderings of its
     four moving lines from one reduction modulo the base.  Each moving line
-    depends only on its flag and multiplicity and is built once per edge.
+    depends only on its flag and multiplicity, and its flag memoises it
+    (``invariants.transverse_line``).
     """
     fa, fb, fc, fd = flags = (quad.a, quad.b, quad.c, quad.d)
     n = quad.n
     k_one = [-math.inf] * n
     k_two = [-math.inf] * n
-    lines = {}
     for e_is_c, fe in ((True, fc), (False, fd)):
         for i in range(n - 1):
             for j in range(n - 1 - i):
                 base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
-                m_base, moving = based_lines(flags, base, lines=lines)
+                m_base, moving = based_lines(flags, base)
                 # (d, a, c, b) for branch one, (b, d, a, c) for branch two
                 values = cross_ratios(moving, m_base, ((3, 0, 2, 1), (1, 3, 0, 2)))
                 p_one, p_two = (n - 1 - j, i) if e_is_c else (i, n - 1 - j)

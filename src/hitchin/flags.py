@@ -402,16 +402,22 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
 
 
 def extract_shear_values(a_flag, b_flag, c_line, d_line):
-    """Cross-ratio values (A,C,D,B)_{A^(x-1)+B^(n-x-1)} for x = 1..n-1."""
-    from .invariants import cross_ratio, transverse_line
+    """Cross-ratio values (A,C,D,B)_{A^(x-1)+B^(n-x-1)} for x = 1..n-1.
+
+    The base and the transverse lines of A and B come from
+    ``invariants.based_lines``: on exact flags the base is the summands'
+    stacked RREF rows, which ``cross_ratio`` reduces by itself, so a sum
+    that is not direct raises its rank error.
+    """
+    from .invariants import based_lines, cross_ratio
 
     n = a_flag.ambient
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)
     d_vec = d_line.line_vector() if isinstance(d_line, Subspace) else tuple(d_line)
     out = {}
     for x in range(1, n):
-        m = a_flag.subspace(x - 1) | b_flag.subspace(n - x - 1)
-        a_line = transverse_line(a_flag, x - 1)
-        b_line = transverse_line(b_flag, n - x - 1)
+        m, (a_line, b_line) = based_lines(
+            (a_flag, b_flag), [(a_flag, x - 1), (b_flag, n - x - 1)]
+        )
         out[x] = cross_ratio([a_line, c_vec, d_vec, b_line], m)
     return out

@@ -158,25 +158,34 @@ def transverse_line(flag, mult, rng=None):
 
     This is the moving-subspace representative for a point carrying base
     multiplicity ``mult``.  The deterministic rule picks the first
-    reduced-basis vector of F^(mult+1) outside F^(mult); passing ``rng``
-    adds a random element of F^(mult) to exercise choice-independence in
-    tests.
+    reduced-basis vector of F^(mult+1) outside F^(mult), built once per
+    flag and multiplicity and memoised on the flag.  Passing ``rng`` adds
+    a random element of F^(mult) to exercise choice-independence in tests;
+    that path neither reads nor fills the memo.
     """
-    if mult == 0:
-        return flag.subspace(1).line_vector()
-    lower = flag.subspace(mult)
-    upper = flag.subspace(mult + 1)
-    vec = next((v for v in upper.basis if not lower.contains(v)), None)
-    if vec is None:
-        raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
-    if rng is not None:
-        coeffs = [flag.backend.convert(int(rng.integers(-3, 4))) for _ in lower.basis]
-        for c, b in zip(coeffs, lower.basis):
-            vec = tuple(x + c * y for x, y in zip(vec, b))
+    if rng is None:
+        if mult not in flag._transverse:
+            flag._transverse[mult] = _build_transverse_line(flag, mult)
+        return flag._transverse[mult]
+    vec = _build_transverse_line(flag, mult)
+    for b in flag.subspace(mult).basis:
+        c = flag.backend.convert(int(rng.integers(-3, 4)))
+        vec = tuple(x + c * y for x, y in zip(vec, b))
     return vec
 
 
-def based_lines(flags, base, rng=None, lines=None):
+def _build_transverse_line(flag, mult):
+    """The deterministic line of :func:`transverse_line`."""
+    if mult == 0:
+        return flag.subspace(1).line_vector()
+    lower = flag.subspace(mult)
+    vec = next((v for v in flag.subspace(mult + 1).basis if not lower.contains(v)), None)
+    if vec is None:
+        raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
+    return vec
+
+
+def based_lines(flags, base, rng=None):
     """The base M and one moving line per flag.
 
     ``base`` is a list of (Flag, multiplicity) pairs with multiplicities
@@ -186,9 +195,7 @@ def based_lines(flags, base, rng=None, lines=None):
     there as a rank-deficient base); on float flags it is the sum
     Subspace, whose rows the LU wedges use.  A flag that also carries base
     multiplicity m is represented by a line of its level m+1 transverse to
-    its level m; see :func:`transverse_line`.  ``lines``, a dict keyed by
-    (position in ``flags``, multiplicity), keeps those lines across calls
-    on the same flags.
+    its level m; see :func:`transverse_line`.
     """
     n = flags[0].ambient
     total = sum(m for _, m in base)
@@ -206,15 +213,11 @@ def based_lines(flags, base, rng=None, lines=None):
                 m_space = m_space | bflag.subspace(mult)
         if m_space.dim != n - 2:
             raise DegenerateError("degenerate configuration: base sum is not direct")
-    if lines is None:
-        lines = {}
-    out = []
-    for pos, flag in enumerate(flags):
-        key = (pos, next((m for bflag, m in base if bflag is flag), 0))
-        if key not in lines:
-            lines[key] = transverse_line(flag, key[1], rng=rng)
-        out.append(lines[key])
-    return m_space, out
+    lines = [
+        transverse_line(flag, next((m for bflag, m in base if bflag is flag), 0), rng=rng)
+        for flag in flags
+    ]
+    return m_space, lines
 
 
 def cross_ratio_flags(a, b, c, d, base, rng=None):

@@ -10,7 +10,9 @@ a computation never mixes them.
   one fraction-free (Bareiss) Gauss-Jordan elimination on integer rows,
   ``_eliminate``.  ``reduce_modulo`` reads vectors modulo a base in
   integer coordinates, which turns wedges that share that base into small
-  minors.
+  minors.  A base row that is a coordinate vector e_p just drops column
+  p, so only the other rows are eliminated, over the columns left, and
+  the common factor of the coordinates is the last pivot of that rest.
 * The float64 backend takes determinants from ``numpy.linalg.det`` and
   row-reduces with partial pivoting, deciding rank with the relative
   pivot threshold ``PIVOT_RTOL``.
@@ -196,32 +198,51 @@ def reduce_modulo(vectors, base):
     So for k vectors, the k x k determinant of their coordinates is
     [base ^ v_1 ^ ... ^ v_k] times c^k * s_1 * ... * s_k and a nonzero
     factor that depends only on the base.  A Subspace already holds RREF
-    rows, which only need a common denominator (c is its lcm); raw rows go
-    through ``_eliminate`` first (c is its last pivot).  Raises
-    DegenerateError naming the rank when the raw rows are dependent.
+    rows, which only need a common denominator (c is its lcm).
+
+    Raw rows set their unit rows aside first: a row with one nonzero entry,
+    in a column p no earlier such row took, spans the coordinate line e_p.
+    Then p is a pivot and e_p its RREF row, which is 0 in every free
+    column, so reducing modulo it just drops column p.  The other rows go
+    through ``_eliminate`` over the columns left (c is its last pivot, or
+    1 when no row is left); in a frame where two flags are coordinate
+    flags, that is the third flag's rows in the middle columns.  Raises
+    DegenerateError naming the rank of the whole base when the raw rows
+    are dependent.
     """
     if isinstance(base, Subspace):
         ncols = base.ambient
+        cols = range(ncols)
         c = math.lcm(*(x.denominator for row in base.basis for x in row))
         rows = [[x.numerator * (c // x.denominator) for x in row] for row in base.basis]
         # a RREF row leads with its pivot
         piv = [next(j for j, x in enumerate(row) if x) for row in rows]
     else:
-        rows, _ = _integer_rows(base)
         ncols = len(vectors[0])
-        piv = _eliminate(rows, ncols)[0]
+        units = set()
+        rest = []
+        for row in base:
+            support = [j for j, x in enumerate(row) if x]
+            if len(support) == 1 and support[0] not in units:
+                units.add(support[0])
+            else:
+                rest.append(row)
+        cols = [j for j in range(ncols) if j not in units]
+        rows, _ = _integer_rows([[row[j] for j in cols] for row in rest])
+        piv = _eliminate(rows, len(cols))[0]
         if len(piv) < len(rows):
             raise DegenerateError(
-                f"base of {len(rows)} rows is rank-deficient: rank {len(piv)}"
+                f"base of {len(base)} rows is rank-deficient: rank {len(units) + len(piv)}"
             )
         c = rows[-1][piv[-1]] if rows else 1
-    free = [j for j in range(ncols) if j not in piv]
+    # positions in ``cols`` of the free columns
+    free = [j for j in range(len(cols)) if j not in piv]
     out = []
     for v in vectors:
         if len(v) != ncols:
             raise BackendError(f"vector of dimension {len(v)} modulo a base in R^{ncols}")
         s = math.lcm(*(x.denominator for x in v))
-        v = [x.numerator * (s // x.denominator) for x in v]
+        v = [v[j].numerator * (s // v[j].denominator) for j in cols]
         # clear v at each pivot; the base rows carry c there and 0 at the others
         coeffs = [(v[p], row) for p, row in zip(piv, rows) if v[p]]
         out.append(tuple(c * v[j] - sum(f * row[j] for f, row in coeffs) for j in free))
@@ -498,9 +519,10 @@ class Flag:
 
     Stored as the chain of proper subspaces.  ``subspace(0)`` is the zero
     space and ``subspace(n)`` all of R^n, so indexing by 0..n always works.
+    ``_transverse`` memoises ``invariants.transverse_line`` by multiplicity.
     """
 
-    __slots__ = ("ambient", "backend", "_chain", "_basis")
+    __slots__ = ("ambient", "backend", "_chain", "_basis", "_transverse")
 
     def __init__(self, chain, backend=None, basis=None):
         """``basis``, if given, is a compatible basis of the chain."""
@@ -522,6 +544,7 @@ class Flag:
         self.backend = backend
         self._chain = chain
         self._basis = None if basis is None else tuple(basis)
+        self._transverse = {}
 
     @classmethod
     def from_basis(cls, vectors, backend=None):

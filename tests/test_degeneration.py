@@ -1,8 +1,10 @@
 import collections
 import functools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,8 @@ from hitchin.degeneration import (
     winding_segment_lengths,
 )
 from hitchin.flags import (
+    extract_shear_values,
+    extract_triple_ratios,
     reconstruct_triple,
     recover_fourth_line_from_values,
     sym_power,
@@ -47,6 +51,12 @@ from conftest import (
     plane_cross_ratio,
     segment_lengths_exact_flags,
 )
+
+#: exact edge ops on benchmark pool entries for n = 3..6, both kinds; see
+#: its "source" field
+EXACT_EDGE_GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "exact_edge.json").read_text()
+)["entries"]
 
 
 def flag_at(point, n):
@@ -172,20 +182,45 @@ class TestKEdge:
             assert k_edge(quad) == pytest.approx(k_edge_two_branches(quad), rel=1e-12)
 
     def test_moving_lines_built_once(self, monkeypatch):
-        # a moving line depends only on its flag and multiplicity
+        # a moving line depends only on its flag and multiplicity, and the
+        # flag keeps it: an edge sharing A and B builds no new line for them
         from hitchin import invariants
 
-        quad = small_height_quadruple(5, 105)
-        calls = collections.Counter()
-        original = invariants.transverse_line
+        fa, fb = Flag.standard(5, backend=EXACT), Flag.reversed_standard(5, backend=EXACT)
+        first, second = (small_height_quadruple(5, seed) for seed in (105, 106))
+        builds = collections.Counter()
+        original = invariants._build_transverse_line
 
-        def counting(flag, mult, rng=None):
-            calls[(id(flag), mult)] += 1
-            return original(flag, mult, rng=rng)
+        def counting(flag, mult):
+            builds[(id(flag), mult)] += 1
+            return original(flag, mult)
 
-        monkeypatch.setattr(invariants, "transverse_line", counting)
-        k_edge(quad)
-        assert calls and max(calls.values()) == 1
+        monkeypatch.setattr(invariants, "_build_transverse_line", counting)
+        k_edge(EdgeQuadruple(a=fa, b=fb, c=first.c, d=first.d))
+        assert builds and max(builds.values()) == 1
+        built = set(builds)
+        assert (id(fa), 3) in built and (id(fb), 3) in built
+        k_edge(EdgeQuadruple(a=fa, b=fb, c=second.c, d=second.d))
+        assert max(builds.values()) == 1
+        new = set(builds) - built
+        assert new and all(key[0] not in (id(fa), id(fb)) for key in new)
+
+    @pytest.mark.parametrize("entry", EXACT_EDGE_GOLDEN, ids=lambda entry: entry["op"])
+    def test_golden_exact_edge(self, entry):
+        # K bit for bit and the three exact round trips of one edge op
+        def ratios(table):
+            return {tuple(map(int, idx.split(","))): Fraction(v) for idx, v in table.items()}
+
+        tau, taup = ratios(entry["tau"]), ratios(entry["tau_prime"])
+        shear = {int(x): Fraction(v) for x, v in entry["shear_values"].items()}
+        quad = reconstructed_quadruple(int(entry["op"].split("|")[0]), tau, shear, taup)
+        round_trips = [
+            extract_triple_ratios(quad.a, quad.c, quad.b) == tau,
+            extract_triple_ratios(quad.a, quad.d, quad.b) == taup,
+            extract_shear_values(quad.a, quad.b, quad.c.subspace(1), quad.d.subspace(1)) == shear,
+        ]
+        assert round_trips == entry["round_trips"]
+        assert float.hex(k_edge(quad)) == entry["k_edge"]
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exact_ratio_beyond_float_range(self, n):

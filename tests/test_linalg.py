@@ -261,13 +261,22 @@ class TestDrawGeneric:
 
 class TestReduceModulo:
     @given(st.data())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_minors_are_wedges_times_one_factor(self, data):
         """Every k x k minor of the coordinates is the wedge with the base
-        times the vectors' own lcms and one factor shared by all of them."""
-        n = data.draw(st.integers(2, 6))
+        times the vectors' own lcms and one factor shared by all of them.
+
+        Some base rows are multiples of unit vectors, up to all of them;
+        a drawn defect makes a unit column repeat, a unit row depend on
+        two other rows, or a row zero, and a dependent raw base must
+        raise its rank.
+        """
+        n = data.draw(st.integers(2, 8))
         m = data.draw(st.integers(0, n - 1))
         zero_cols = data.draw(st.sets(st.integers(0, n - 1), max_size=n - m))
+        n_units = sum(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+        unit_cols = data.draw(st.permutations(range(n)))[:n_units]
+        defect = data.draw(st.sampled_from((None, "repeat", "dependent unit", "zero row")))
         r = random.Random(data.draw(st.integers(0, 2**32)))
         kinds = (
             lambda: Fraction(r.randint(-9, 9)),
@@ -278,14 +287,31 @@ class TestReduceModulo:
         def vector(zeros=()):
             return [Fraction(0) if j in zeros else r.choice(kinds)() for j in range(n)]
 
-        rows = [vector(zero_cols) for _ in range(m)]
-        assume(matrix_rank(rows, EXACT) == m)
-        base = Subspace.span(rows, ambient=n, backend=EXACT) if data.draw(st.booleans()) else rows
-        base_rows = list(base.basis) if isinstance(base, Subspace) else rows
+        def unit(j):
+            return [(r.choice(kinds)() or Fraction(1)) if i == j else Fraction(0) for i in range(n)]
+
+        units = [unit(j) for j in unit_cols]
+        general = [vector(zero_cols) for _ in range(m - n_units)]
+        if defect == "repeat" and n_units >= 2:
+            units[-1] = unit(unit_cols[0])
+        if defect == "dependent unit" and units and len(general) >= 2:
+            # the first unit row is (general[-1] - general[0]) / 3
+            general[-1] = [g + 3 * e for g, e in zip(general[0], units[0])]
+        rows = units + general
+        r.shuffle(rows)
+        if defect == "zero row" and rows:
+            rows[r.randrange(m)] = [Fraction(0)] * n
         k = n - m
         # the unit vectors include some without an entry at any pivot
-        units = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        vectors = [vector() for _ in range(k)] + units
+        eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        vectors = [vector() for _ in range(k)] + eye
+        rank = matrix_rank(rows, EXACT)
+        if rank < m:
+            with pytest.raises(DegenerateError, match=f"rank {rank}$"):
+                reduce_modulo(vectors, rows)
+            return
+        base = Subspace.span(rows, ambient=n, backend=EXACT) if data.draw(st.booleans()) else rows
+        base_rows = list(base.basis) if isinstance(base, Subspace) else rows
         coords = reduce_modulo(vectors, base)
         assert all(len(c) == k and all(isinstance(x, int) for x in c) for c in coords)
         factors = set()
@@ -301,9 +327,19 @@ class TestReduceModulo:
                 factors.add(minor / (scale * wedge))
         assert len(factors) == 1
 
-    def test_dependent_rows_name_the_rank(self):
-        rows = [(1, 2, 3, 4), (2, 4, 6, 8)]
-        with pytest.raises(DegenerateError, match="rank 1"):
+    @pytest.mark.parametrize(
+        "rows, rank",
+        [
+            ([(1, 2, 3, 4), (2, 4, 6, 8)], 1),
+            # a unit column that repeats
+            ([(0, 0, 3, 0), (1, 2, 3, 4), (0, 0, -1, 0)], 2),
+            # a unit row in the span of the other rows
+            ([(1, 1, 0, 0), (0, 5, 0, 0), (1, -1, 0, 0)], 2),
+            ([(0, 0, 0, 0), (0, 1, 0, 0)], 1),
+        ],
+    )
+    def test_dependent_rows_name_the_rank(self, rows, rank):
+        with pytest.raises(DegenerateError, match=f"rank {rank}$"):
             reduce_modulo([(0, 0, 1, 0)], rows)
 
 
