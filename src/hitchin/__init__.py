@@ -37,7 +37,6 @@ from .invariants import (
 )
 from .flags import (
     reconstruct_triple,
-    recover_fourth_line,
     sym_power,
     veronese_flag,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "project_curve_point",
     "r_and_s",
     "reconstruct_triple",
-    "recover_fourth_line",
     "standard_genus2",
     "subspace_intersect",
     "subspace_sum",

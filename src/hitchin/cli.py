@@ -231,7 +231,7 @@ def _selftest_bank():
     def rand_flag(n):
         def sample():
             vecs = [[Fraction(rng.randint(-6, 6)) for _ in range(n)] for _ in range(n)]
-            return Flag.from_basis(vecs)
+            return Flag(vecs)
 
         return draw_generic(sample, f"flag in R^{n}")
 

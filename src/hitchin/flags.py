@@ -16,7 +16,8 @@ On exact flags both rebuilds reduce their vectors modulo a shared base
 triple rebuild, index (x, y0, z) reads its two coefficient ratios and its
 hyperplane off 3 x 3 minors modulo F^(x-1) + G^(y0-1) + H^(z-1) (see
 :func:`reconstruct_triple`), and a level is the kernel of its integer
-hyperplane functionals.  A minor scales with every vector in it, but no
+hyperplane functionals; those kernels seed the rebuilt flag's level memo,
+so no level is reduced again.  A minor scales with every vector in it, but no
 hyperplane moves when a basis vector is rescaled, so primitive integer
 representatives give the same flag.  Float flags keep the coordinate
 solves and hyperplane meets.
@@ -109,7 +110,7 @@ def veronese_flag(point, n, backend=EXACT):
     # columns of sym_power(frame) = images of the standard basis vectors
     cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
     cols = [tuple(backend.convert(x) for x in col) for col in cols]
-    return Flag.from_basis(cols, backend=backend)
+    return Flag(cols, backend=backend)
 
 
 def reconstruct_triple(f, h, g_line, ratios):
@@ -211,7 +212,7 @@ def reconstruct_triple(f, h, g_line, ratios):
             f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
             f"vector completes the flag"
         )
-    return Flag.from_basis(g_basis, backend=backend)
+    return Flag(g_basis, backend=backend)
 
 
 def _primitive(v):
@@ -224,14 +225,18 @@ def _primitive(v):
 
 def _reconstruct_exact(fb, hb, g_basis, ratios):
     """:func:`reconstruct_triple` on exact flags, by reduction modulo the
-    base F^(x-1) + G^(y0-1) + H^(z-1) of each index."""
+    base F^(x-1) + G^(y0-1) + H^(z-1) of each index.
+
+    Level y0 + 1 of G is the meet of its hyperplanes, a canonical RREF
+    subspace equal to the span of the first y0 + 1 basis vectors, so the
+    meets seed the new flag's level memo."""
     n = len(fb)
     fi = [_primitive(v) for v in fb]
     hi = [_primitive(v) for v in hb]
     gi = [_primitive(g_basis[0])]
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     current = Subspace.span(g_basis, ambient=n, backend=EXACT)
-    chain = [current]
+    levels = [current]
     for y0 in range(1, n - 1):
         rows = []
         for x in range(1, n - y0):
@@ -279,7 +284,7 @@ def _reconstruct_exact(fb, hb, g_basis, ratios):
             )
         g_basis.append(new_vec)
         gi.append(_primitive(new_vec))
-        chain.append(meet)
+        levels.append(meet)
         current = meet
     if current.dim != n - 1:
         raise DegenerateError(
@@ -287,7 +292,9 @@ def _reconstruct_exact(fb, hb, g_basis, ratios):
             f"vector completes the flag"
         )
     g_basis.append(next(e for e in Subspace.full(n, EXACT).basis if not current.contains(e)))
-    return Flag(chain, basis=g_basis)
+    flag = Flag(g_basis, backend=EXACT)
+    flag._levels.update(enumerate(levels, start=1))
+    return flag
 
 
 def _coordinates(basis, vector, backend):
@@ -320,30 +327,18 @@ def _partial_wedge_functional(rows, backend):
     return tuple(out)
 
 
-def recover_fourth_line(a_flag, b_flag, c_line, shears):
-    """Fourth line of an edge configuration from its shear values.
-
-    ``shears`` maps x in 1..n-1 to the shear value sigma with
-    -exp(sigma) = (A, C, D, B)_{A^(x-1) + B^(n-x-1)}.  Each value pins the
-    hyperplane A^(x-1) + B^(n-x-1) + D; the n-1 hyperplanes intersect in
-    the line D.  ``shears`` values may be exact scalars (interpreted as
-    the cross-ratio value v = -exp(sigma) directly when given via
-    ``cross_ratio_values``) -- see ``recover_fourth_line_from_values``.
-    """
-    values = {x: -math.exp(float(s)) for x, s in shears.items()}
-    return recover_fourth_line_from_values(a_flag, b_flag, c_line, values)
-
-
 def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
-    """Same as :func:`recover_fourth_line` with raw cross-ratio values.
+    """Fourth line of an edge configuration from its cross-ratio values.
 
-    ``values[x]`` = (A, C, D, B)_{A^(x-1)+B^(n-x-1)}; exact scalars keep
-    the whole computation exact.  On exact flags every wedge [M u w] of a
-    level comes from the 2 x 2 minor of u and w reduced modulo its base M
-    (``linalg.reduce_modulo``), and a wedge linear in d from the minors
-    with the reduced unit vectors.  One nonzero factor scales a level's
-    whole equation, so its kernel, and the line, are those of the n x n
-    wedges, which float flags keep.
+    ``values[x]`` = (A, C, D, B)_{A^(x-1)+B^(n-x-1)} for x in 1..n-1; a
+    shear sigma gives the value -exp(sigma).  Each value pins the
+    hyperplane A^(x-1) + B^(n-x-1) + D, and the n-1 hyperplanes intersect
+    in the line D.  Exact scalars keep the whole computation exact.  On
+    exact flags every wedge [M u w] of a level comes from the 2 x 2 minor
+    of u and w reduced modulo its base M (``linalg.reduce_modulo``), and a
+    wedge linear in d from the minors with the reduced unit vectors.  One
+    nonzero factor scales a level's whole equation, so its kernel, and the
+    line, are those of the n x n wedges, which float flags keep.
     """
     from .invariants import transverse_line
 

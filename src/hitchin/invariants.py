@@ -153,39 +153,27 @@ def _float_cross_ratio(l1, l2, l3, l4, mrows):
     return num / den
 
 
-def transverse_line(flag, mult, rng=None):
+def transverse_line(flag, mult):
     """Line in F^(mult+1) transverse to F^(mult).
 
     This is the moving-subspace representative for a point carrying base
-    multiplicity ``mult``.  The deterministic rule picks the first
-    reduced-basis vector of F^(mult+1) outside F^(mult), built once per
-    flag and multiplicity and memoised on the flag.  Passing ``rng`` adds
-    a random element of F^(mult) to exercise choice-independence in tests;
-    that path neither reads nor fills the memo.
+    multiplicity ``mult``: the first reduced-basis vector of F^(mult+1)
+    outside F^(mult), built once per flag and multiplicity and memoised on
+    the flag.
     """
-    if rng is None:
-        if mult not in flag._transverse:
-            flag._transverse[mult] = _build_transverse_line(flag, mult)
-        return flag._transverse[mult]
-    vec = _build_transverse_line(flag, mult)
-    for b in flag.subspace(mult).basis:
-        c = flag.backend.convert(int(rng.integers(-3, 4)))
-        vec = tuple(x + c * y for x, y in zip(vec, b))
-    return vec
+    if mult not in flag._transverse:
+        if mult == 0:
+            vec = flag.subspace(1).line_vector()
+        else:
+            lower = flag.subspace(mult)
+            vec = next((v for v in flag.subspace(mult + 1).basis if not lower.contains(v)), None)
+            if vec is None:
+                raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
+        flag._transverse[mult] = vec
+    return flag._transverse[mult]
 
 
-def _build_transverse_line(flag, mult):
-    """The deterministic line of :func:`transverse_line`."""
-    if mult == 0:
-        return flag.subspace(1).line_vector()
-    lower = flag.subspace(mult)
-    vec = next((v for v in flag.subspace(mult + 1).basis if not lower.contains(v)), None)
-    if vec is None:
-        raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
-    return vec
-
-
-def based_lines(flags, base, rng=None):
+def based_lines(flags, base):
     """The base M and one moving line per flag.
 
     ``base`` is a list of (Flag, multiplicity) pairs with multiplicities
@@ -214,13 +202,13 @@ def based_lines(flags, base, rng=None):
         if m_space.dim != n - 2:
             raise DegenerateError("degenerate configuration: base sum is not direct")
     lines = [
-        transverse_line(flag, next((m for bflag, m in base if bflag is flag), 0), rng=rng)
+        transverse_line(flag, next((m for bflag, m in base if bflag is flag), 0))
         for flag in flags
     ]
     return m_space, lines
 
 
-def cross_ratio_flags(a, b, c, d, base, rng=None):
+def cross_ratio_flags(a, b, c, d, base):
     """Cross ratio (A,B,C,D)_M with M a sum of flag subspaces.
 
     ``base`` is a list of (Flag, multiplicity) pairs with multiplicities
@@ -228,7 +216,7 @@ def cross_ratio_flags(a, b, c, d, base, rng=None):
     representatives are then chosen transversally, and the value does not
     depend on that choice.
     """
-    m_space, lines = based_lines((a, b, c, d), base, rng=rng)
+    m_space, lines = based_lines((a, b, c, d), base)
     return cross_ratio(lines, m_space)
 
 

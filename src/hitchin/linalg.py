@@ -18,7 +18,9 @@ a computation never mixes them.
   pivot threshold ``PIVOT_RTOL``.
 
 Subspaces are stored with a canonical reduced-row-echelon basis, so two
-subspaces are equal iff their representations are equal.  Matrices that
+subspaces are equal iff their representations are equal.  A flag is
+stored as a compatible basis; it reduces a level to that canonical form
+the first time the level is asked for and memoises it.  Matrices that
 represent group elements are treated projectively: operations that care
 about eigenvalue data normalize to determinant +-1 first.
 """
@@ -345,6 +347,12 @@ def rref(rows, backend, ncols=None):
 
 
 def matrix_rank(rows, backend):
+    """Rank of a row matrix; exact rows need only the echelon form."""
+    if not rows:
+        return 0
+    if backend.exact:
+        a, _ = _integer_rows(rows)
+        return len(_eliminate(a, len(a[0]), reduce_above=False)[0])
     return len(rref(rows, backend)[0])
 
 
@@ -517,95 +525,64 @@ def subspace_intersect(a, b):
 class Flag:
     """Complete flag F^(1) c F^(2) c ... c F^(n-1) in R^n.
 
-    Stored as the chain of proper subspaces.  ``subspace(0)`` is the zero
+    Stored as a compatible basis v_1..v_n: level k is span(v_1..v_k).  The
+    constructor only checks that the n vectors lie in R^n and are
+    independent; ``subspace(k)`` reduces level k the first time it is
+    asked for and keeps it in ``_levels``.  ``subspace(0)`` is the zero
     space and ``subspace(n)`` all of R^n, so indexing by 0..n always works.
     ``_transverse`` memoises ``invariants.transverse_line`` by multiplicity.
     """
 
-    __slots__ = ("ambient", "backend", "_chain", "_basis", "_transverse")
+    __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse")
 
-    def __init__(self, chain, backend=None, basis=None):
-        """``basis``, if given, is a compatible basis of the chain."""
-        chain = tuple(chain)
-        if not chain:
-            raise DegenerateError("empty flag")
-        ambient = chain[0].ambient
-        backend = backend or chain[0].backend
-        if len(chain) != ambient - 1:
-            raise DegenerateError(
-                f"flag in R^{ambient} needs {ambient - 1} subspaces, got {len(chain)}"
-            )
-        for k, sub in enumerate(chain, start=1):
-            if sub.dim != k:
-                raise DegenerateError(f"flag level {k} has dimension {sub.dim}")
-            if k > 1 and not sub.contains_subspace(chain[k - 2]):
-                raise DegenerateError(f"flag levels {k - 1} c {k} not nested")
-        self.ambient = ambient
-        self.backend = backend
-        self._chain = chain
-        self._basis = None if basis is None else tuple(basis)
-        self._transverse = {}
-
-    @classmethod
-    def from_basis(cls, vectors, backend=None):
-        """Flag whose level k is the span of the first k input vectors."""
+    def __init__(self, vectors, backend=None):
         vectors = [tuple(v) for v in vectors]
         n = len(vectors)
+        if n < 2:
+            raise DegenerateError(f"a flag needs a basis of R^n with n >= 2, got {n} vectors")
         if backend is None:
             backend = infer_backend([x for v in vectors for x in v])
-        chain = [
-            Subspace.span(vectors[:k], ambient=n, backend=backend)
-            for k in range(1, n)
-        ]
-        flag = cls(chain, backend=backend)
-        if Subspace.span(vectors, ambient=n, backend=backend).dim != n:
+        for v in vectors:
+            if len(v) != n:
+                raise BackendError(f"flag basis of {n} vectors needs dimension {n}, got {len(v)}")
+        basis = convert_matrix(vectors, backend)
+        if matrix_rank(basis, backend) != n:
             raise DegenerateError("flag basis is not linearly independent")
-        flag._basis = tuple(convert_vector(v, backend) for v in vectors)
-        return flag
+        self.ambient = n
+        self.backend = backend
+        self._basis = basis
+        self._levels = {}
+        self._transverse = {}
 
     @classmethod
     def standard(cls, n, backend=EXACT):
         eye = [[backend.one() if i == j else backend.zero() for j in range(n)] for i in range(n)]
-        return cls.from_basis(eye, backend=backend)
+        return cls(eye, backend=backend)
 
     @classmethod
     def reversed_standard(cls, n, backend=EXACT):
         eye = [[backend.one() if i == j else backend.zero() for j in range(n)] for i in range(n)]
-        return cls.from_basis(eye[::-1], backend=backend)
+        return cls(eye[::-1], backend=backend)
 
     def subspace(self, k):
-        if k == 0:
-            return Subspace.zero(self.ambient, self.backend)
-        if k == self.ambient:
-            return Subspace.full(self.ambient, self.backend)
-        if not 0 < k < self.ambient:
-            raise DegenerateError(f"flag level {k} out of range in R^{self.ambient}")
-        return self._chain[k - 1]
-
-    def line(self):
-        return self._chain[0]
+        if k not in self._levels:
+            if not 0 <= k <= self.ambient:
+                raise DegenerateError(f"flag level {k} out of range in R^{self.ambient}")
+            if k == self.ambient:
+                level = Subspace.full(self.ambient, self.backend)
+            else:
+                level = Subspace.span(self._basis[:k], ambient=self.ambient, backend=self.backend)
+            self._levels[k] = level
+        return self._levels[k]
 
     def compatible_basis(self):
-        """A basis v_1..v_n with F^(k) = span(v_1..v_k) for every k."""
-        if self._basis is not None:
-            return self._basis
-        vecs = []
-        span = Subspace.zero(self.ambient, self.backend)
-        for k in range(1, self.ambient + 1):
-            target = self.subspace(k)
-            new = next((v for v in target.basis if not span.contains(v)), None)
-            if new is None:
-                raise DegenerateError(f"flag level {k} does not extend level {k - 1}")
-            vecs.append(new)
-            span = span | Subspace.span([new], ambient=self.ambient, backend=self.backend)
-        self._basis = tuple(vecs)
+        """The basis v_1..v_n with F^(k) = span(v_1..v_k) for every k."""
         return self._basis
 
     def apply(self, matrix):
         """Image flag under an invertible matrix (rows act on the left)."""
         m = convert_matrix(matrix, self.backend)
-        vecs = [mat_vec(m, v) for v in self.compatible_basis()]
-        return Flag.from_basis(vecs, backend=self.backend)
+        return Flag([mat_vec(m, v) for v in self._basis], backend=self.backend)
 
     def __eq__(self, other):
         if not isinstance(other, Flag):
@@ -615,7 +592,7 @@ class Flag:
         )
 
     def __hash__(self):
-        return hash(self._chain)
+        return hash(tuple(self.subspace(k) for k in range(1, self.ambient)))
 
     def __repr__(self):
         return f"Flag(ambient={self.ambient}, backend={self.backend.name})"

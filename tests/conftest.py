@@ -63,7 +63,7 @@ def random_flag(rng, n, span=6):
         vecs = [
             [Fraction(rng.randint(-span, span)) for _ in range(n)] for _ in range(n)
         ]
-        return Flag.from_basis(vecs)
+        return Flag(vecs)
 
     return draw_generic(sample, f"flag in R^{n}")
 
@@ -311,7 +311,7 @@ def reconstruct_triple_hyperplanes(f, h, g_line, ratios):
             f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
             f"vector completes the flag"
         )
-    return Flag.from_basis(g_basis, backend=backend)
+    return Flag(g_basis, backend=backend)
 
 
 def eigen_gap_oracle(matrix, i, j):

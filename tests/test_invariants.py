@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hitchin.invariants import (
     INFINITY,
+    based_lines,
     cross_ratio,
     cross_ratio_flags,
     eigen_gap_check,
@@ -231,7 +232,7 @@ class TestReductionMatchesWedges:
             # G^(1) = F^(1): bases through both are rank-deficient
             bases[1][0] = bases[0][0]
         try:
-            f, g, h = (Flag.from_basis(b) for b in bases)
+            f, g, h = (Flag(b) for b in bases)
         except DegenerateError:
             assume(False)
         index = data.draw(st.sampled_from(triple_index_set(n)))
@@ -247,7 +248,7 @@ class TestReductionMatchesWedges:
     def test_triple_ratio_rank_deficient_base_names_its_rank(self, rng):
         n = 5
         f, h = random_flag(rng, n), random_flag(rng, n)
-        g = Flag.from_basis([f.compatible_basis()[0]] + [
+        g = Flag([f.compatible_basis()[0]] + [
             tuple(Fraction(rng.randint(-6, 6)) for _ in range(n)) for _ in range(n - 1)
         ])
         # the base F^(1) + G^(1) + H^(0) of T_{2,2,1} has rank 1
@@ -257,17 +258,26 @@ class TestReductionMatchesWedges:
 
 class TestCrossRatioFlags:
     def test_moving_subspace_choice_independent(self, rng):
+        # a line moved within F^(mult+1) by an element of F^(mult) gives the
+        # same value: the base M already contains F^(mult)
         n = 4
 
         def sample():
             a, b, c, d = (random_flag(rng, n) for _ in range(4))
             base = [(a, 1), (b, 1)]
-            return a, b, c, d, base, cross_ratio_flags(a, c, d, b, base)
+            m, lines = based_lines((a, c, d, b), base)
+            return (a, c, d, b), m, lines, cross_ratio(lines, m)
 
-        a, b, c, d, base, v1 = draw_generic(sample, "flag quadruple in R^4")
-        np_rng = np.random.default_rng(3)
-        v2 = cross_ratio_flags(a, c, d, b, base, rng=np_rng)
-        assert v1 == v2
+        for _ in range(5):
+            flags, m, lines, value = draw_generic(sample, "flag quadruple in R^4")
+            moved = []
+            for flag, line, mult in zip(flags, lines, (1, 0, 0, 1)):
+                for row in flag.subspace(mult).basis:
+                    k = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                    line = tuple(x + k * y for x, y in zip(line, row))
+                moved.append(line)
+            assert moved != lines
+            assert cross_ratio(moved, m) == value
 
     def test_multiplicities_must_fill(self, rng):
         a, b, c, d = (random_flag(rng, 4) for _ in range(4))
@@ -336,7 +346,7 @@ class TestTripleRatio:
     def test_reference_half(self):
         f = Flag.standard(3)
         h = Flag.reversed_standard(3)
-        g = Flag.from_basis([(1, 1, 1), (1, 0, -2), (1, 0, 0)])
+        g = Flag([(1, 1, 1), (1, 0, -2), (1, 0, 0)])
         assert triple_ratio(f, g, h, (1, 1, 1)) == Fraction(1, 2)
 
     def test_brute_force_oracle(self, rng):
@@ -389,7 +399,7 @@ class TestTripleRatio:
     def test_index_validation(self):
         f = Flag.standard(3)
         h = Flag.reversed_standard(3)
-        g = Flag.from_basis([(1, 1, 1), (1, 0, -2), (1, 0, 0)])
+        g = Flag([(1, 1, 1), (1, 0, -2), (1, 0, 0)])
         with pytest.raises(DegenerateError):
             triple_ratio(f, g, h, (2, 2, 2))
 

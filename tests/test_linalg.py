@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hitchin.linalg import (
     DRAW_TRIES,
     EXACT,
+    FLOAT64,
     BackendError,
     DegenerateError,
     Flag,
@@ -343,17 +344,46 @@ class TestReduceModulo:
 
 class TestFlags:
     def test_nesting_enforced(self):
-        good = Flag.from_basis([(1, 0, 0), (1, 1, 0), (0, 0, 1)])
-        assert good.subspace(1).dim == 1
-        with pytest.raises(DegenerateError):
-            Flag.from_basis([(1, 0, 0), (2, 0, 0), (0, 0, 1)])
+        # a flag is its basis, so its levels nest by construction; what the
+        # constructor enforces is that the vectors are a basis of R^n, n >= 2
+        cases = [
+            ([(1, 0, 0), (0, 1), (0, 0, 1)], BackendError),
+            ([(1, 0, 0), (0, 1, 0)], BackendError),
+            ([(1, 0, 0), (2, 0, 0), (0, 0, 1)], DegenerateError),
+            ([(1,)], DegenerateError),
+            ([], DegenerateError),
+        ]
+        for backend in (EXACT, FLOAT64):
+            good = Flag([(1, 0, 0), (1, 1, 0), (0, 0, 1)], backend=backend)
+            assert good.subspace(1).dim == 1
+            assert good.subspace(2).contains_subspace(good.subspace(1))
+            for vectors, error in cases:
+                with pytest.raises(error):
+                    Flag([[backend.convert(x) for x in v] for v in vectors], backend=backend)
 
     def test_compatible_basis_spans_levels(self, rng):
+        from hitchin.flags import reconstruct_triple, recover_fourth_line_from_values
+        from hitchin.invariants import triple_index_set
+
         f = random_flag(rng, 5)
-        basis = f.compatible_basis()
-        for k in range(1, 5):
-            sub = Subspace.span(basis[:k], ambient=5, backend=EXACT)
-            assert sub == f.subspace(k)
+        flags = [f, Flag([tuple(map(float, v)) for v in f.compatible_basis()])]
+        # exact reconstruct_triple seeds its flag's levels with the meets it
+        # computed; on edge-frame inputs like the exact_edge pool's
+        small = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 9))  # noqa: E731
+        dyadic = lambda: Fraction(math.exp(rng.uniform(-2.0, 2.0)))  # noqa: E731
+        for n in range(3, 9):
+            a, b = Flag.standard(n), Flag.reversed_standard(n)
+            ones = Subspace.span([tuple(Fraction(1) for _ in range(n))])
+            for value in (small, dyadic):
+                d_line = recover_fourth_line_from_values(a, b, ones, {x: -value() for x in range(1, n)})
+                for line in (ones, d_line):
+                    ratios = {i: value() for i in triple_index_set(n)}
+                    flags.append(reconstruct_triple(a, b, line, ratios))
+        for flag in flags:
+            basis = flag.compatible_basis()
+            for k in range(1, flag.ambient):
+                sub = Subspace.span(basis[:k], ambient=flag.ambient, backend=flag.backend)
+                assert flag.subspace(k).basis == sub.basis
 
     def test_apply_unimodular(self, rng):
         f = random_flag(rng, 4)
@@ -370,7 +400,7 @@ class TestGenericTriple:
     def test_standard_configuration(self):
         f = Flag.standard(3)
         h = Flag.reversed_standard(3)
-        g = Flag.from_basis([(1, 1, 1), (1, 0, -2), (1, 0, 0)])
+        g = Flag([(1, 1, 1), (1, 0, -2), (1, 0, 0)])
         assert is_generic_triple(f, g, h)
 
     def test_veronese_triples(self):
