@@ -18,7 +18,7 @@ import time
 from . import __version__
 from .config import ConfigError, RunConfig, invariants_to_dict, params_to_dict
 from .linalg import DegenerateError
-from .pants import check_closed_leaf, xi_forward, xi_inverse
+from .pants import CLOSED_LEAF_TOL, check_closed_leaf, xi_forward, xi_inverse
 
 EXIT_OK = 0
 EXIT_RELATION = 1
@@ -54,7 +54,7 @@ def cmd_invariants(cfg, out_path):
         for kind, ident, relation, k, v in report.rows()
     ]
     _write_csv(out_path, ("kind", "id", "relation", "k", "value"), rows, cfg)
-    tol = 0 if cfg.exact else cfg.closed_leaf_tol
+    tol = 0 if cfg.exact else CLOSED_LEAF_TOL
     for (cid, k), r in sorted(report.equality_residuals.items()):
         if r > tol:
             print(
@@ -76,9 +76,7 @@ def cmd_reparam(cfg, direction, out_path):
     decomp = cfg.decomposition()
     if direction == "forward":
         invariants = cfg.invariants(decomp)
-        params = xi_forward(
-            decomp, invariants, cfg.gluing(decomp), tol=None if cfg.exact else cfg.closed_leaf_tol
-        )
+        params = xi_forward(decomp, invariants, cfg.gluing(decomp))
         payload = {"n": cfg.n, "genus": cfg.genus, "parameters": params_to_dict(params)}
     else:
         params = cfg.hitchin_params(decomp)

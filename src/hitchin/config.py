@@ -24,7 +24,6 @@ _TOP_KEYS = {
     "n",
     "genus",
     "backend",
-    "tolerances",
     "surface",
     "decomposition",
     "parameters",
@@ -33,7 +32,6 @@ _TOP_KEYS = {
     "output",
 }
 _SECTION_KEYS = {
-    "tolerances": {"closed_leaf"},
     "surface": {"a1", "b1", "twist"},
     "decomposition": {"standard_genus"},
     "parameters": {"boundary", "internal", "gluing", "invariants", "fuchsian"},
@@ -91,7 +89,6 @@ class RunConfig:
     n: int = 3
     genus: int = 2
     backend: str = "float64"
-    closed_leaf_tol: float = 1e-9
     depth_cap: int = 64
     word: str = ""
     steps: int = 10
@@ -141,8 +138,6 @@ class RunConfig:
         cfg.backend = data.get("backend", "float64")
         if cfg.backend not in ("exact", "float64"):
             raise ConfigError(f"unknown backend {cfg.backend!r}")
-        tol = data.get("tolerances", {})
-        cfg.closed_leaf_tol = float(parse_scalar(tol.get("closed_leaf", 1e-9)))
         tracer = data.get("tracer", {})
         cfg.depth_cap = int(tracer.get("depth_cap", 64))
         cfg.word = tracer.get("word", "")

@@ -73,9 +73,6 @@ class BPoint:
     def is_rational(self):
         return self.d == 0
 
-    def conjugate(self):
-        return BPoint(self.a, -self.b, self.d)
-
     def sign(self):
         a, b = self.a, self.b
         if b == 0:

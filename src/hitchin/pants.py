@@ -24,6 +24,9 @@ from .invariants import shear_index_set, triple_index_set
 from .linalg import DegenerateError
 
 SLOTS = ("A", "B", "C")
+#: closed-leaf residual allowed on float data; exact data must satisfy the
+#: relations exactly
+CLOSED_LEAF_TOL = 1e-9
 
 
 class PantsDataError(ValueError):
@@ -315,22 +318,21 @@ def slot_boundary_gaps(params, pants, slot):
     return list(gaps) if aligned else list(reversed(gaps))
 
 
-def xi_forward(decomp, invariants, gluing, tol=None):
+def xi_forward(decomp, invariants, gluing):
     """Assemble modified parameters from per-pants invariants.
 
-    Fails if the closed leaf equalities do not hold (within ``tol`` for
-    float data, exactly for rational data) or a boundary point leaves the
-    open chamber, naming the offending curve.
+    Fails if the closed leaf equalities do not hold (within
+    ``CLOSED_LEAF_TOL`` for float data, exactly for rational data) or a
+    boundary point leaves the open chamber, naming the offending curve.
     """
     report = check_closed_leaf(decomp, invariants)
     n = invariants[0].n
-    if tol is None:
-        exact = all(
-            isinstance(v, (Fraction, int))
-            for inv in invariants
-            for v in list(inv.tau.values()) + list(inv.sigma.values())
-        )
-        tol = 0 if exact else 1e-9
+    exact = all(
+        isinstance(v, (Fraction, int))
+        for inv in invariants
+        for v in list(inv.tau.values()) + list(inv.sigma.values())
+    )
+    tol = 0 if exact else CLOSED_LEAF_TOL
     for (cid, k), r in report.equality_residuals.items():
         if r > tol:
             raise DegenerateError(

@@ -8,6 +8,13 @@ steps cross one triangle at a time, and when the axis crosses a closed
 leaf (so the walk enters an infinite spiral) the fan is jumped
 analytically by locating the extreme crossing fan edge on the far side.
 
+Both orbit searches are one exact path each.  The fan edges at the far
+vertex that cross the axis are exactly those with k >= k_end, found by a
+monotone walk from k = 0.  The mesh edges that cross it form one window,
+whose far sides are the sides of the leaf's two ends; the window is
+guessed from a float coordinate, widened until each end reads its far
+side, and scanned exactly.
+
 The trace records the cyclic tuple sequence
 
     (pred edge class, edge class, succ edge class, Z/S type, winding count)
@@ -551,9 +558,10 @@ class PsiTracer:
                 return True
         return False
 
-    def _search_ks(self, radius=None):
+    @staticmethod
+    def _search_ks(radius):
         yield 0
-        for k in range(1, radius if radius is not None else self.depth_cap):
+        for k in range(1, radius):
             yield k
             yield -k
 
@@ -636,66 +644,54 @@ class PsiTracer:
         vp = self.partner_lift(pivot)
         candidates = []
         for kind in VERTEX_FANS[vp.letter]:
-            found = self._crossing_window_end(vp, kind, xm, xp)
-            if found is not None:
-                candidates.append(found)
+            k_end = self._crossing_window_end(vp, kind, xm, xp)
+            if k_end is not None:
+                candidates.append((k_end, kind))
         if not candidates:
             raise TraceError("leaf jump found no crossing fan edge")
         # the exit binodal is extreme across *both* interleaved families:
         # stepping from it must switch the pivot away from vp
-        for k_exit, kind, leaf_dir in candidates:
+        for k_exit, kind in candidates:
             exit_edge = self.fan_edge(vp, kind, k_exit)
             _, piv = self._step(exit_edge, xm, xp)
             if piv.letter != vp.letter:
-                pred_edge = self._fan_neighbor_toward_leaf(
-                    vp, kind, k_exit, leaf_dir, xm, xp
-                )
-                return pred_edge, exit_edge, vp
+                return self._fan_neighbor_toward_leaf(vp, kind, k_exit), exit_edge, vp
         raise TraceError("leaf jump could not identify the exit edge")
 
     def _crossing_window_end(self, vp, kind, xm, xp):
-        """Extreme k of the one-sided crossing window of the fan family."""
+        """The least k whose fan edge crosses the axis; None within the depth.
+
+        The far ends of the fan edges gamma s^k run from vp's point
+        (k -> -oo) to the other end of vp's leaf (k -> +oo), and the axis
+        crosses that leaf, so the crossing edges are exactly those with
+        k >= k_end.  A monotone walk from k = 0 finds k_end.
+        """
 
         def crossing(k):
             return self._edge_separates(self.fan_edge(vp, kind, k), xm, xp)
 
-        k0 = None
-        for k in self._search_ks():
-            if crossing(k):
-                k0 = k
-                break
-        if k0 is None:
-            return None
-        # the window is infinite toward the leaf; find the finite end
-        if crossing(k0 + 1) and crossing(k0 + 2):
-            leaf_dir = 1
-        elif crossing(k0 - 1) and crossing(k0 - 2):
-            leaf_dir = -1
-        else:
-            # narrow window: probe further out
-            up = sum(crossing(k0 + d) for d in (1, 2, 3, 4))
-            leaf_dir = 1 if up >= 2 else -1
-        k = k0
-        guard = 0
-        while crossing(k - leaf_dir):
-            k -= leaf_dir
-            guard += 1
-            if guard > self.depth_cap:
+        if not crossing(0):
+            return next((k for k in range(1, self.depth_cap) if crossing(k)), None)
+        k = 0
+        while crossing(k - 1):
+            k -= 1
+            if k < -self.depth_cap:
                 raise TraceError("crossing window end not found")
-        return k, kind, leaf_dir
+        return k
 
-    def _fan_neighbor_toward_leaf(self, vp, kind, k_exit, leaf_dir, xm, xp):
+    def _fan_neighbor_toward_leaf(self, vp, kind, k_exit):
         """The kept edge between the exit binodal edge and the closed leaf.
 
+        The leafward same-family neighbor of the exit edge is k_exit + 1.
         The two fan families at vp alternate around the vertex, so exactly
         one member of the other family sits in the sweep sector between
-        the exit edge and its same-family leafward neighbor.
+        the exit edge and that neighbor.
         """
         kinds = VERTEX_FANS[vp.letter]
         other = kinds[0] if kind == kinds[1] else kinds[1]
         exit_far, leafward = (
             self.point(self.fan_edge(vp, kind, k).far_end(vp.letter))
-            for k in (k_exit, k_exit + leaf_dir)
+            for k in (k_exit, k_exit + 1)
         )
         if in_arc(self.point(vp), exit_far, leafward):
             lo, hi = leafward, exit_far
@@ -711,7 +707,15 @@ class PsiTracer:
         raise TraceError("fan neighbor toward the leaf not found")
 
     def _winding(self, pending, xm, xp):
-        """Signed mesh-crossing count for the stretch joined by ``pending``."""
+        """Signed mesh-crossing count for the stretch joined by ``pending``.
+
+        The mesh edges eta w^k (x, y) that cross the axis form one window of
+        consecutive k.  Its far sides come from the two ends of the leaf at
+        ``pending``; the window is guessed from the float translation
+        coordinate of the axis endpoints, widened until each end reads its
+        far side, and scanned exactly.  A crossing that reaches k = +-depth_cap
+        raises ``TraceError``.
+        """
         v = pending
         cid = self.curve_of_vertex(v)
         spec = self.mesh(cid)
@@ -745,62 +749,48 @@ class PsiTracer:
                 return 0
             return 1 if su else -1
 
+        # mesh edge k tends to eta rep(w) as k -> -oo and to eta att(w) as
+        # k -> +oo: the ends of the leaf at ``pending`` fix the far sides
+        rep_w, att_w = fixed_points(w_mat)
+        s_lo, s_hi = (
+            1 if in_arc(mobius(cache[0], z), xm, xp) else -1 for z in (rep_w, att_w)
+        )
+        # the window sits where the anchor orbit passes the axis endpoints,
+        # located by the float translation coordinate and verified exactly.
+        # The coordinate is read in the curve's own frame (the cross ratio is
+        # Moebius invariant): at the anchor the four points can coincide in
+        # float precision.
+        ell = translation_length(w_mat)
+        (a, b), (c, d) = cache[0]
+        eta_adj = ((d, -b), (-c, a))
+        guesses = []
+        for z in (xm, xp):
+            try:
+                cr = abs(
+                    boundary_cross_ratio(att_w, spec.x_point, mobius(eta_adj, z), rep_w)
+                )
+            except DegenerateError:
+                continue  # the points coincide in float precision
+            if 0 < cr < math.inf:
+                guesses.append(math.log(cr) / ell)
         cap = self.depth_cap
-        s_lo, s_hi = side(-cap), side(cap)
-        if s_lo == 0 or s_hi == 0:
+        lo, hi = -cap, cap
+        if guesses:
+            lo = max(-cap, math.floor(min(guesses)) - 3)
+            hi = min(cap, math.ceil(max(guesses)) + 3)
+            # widen until each end reads its far side: when s_lo != s_hi the
+            # axis crosses the collar, ``side`` is monotone in k and the
+            # window holds the whole crossing run whatever the guess
+            while lo > -cap and side(lo) != s_lo:
+                lo = max(-cap, lo - 4)
+            while hi < cap and side(hi) != s_hi:
+                hi = min(cap, hi + 4)
+        ks = [k for k in range(lo, hi + 1) if side(k) == 0]
+        if not ks:
+            return 0
+        if ks[0] == -cap or ks[-1] == cap:
             raise TraceError("winding count exceeded the configured depth")
-        if s_lo != s_hi:
-            # the axis crosses the collar: ``side`` is monotone in k and the
-            # crossing window is found by binary search on its boundaries
-            def first_not(value, lo, hi):
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if side(mid) == value:
-                        lo = mid
-                    else:
-                        hi = mid
-                return hi
-
-            k1 = first_not(s_lo, -cap, cap)
-            if side(k1) == s_hi:
-                return 0
-            k2 = first_not(0, k1, cap) - 1
-            count = k2 - k1 + 1
-        else:
-            # the axis dips into the collar and leaves on the same side; the
-            # window (if any) sits where the anchor orbit passes the axis
-            # endpoints, located by the float translation coordinate and
-            # verified exactly.  The coordinate is read in the curve's own
-            # frame (the cross ratio is Moebius invariant): at the anchor the
-            # four points can coincide in float precision.
-            ell = translation_length(w_mat)
-            rep_w, att_w = fixed_points(w_mat)
-            (a, b), (c, d) = cache[0]
-            eta_adj = ((d, -b), (-c, a))
-            guesses = []
-            for z in (xm, xp):
-                try:
-                    cr = abs(
-                        boundary_cross_ratio(att_w, spec.x_point, mobius(eta_adj, z), rep_w)
-                    )
-                except DegenerateError:
-                    continue  # the points coincide in float precision
-                if 0 < cr < math.inf:
-                    guesses.append(math.log(cr) / ell)
-            lo, hi = -cap, cap
-            if guesses:
-                lo = max(-cap, math.floor(min(guesses)) - 3)
-                hi = min(cap, math.ceil(max(guesses)) + 3)
-                while lo > -cap and side(lo) != s_lo:
-                    lo = max(-cap, lo - 4)
-                while hi < cap and side(hi) != s_lo:
-                    hi = min(cap, hi + 4)
-            ks = [k for k in range(lo, hi + 1) if side(k) == 0]
-            if not ks:
-                return 0
-            if ks[0] == -cap or ks[-1] == cap:
-                raise TraceError("winding count exceeded the configured depth")
-            k1, count = ks[0], len(ks)
+        k1, count = ks[0], len(ks)
         # orientation: does increasing k move toward the attracting endpoint?
         u0, w0 = mesh_edge(k1)
         u1, w1 = mesh_edge(k1 + 1)

@@ -50,6 +50,10 @@ class TestConfig:
         seeded = tmp_path / "seeded.json"
         seeded.write_text(json.dumps({"n": 3, "seed": 0}))
         assert run_cli(["kbound", "--config", str(seeded)]) == 2
+        # the closed-leaf tolerance is fixed by the data, not configured
+        tolerant = tmp_path / "tolerances.json"
+        tolerant.write_text(json.dumps({"n": 3, "tolerances": {"closed_leaf": 1e-9}}))
+        assert run_cli(["invariants", "--config", str(tolerant)]) == 2
         with pytest.raises(SystemExit) as exc:
             run_cli(["kbound", "--seed", "1"])
         assert exc.value.code == 2

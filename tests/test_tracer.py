@@ -6,7 +6,17 @@ from pathlib import Path
 import pytest
 
 from hitchin.flags import veronese_flag
-from hitchin.fuchsian import BPoint, boundary_cross_ratio, genus2_surface, mat2_mul, points_equal
+from hitchin.fuchsian import (
+    BPoint,
+    boundary_cross_ratio,
+    genus2_surface,
+    in_arc,
+    mat2_inv,
+    mat2_mul,
+    mobius,
+    points_equal,
+    separates,
+)
 from hitchin.invariants import INFINITY, cross_ratio, cross_ratio_flags
 from hitchin.pants import standard_genus2
 from hitchin.tracer import (
@@ -278,10 +288,182 @@ class TestLiftCaches:
             assert len(shared._fan_pow) == len(fresh._fan_pow), word
 
 
+def _orbit(m, point, cap):
+    """{k: m^k point} for k in [-cap, cap + 1]."""
+    out = {0: point}
+    m_inv = mat2_inv(m)
+    for k in range(1, cap + 2):
+        out[k] = mobius(m, out[k - 1])
+        out[-k] = mobius(m_inv, out[1 - k])
+    return out
+
+
+class FullScans:
+    """Full-scan oracles for the tracer's two orbit-window searches.
+
+    Every k in [-cap, cap] is tested.  Each edge g m^k e is read in the
+    frame of its base edge e, against g^-1 of the axis ends: separation
+    and the orientation test are unchanged by a Moebius map, so the base
+    orbit of each mesh and each fan family is built once.
+    """
+
+    def __init__(self, tracer):
+        self.tracer = tracer
+        self.cap = tracer.depth_cap
+        self._orbits = {}
+
+    def _base_orbit(self, key, m, ends):
+        if key not in self._orbits:
+            near, far = (_orbit(m, p, self.cap) for p in ends)
+            self._orbits[key] = {k: (near[k], far[k]) for k in near}
+        return self._orbits[key]
+
+    def winding(self, pending, xm, xp):
+        """``_winding``'s signed count of mesh edges crossing the axis, or
+        None when the crossing run reaches +-cap."""
+        tr = self.tracer
+        cid = tr.curve_of_vertex(pending)
+        spec = tr.mesh(cid)
+        w = tr.surface.matrix(spec.word)
+        edges = self._base_orbit(("mesh", cid), w, (spec.x_point, spec.y_point))
+        eta_inv = mat2_inv(tr.mesh_anchor(pending))
+        xm, xp = mobius(eta_inv, xm), mobius(eta_inv, xp)
+        ks = [k for k in range(-self.cap, self.cap + 1) if separates(*edges[k], xm, xp)]
+        if not ks:
+            return 0
+        assert ks == list(range(ks[0], ks[-1] + 1)), "crossing mesh edges are not consecutive"
+        if ks[0] == -self.cap or ks[-1] == self.cap:
+            return None
+        (u0, w0), (u1, _) = edges[ks[0]], edges[ks[0] + 1]
+        forward = in_arc(u1, u0, w0) == in_arc(xp, u0, w0)
+        return len(ks) if forward else -len(ks)
+
+    def window_end(self, vp, kind, xm, xp):
+        """The least k whose fan edge crosses the axis, or None; every larger
+        k must cross too."""
+        tr = self.tracer
+        far_letter = EDGE_ENDS[kind][1] if EDGE_ENDS[kind][0] == vp.letter else EDGE_ENDS[kind][0]
+        ends = (tr.surface.base_vertex(vp.pants, l) for l in (vp.letter, far_letter))
+        edges = self._base_orbit(
+            ("fan", vp.pants, vp.letter, kind), tr.slot_mat(vp.pants, vp.letter), ends
+        )
+        g_inv = mat2_inv(vp.gamma)
+        xm, xp = mobius(g_inv, xm), mobius(g_inv, xp)
+        ks = [k for k in range(-self.cap, self.cap + 1) if separates(*edges[k], xm, xp)]
+        if not ks:
+            return None
+        assert ks == list(range(ks[0], self.cap + 1)), "crossing fan edges are not a tail"
+        return ks[0]
+
+
+class TestWindowOracles:
+    def test_windows_match_full_scans(self, surface):
+        """Every window search met on the golden words equals its full scan.
+
+        The golden words wind a few times at most, so a cap of 16 traces
+        them all and keeps the scans short.
+        """
+        tracer = PsiTracer(surface, n=2, depth_cap=16)
+        scans = FullScans(tracer)
+        winding, window_end = tracer._winding, tracer._crossing_window_end
+        calls = {"winding": 0, "window_end": 0}
+
+        def checked_winding(pending, xm, xp):
+            expect = scans.winding(pending, xm, xp)
+            if expect is None:
+                with pytest.raises(TraceError):
+                    winding(pending, xm, xp)
+            got = winding(pending, xm, xp)
+            assert got == expect
+            calls["winding"] += 1
+            return got
+
+        def checked_window_end(vp, kind, xm, xp):
+            got = window_end(vp, kind, xm, xp)
+            assert got == scans.window_end(vp, kind, xm, xp)
+            calls["window_end"] += 1
+            return got
+
+        tracer._winding = checked_winding
+        tracer._crossing_window_end = checked_window_end
+        wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
+        assert wrong == []
+        assert calls["winding"] > 0 and calls["window_end"] > 0
+
+    def test_winding_reads_a_local_window(self, surface, monkeypatch):
+        """``_winding`` builds the anchors eta w^k outward from k = 0, one
+        product each, only as far as its window reaches.  On the golden
+        words no call builds more than 16 at the default cap of 64; a
+        search that reads k = +-cap builds at least 64."""
+        import hitchin.tracer as tracer_module
+
+        tracer = PsiTracer(surface, n=2)
+        for curve in range(surface.decomp.num_curves):
+            tracer.mesh(curve)
+        products, inside = [], [False]
+
+        def counting_mul(m1, m2):
+            if inside[0]:
+                products[-1] += 1
+            return mat2_mul(m1, m2)
+
+        monkeypatch.setattr(tracer_module, "mat2_mul", counting_mul)
+        winding = tracer._winding
+
+        def counted_winding(pending, xm, xp):
+            products.append(0)
+            inside[0] = True
+            try:
+                return winding(pending, xm, xp)
+            finally:
+                inside[0] = False
+
+        tracer._winding = counted_winding
+        for word in GOLDEN:
+            tracer.trace(word)
+        assert products and max(products) <= 16
+
+
+class TestDepthCap:
+    """Words that exhaust a small ``depth_cap`` raise ``TraceError``.
+
+    a^k b and c^k d wind k times around a pants curve and fail exactly
+    when k >= cap; the pool words that also fail are listed per cap.
+    """
+
+    POWERS = [x * k + y for x, y in ("ab", "cd") for k in range(1, 10)]
+    #: the first 16 bench pool words of lengths 6 and 8
+    POOL = [
+        "BaCacd", "dABCBA", "DcacbC", "adAbba", "bddCbc", "BCABBc", "cacAbD",
+        "aaadcB", "DcDcda", "acABAC", "CDaCAC", "BcDcbC", "ABaDcd", "bDBDBa",
+        "ADCCbC", "bcaBaD", "AAADbcdc", "AccaBCdC", "aBcdCBDD", "daBdCbca",
+        "bcdbABcc", "aaCaDabC", "cdcAACDc", "BdCdBdaa", "DcdBAcAD", "CCdBdbAD",
+        "BaBCdcaa", "ccdCBdcD", "CDbDDccD", "adbabCab", "BBDaacDD", "cABDBCBd",
+    ]  # fmt: skip
+    POOL_FAILING = {
+        3: {"AAADbcdc", "aaadcB", "adAbba", "adbabCab"},
+        4: {"aaadcB"},
+        6: set(),
+        8: set(),
+        12: set(),
+    }
+
+    @pytest.mark.parametrize("cap", sorted(POOL_FAILING))
+    def test_failing_words(self, surface, cap):
+        tracer = PsiTracer(surface, n=2, depth_cap=cap)
+        failing = set()
+        for word in self.POWERS + self.POOL:
+            try:
+                tracer.trace(word)
+            except TraceError:
+                failing.add(word)
+        powers = {w for w in self.POWERS if len(w) - 1 >= cap}
+        assert failing == powers | self.POOL_FAILING[cap]
+
 class TestWindingValues:
     def test_reference_windings(self, tracer2):
         # frozen from the exact tracer; the full-scan and windowed search
-        # must agree on these
+        # must agree on these (``TestWindowOracles`` checks that they do)
         psi = tracer2.trace("abc")
         assert sorted(tp.t for tp in psi.tuples) == [0, 0, 1, 1, 2]
         psi = tracer2.trace("bd")
