@@ -342,7 +342,7 @@ class FullScans:
         """The least k whose fan edge crosses the axis, or None; every larger
         k must cross too."""
         tr = self.tracer
-        far_letter = EDGE_ENDS[kind][1] if EDGE_ENDS[kind][0] == vp.letter else EDGE_ENDS[kind][0]
+        far_letter = next(l for l in EDGE_ENDS[kind] if l != vp.letter)
         ends = (tr.surface.base_vertex(vp.pants, l) for l in (vp.letter, far_letter))
         edges = self._base_orbit(
             ("fan", vp.pants, vp.letter, kind), tr.slot_mat(vp.pants, vp.letter), ends
@@ -370,10 +370,11 @@ class TestWindowOracles:
 
         def checked_winding(pending, xm, xp):
             expect = scans.winding(pending, xm, xp)
-            if expect is None:
-                with pytest.raises(TraceError):
-                    winding(pending, xm, xp)
-            got = winding(pending, xm, xp)
+            try:
+                got = winding(pending, xm, xp)
+            except TraceError:
+                assert expect is None
+                raise
             assert got == expect
             calls["winding"] += 1
             return got
@@ -427,8 +428,8 @@ class TestWindowOracles:
 class TestDepthCap:
     """Words that exhaust a small ``depth_cap`` raise ``TraceError``.
 
-    a^k b and c^k d wind k times around a pants curve and fail exactly
-    when k >= cap; the pool words that also fail are listed per cap.
+    a^k b and c^k d fail exactly when k >= cap; the pool words that also
+    fail are listed per cap.
     """
 
     POWERS = [x * k + y for x, y in ("ab", "cd") for k in range(1, 10)]
@@ -459,6 +460,7 @@ class TestDepthCap:
                 failing.add(word)
         powers = {w for w in self.POWERS if len(w) - 1 >= cap}
         assert failing == powers | self.POOL_FAILING[cap]
+
 
 class TestWindingValues:
     def test_reference_windings(self, tracer2):
