@@ -213,13 +213,6 @@ def in_arc(x, u, v):
     return cyclic_order(u, x, v) == 1
 
 
-def edges_cross(e1, e2):
-    """Two boundary chords cross iff each separates the other's endpoints."""
-    return separates(e1[0], e1[1], e2[0], e2[1]) and separates(
-        e2[0], e2[1], e1[0], e1[1]
-    )
-
-
 def separates(u, v, x, y):
     """The chord {u, v} separates x from y on the circle."""
     return in_arc(x, u, v) != in_arc(y, u, v)
@@ -388,7 +381,7 @@ class FuchsianSurfaceData:
 
     def __post_init__(self):
         self._matrix_cache = {}
-        self._vertex_cache = {}
+        self._slot_fixed = {}
         # only the words the surface names itself are kept; any other word
         # (a traced curve, say) is evaluated afresh, so the cache is bounded
         self._named_words = (
@@ -418,23 +411,22 @@ class FuchsianSurfaceData:
     def slot_matrix(self, pants, slot):
         return self.matrix(self.slot_words[(pants, slot)])
 
-    def fixed_pair(self, word):
-        return fixed_points(self.matrix(word))
-
     # -- triangulation anchors ----------------------------------------------
+
+    def _slot_fixed_points(self, pants, letter):
+        """(repelling, attracting) fixed points of the slot word, cached."""
+        key = (pants, letter.upper())
+        if key not in self._slot_fixed:
+            self._slot_fixed[key] = fixed_points(self.slot_matrix(*key))
+        return self._slot_fixed[key]
 
     def base_vertex(self, pants, letter):
         """Repelling fixed point of the slot word: a_j^-, b_j^-, or c_j^-."""
-        key = (pants, letter)
-        if key not in self._vertex_cache:
-            slot = letter.upper()
-            rep, _ = self.fixed_pair(self.slot_words[(pants, slot)])
-            self._vertex_cache[key] = rep
-        return self._vertex_cache[key]
+        return self._slot_fixed_points(pants, letter)[0]
 
     def slot_vertex_attracting(self, pants, letter):
-        _, att = self.fixed_pair(self.slot_words[(pants, letter.upper())])
-        return att
+        """Attracting fixed point of the slot word: a_j^+, b_j^+, or c_j^+."""
+        return self._slot_fixed_points(pants, letter)[1]
 
     def length_spectrum(self):
         """Translation length of each pants curve, keyed by curve id."""
@@ -499,7 +491,6 @@ class FuchsianSurfaceData:
                 chirality = sign
             elif chirality != sign:
                 raise SurfaceError("pants have inconsistent chirality")
-        self.chirality = chirality
 
 
 def fuchsian_invariants(surface, n):

@@ -13,7 +13,13 @@ vertex that cross the axis are exactly those with k >= k_end, found by a
 monotone walk from k = 0.  The mesh edges that cross it form one window,
 whose far sides are the sides of the leaf's two ends; the window is
 guessed from a float coordinate, widened until each end reads its far
-side, and scanned exactly.
+side, and scanned exactly, from curve constants built once with the
+mesh.  The other answers of a leaf jump need no search: the kept fan
+edge toward the leaf sits at a fixed index offset from the exit edge
+(``FAN_NEIGHBOR_OFFSET``, read off the triangulation), and locating the
+axis from a fan is one pass that returns the first separating fan edge
+near k = 0, or else the first triangle on fan edge 0 to restart the
+dual walk from.
 
 The trace records the cyclic tuple sequence
 
@@ -32,6 +38,7 @@ the boundary circle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +69,18 @@ _SHARED_LETTER = {
     frozenset(("ab", "cb")): "b",
     frozenset(("ac", "cb")): "c",
 }
+#: (vertex letter, fan family) -> offset: the edge of the other family at the
+#: vertex between fan edges k and k + 1 of this family is the other's k +
+#: offset.  T(g) holds ab(g), ac(g), cb(g) and T'(g) holds ab(g), ac(g A),
+#: cb(g B^-1), with C = A^-1 B^-1, so the fans run ac(g), ab(g), ac(g A) at
+#: a; cb(g B^-1), ab(g), cb(g) at b; and cb(g), ac(g), cb(g C) at c.
+FAN_NEIGHBOR_OFFSET = {
+    ("a", "ab"): 1, ("a", "ac"): 0,
+    ("b", "cb"): 1, ("b", "ab"): 0,
+    ("c", "ac"): 1, ("c", "cb"): 0,
+}  # fmt: skip
+#: ``_fan_locate`` looks for a separating fan edge with |k| below this
+FAN_LOCATE_RADIUS = 8
 
 
 class TraceError(RuntimeError):
@@ -206,7 +225,8 @@ def validate_psi(psi, decomp):
 
 @dataclass
 class MeshSpec:
-    """Anchor pair of one pants-curve mesh with its defining inequality."""
+    """Anchor pair of one pants-curve mesh with its defining inequality,
+    and the curve constants ``_winding`` reads on every call."""
 
     curve: int
     word: str
@@ -215,6 +235,11 @@ class MeshSpec:
     g_value: float
     width: float  # lambda_1 - lambda_n of the curve's holonomy
     n: int
+    w_int: tuple  # the curve word as a primitive integer matrix
+    w_adj: tuple  # its adjugate, which acts as w^-1
+    rep: object  # repelling and attracting fixed points of w
+    att: object
+    length: float  # translation length of w
 
     def inequality_holds(self):
         return 1.0 <= self.g_value < math.exp(self.width)
@@ -359,7 +384,7 @@ class PsiTracer:
         assert points_equal(self.point(rep_lift), rep)
         assert points_equal(self.point(att_lift), att)
 
-        width = (self.n - 1) * translation_length(w_mat)
+        length = translation_length(w_mat)
 
         # x: deterministic family choice at the repelling-side fan
         kind_x = min(VERTEX_FANS[rep_lift.letter])
@@ -380,14 +405,20 @@ class PsiTracer:
         if best is None:
             raise TraceError(f"no mesh candidate with g >= 1 on curve {curve_id}")
         y_point, g_val = best
+        w_int = _integer_matrix(w_mat)
         spec = MeshSpec(
             curve=curve_id,
             word=word,
             x_point=x_point,
             y_point=y_point,
             g_value=g_val,
-            width=width,
+            width=(self.n - 1) * length,
             n=self.n,
+            w_int=w_int,
+            w_adj=_adjugate(w_int),
+            rep=rep,
+            att=att,
+            length=length,
         )
         self._meshes[curve_id] = spec
         return spec
@@ -523,47 +554,22 @@ class PsiTracer:
         return t1
 
     def _fan_locate(self, v, xm, xp):
-        """A separating fan edge at v, or the sector triangle holding the axis."""
-        kind1, kind2 = VERTEX_FANS[v.letter]
-        for radius in (8, self.depth_cap):
-            for k in self._search_ks(radius):
-                for kind in (kind1, kind2):
-                    e = self.fan_edge(v, kind, k)
-                    self._guard_vertex(e.far_end(v.letter), xm, xp)
-                    if self._edge_separates(e, xm, xp):
-                        return e
-            # no separating fan edge: the axis may sit inside one sector
-            for k in self._search_ks(radius):
-                for kind in (kind1, kind2):
-                    e = self.fan_edge(v, kind, k)
-                    tri1, tri2 = self.adjacent_triangles(e)
-                    for tri in (tri1, tri2):
-                        verts = self.triangle_vertices(tri)
-                        for tv in verts:
-                            self._guard_vertex(tv, xm, xp)
-                        pts = [self.point(t) for t in verts]
-                        if self._triangle_holds(pts, xm) and self._triangle_holds(
-                            pts, xp
-                        ):
-                            return tri
-        raise TraceError("fan search exceeded the configured depth")
-
-    def _triangle_holds(self, pts, x):
-        """x lies in the closed region cut off by one side arc of the triangle
-        opposite the fan vertex -- used only to reseed the dual walk."""
-        if cyclic_order(pts[0], pts[1], pts[2]) < 0:
-            pts = [pts[0], pts[2], pts[1]]
-        for i in range(3):
-            if in_arc(x, pts[i], pts[(i + 1) % 3]):
-                return True
-        return False
-
-    @staticmethod
-    def _search_ks(radius):
-        yield 0
-        for k in range(1, radius):
-            yield k
-            yield -k
+        """The first separating fan edge at v with |k| < FAN_LOCATE_RADIUS, in
+        the order k = 0, 1, -1, 2, -2, ... (first family first); else the
+        first triangle on fan edge (first family, 0), to reseed the dual walk.
+        """
+        kinds = VERTEX_FANS[v.letter]
+        ks = [0] + [k for r in range(1, FAN_LOCATE_RADIUS) for k in (r, -r)]
+        for k in ks:
+            for kind in kinds:
+                e = self.fan_edge(v, kind, k)
+                self._guard_vertex(e.far_end(v.letter), xm, xp)
+                if self._edge_separates(e, xm, xp):
+                    return e
+        tri = self.adjacent_triangles(self.fan_edge(v, kinds[0], 0))[0]
+        for tv in self.triangle_vertices(tri):
+            self._guard_vertex(tv, xm, xp)
+        return tri
 
     # -- the period walk ----------------------------------------------------
 
@@ -683,28 +689,13 @@ class PsiTracer:
         """The kept edge between the exit binodal edge and the closed leaf.
 
         The leafward same-family neighbor of the exit edge is k_exit + 1.
-        The two fan families at vp alternate around the vertex, so exactly
-        one member of the other family sits in the sweep sector between
-        the exit edge and that neighbor.
+        The two fan families at vp alternate around the vertex, and the one
+        member of the other family between the two is fixed by the
+        triangulation (``FAN_NEIGHBOR_OFFSET``).
         """
         kinds = VERTEX_FANS[vp.letter]
         other = kinds[0] if kind == kinds[1] else kinds[1]
-        exit_far, leafward = (
-            self.point(self.fan_edge(vp, kind, k).far_end(vp.letter))
-            for k in (k_exit, k_exit + 1)
-        )
-        if in_arc(self.point(vp), exit_far, leafward):
-            lo, hi = leafward, exit_far
-        else:
-            lo, hi = exit_far, leafward
-        for k in (k_exit - 1, k_exit, k_exit + 1, k_exit - 2, k_exit + 2):
-            e = self.fan_edge(vp, other, k)
-            far = self.point(e.far_end(vp.letter))
-            if points_equal(far, exit_far) or points_equal(far, leafward):
-                continue
-            if in_arc(far, lo, hi):
-                return e
-        raise TraceError("fan neighbor toward the leaf not found")
+        return self.fan_edge(vp, other, k_exit + FAN_NEIGHBOR_OFFSET[vp.letter, kind])
 
     def _winding(self, pending, xm, xp):
         """Signed mesh-crossing count for the stretch joined by ``pending``.
@@ -713,34 +704,28 @@ class PsiTracer:
         consecutive k.  Its far sides come from the two ends of the leaf at
         ``pending``; the window is guessed from the float translation
         coordinate of the axis endpoints, widened until each end reads its
-        far side, and scanned exactly.  A crossing that reaches k = +-depth_cap
-        raises ``TraceError``.
+        far side, and scanned exactly, reading each k once.  A crossing that
+        reaches k = +-depth_cap raises ``TraceError``.
         """
-        v = pending
-        cid = self.curve_of_vertex(v)
-        spec = self.mesh(cid)
-        eta = self.mesh_anchor(v)
-        w_mat = self.surface.matrix(spec.word)
+        spec = self.mesh(self.curve_of_vertex(pending))
         # the Moebius action is projective, so the anchors eta w^k run as
         # integer matrices: w^-1 is the adjugate, and no product reduces
-        w_int = _integer_matrix(w_mat)
-        (a, b), (c, d) = w_int
-        w_adj = ((d, -b), (-c, a))
+        eta = _integer_matrix(self.mesh_anchor(pending))
 
-        cache = {0: _integer_matrix(eta)}
-
+        @functools.cache
         def anchor(k):
-            if k not in cache:
-                if k > 0:
-                    cache[k] = mat2_mul(anchor(k - 1), w_int)
-                else:
-                    cache[k] = mat2_mul(anchor(k + 1), w_adj)
-            return cache[k]
+            if k == 0:
+                return eta
+            if k > 0:
+                return mat2_mul(anchor(k - 1), spec.w_int)
+            return mat2_mul(anchor(k + 1), spec.w_adj)
 
+        @functools.cache
         def mesh_edge(k):
             g = anchor(k)
             return mobius(g, spec.x_point), mobius(g, spec.y_point)
 
+        @functools.cache
         def side(k):
             """0 when edge k separates the axis endpoints, else +-1 by arc."""
             u, w = mesh_edge(k)
@@ -751,28 +736,25 @@ class PsiTracer:
 
         # mesh edge k tends to eta rep(w) as k -> -oo and to eta att(w) as
         # k -> +oo: the ends of the leaf at ``pending`` fix the far sides
-        rep_w, att_w = fixed_points(w_mat)
         s_lo, s_hi = (
-            1 if in_arc(mobius(cache[0], z), xm, xp) else -1 for z in (rep_w, att_w)
+            1 if in_arc(mobius(eta, z), xm, xp) else -1 for z in (spec.rep, spec.att)
         )
         # the window sits where the anchor orbit passes the axis endpoints,
         # located by the float translation coordinate and verified exactly.
         # The coordinate is read in the curve's own frame (the cross ratio is
         # Moebius invariant): at the anchor the four points can coincide in
         # float precision.
-        ell = translation_length(w_mat)
-        (a, b), (c, d) = cache[0]
-        eta_adj = ((d, -b), (-c, a))
+        eta_adj = _adjugate(eta)
         guesses = []
         for z in (xm, xp):
             try:
                 cr = abs(
-                    boundary_cross_ratio(att_w, spec.x_point, mobius(eta_adj, z), rep_w)
+                    boundary_cross_ratio(spec.att, spec.x_point, mobius(eta_adj, z), spec.rep)
                 )
             except DegenerateError:
                 continue  # the points coincide in float precision
             if 0 < cr < math.inf:
-                guesses.append(math.log(cr) / ell)
+                guesses.append(math.log(cr) / spec.length)
         cap = self.depth_cap
         lo, hi = -cap, cap
         if guesses:
@@ -793,7 +775,7 @@ class PsiTracer:
         k1, count = ks[0], len(ks)
         # orientation: does increasing k move toward the attracting endpoint?
         u0, w0 = mesh_edge(k1)
-        u1, w1 = mesh_edge(k1 + 1)
+        u1, _ = mesh_edge(k1 + 1)
         forward = in_arc(u1, u0, w0) == in_arc(xp, u0, w0)
         return count if forward else -count
 
@@ -805,3 +787,9 @@ def _integer_matrix(m):
     ints = [x.numerator * (scale // x.denominator) for x in entries]
     g = math.gcd(*ints)
     return ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))
+
+
+def _adjugate(m):
+    """The adjugate of a 2x2 matrix, which acts as its inverse."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))

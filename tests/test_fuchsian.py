@@ -13,7 +13,6 @@ from hitchin.fuchsian import (
     SurfaceError,
     cmp_points,
     cyclic_order,
-    edges_cross,
     fixed_points,
     fuchsian_invariants,
     genus2_surface,
@@ -31,6 +30,13 @@ from hitchin.linalg import DegenerateError
 from hitchin.pants import check_closed_leaf, lambda_gaps_from_invariants
 
 from conftest import SURFACES, fuchsian_invariants_exact_flags
+
+
+def edges_cross(e1, e2):
+    """Two boundary chords cross iff each separates the other's endpoints."""
+    return separates(e1[0], e1[1], e2[0], e2[1]) and separates(
+        e2[0], e2[1], e1[0], e1[1]
+    )
 
 
 class TestBPoint:

@@ -21,12 +21,16 @@ from hitchin.invariants import INFINITY, cross_ratio, cross_ratio_flags
 from hitchin.pants import standard_genus2
 from hitchin.tracer import (
     EDGE_ENDS,
+    FAN_LOCATE_RADIUS,
+    FAN_NEIGHBOR_OFFSET,
+    VERTEX_FANS,
     CountPair,
     EdgeLift,
     PsiEncoding,
     PsiTracer,
     PsiTuple,
     TraceError,
+    TriangleLift,
     cyclic_equal,
     r_and_s,
     shared_letter,
@@ -299,7 +303,7 @@ def _orbit(m, point, cap):
 
 
 class FullScans:
-    """Full-scan oracles for the tracer's two orbit-window searches.
+    """Full-scan oracles for the tracer's orbit-window and fan searches.
 
     Every k in [-cap, cap] is tested.  Each edge g m^k e is read in the
     frame of its base edge e, against g^-1 of the axis ends: separation
@@ -338,35 +342,60 @@ class FullScans:
         forward = in_arc(u1, u0, w0) == in_arc(xp, u0, w0)
         return len(ks) if forward else -len(ks)
 
-    def window_end(self, vp, kind, xm, xp):
-        """The least k whose fan edge crosses the axis, or None; every larger
-        k must cross too."""
+    def _fan_orbit(self, vp, kind):
+        """The fan family ``kind`` at vp in vp's frame: s^k of its base edge."""
         tr = self.tracer
         far_letter = next(l for l in EDGE_ENDS[kind] if l != vp.letter)
         ends = (tr.surface.base_vertex(vp.pants, l) for l in (vp.letter, far_letter))
-        edges = self._base_orbit(
+        return self._base_orbit(
             ("fan", vp.pants, vp.letter, kind), tr.slot_mat(vp.pants, vp.letter), ends
         )
-        g_inv = mat2_inv(vp.gamma)
-        xm, xp = mobius(g_inv, xm), mobius(g_inv, xp)
+
+    @staticmethod
+    def _in_frame(gamma, xm, xp):
+        g_inv = mat2_inv(gamma)
+        return mobius(g_inv, xm), mobius(g_inv, xp)
+
+    def window_end(self, vp, kind, xm, xp):
+        """The least k whose fan edge crosses the axis, or None; every larger
+        k must cross too."""
+        edges = self._fan_orbit(vp, kind)
+        xm, xp = self._in_frame(vp.gamma, xm, xp)
         ks = [k for k in range(-self.cap, self.cap + 1) if separates(*edges[k], xm, xp)]
         if not ks:
             return None
         assert ks == list(range(ks[0], self.cap + 1)), "crossing fan edges are not a tail"
         return ks[0]
 
+    def fan_locate(self, v, xm, xp):
+        """(kind, k) of the first fan edge at v with |k| < FAN_LOCATE_RADIUS
+        that separates the axis ends, taken by |k|, then k > 0 first, then
+        family order; None when no such edge separates them."""
+        xm, xp = self._in_frame(v.gamma, xm, xp)
+        radius = FAN_LOCATE_RADIUS
+        for k in sorted(range(1 - radius, radius), key=lambda k: (abs(k), -k)):
+            for kind in VERTEX_FANS[v.letter]:
+                if separates(*self._fan_orbit(v, kind)[k], xm, xp):
+                    return kind, k
+        return None
+
 
 class TestWindowOracles:
     def test_windows_match_full_scans(self, surface):
-        """Every window search met on the golden words equals its full scan.
+        """Every window search, fan locate and fan neighbour met on the
+        golden words agrees with its full scan or arc test.
 
         The golden words wind a few times at most, so a cap of 16 traces
-        them all and keeps the scans short.
+        them all and keeps the scans short.  Both outcomes of the fan
+        locate and every (letter, family) row of the fan-neighbour table
+        occur on them.
         """
         tracer = PsiTracer(surface, n=2, depth_cap=16)
         scans = FullScans(tracer)
         winding, window_end = tracer._winding, tracer._crossing_window_end
-        calls = {"winding": 0, "window_end": 0}
+        fan_locate, fan_neighbor = tracer._fan_locate, tracer._fan_neighbor_toward_leaf
+        calls = {"winding": 0, "window_end": 0, "fan_edge": 0, "fan_triangle": 0}
+        neighbor_pairs = set()
 
         def checked_winding(pending, xm, xp):
             expect = scans.winding(pending, xm, xp)
@@ -385,11 +414,41 @@ class TestWindowOracles:
             calls["window_end"] += 1
             return got
 
+        def checked_fan_locate(v, xm, xp):
+            got = fan_locate(v, xm, xp)
+            expect = scans.fan_locate(v, xm, xp)
+            if expect is None:
+                assert isinstance(got, TriangleLift)
+                calls["fan_triangle"] += 1
+            else:
+                assert PsiTracer.same_edge(got, tracer.fan_edge(v, *expect))
+                calls["fan_edge"] += 1
+            return got
+
+        def checked_fan_neighbor(vp, kind, k_exit):
+            """The returned edge is the other family's one between exit
+            edges k_exit and k_exit + 1: its far end lies strictly inside
+            their far ends' arc away from vp."""
+            got = fan_neighbor(vp, kind, k_exit)
+            ends = [
+                tracer.point(tracer.fan_edge(vp, kind, k).far_end(vp.letter))
+                for k in (k_exit, k_exit + 1)
+            ]
+            if in_arc(tracer.point(vp), *ends):
+                ends.reverse()
+            assert got.kind != kind
+            assert in_arc(tracer.point(got.far_end(vp.letter)), *ends)
+            neighbor_pairs.add((vp.letter, kind))
+            return got
+
         tracer._winding = checked_winding
         tracer._crossing_window_end = checked_window_end
+        tracer._fan_locate = checked_fan_locate
+        tracer._fan_neighbor_toward_leaf = checked_fan_neighbor
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
-        assert calls["winding"] > 0 and calls["window_end"] > 0
+        assert all(calls.values()), calls
+        assert neighbor_pairs == set(FAN_NEIGHBOR_OFFSET)
 
     def test_winding_reads_a_local_window(self, surface, monkeypatch):
         """``_winding`` builds the anchors eta w^k outward from k = 0, one
