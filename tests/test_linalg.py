@@ -326,7 +326,9 @@ class TestReduceModulo:
                     math.lcm(*(x.denominator for x in vectors[i])) for i in window
                 )
                 factors.add(minor / (scale * wedge))
-        assert len(factors) == 1
+        # a drawn vector can lie in the base's span and leave no window
+        # with a nonzero wedge; every minor was checked zero above then
+        assert len(factors) <= 1
 
     def test_dependent_rows_name_the_rank(self):
         cases = [
