@@ -18,7 +18,6 @@ from .linalg import (
     Flag,
     Subspace,
     WeylChamberPoint,
-    cartan_projection,
     is_generic_triple,
     jordan_projection,
     subspace_intersect,
@@ -80,7 +79,6 @@ __all__ = [
     "PsiTracer",
     "Subspace",
     "WeylChamberPoint",
-    "cartan_projection",
     "chain_decomposition",
     "check_closed_leaf",
     "compute_K",

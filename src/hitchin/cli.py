@@ -19,6 +19,7 @@ from . import __version__
 from .config import ConfigError, RunConfig, invariants_to_dict, params_to_dict
 from .linalg import DegenerateError
 from .pants import CLOSED_LEAF_TOL, check_closed_leaf, xi_forward, xi_inverse
+from .tracer import TraceError
 
 EXIT_OK = 0
 EXIT_RELATION = 1
@@ -132,7 +133,7 @@ def cmd_entropy_scan(cfg, out_path):
 
 def cmd_psi_trace(cfg, word, out_path):
     from .degeneration import compute_K, compute_L, length_lower_bound
-    from .fuchsian import fuchsian_invariants
+    from .fuchsian import fuchsian_invariants, is_hyperbolic
     from .tracer import PsiTracer, r_and_s, validate_psi
 
     surface = cfg.surface()
@@ -140,6 +141,8 @@ def cmd_psi_trace(cfg, word, out_path):
     word = word or cfg.word
     if not word:
         raise ConfigError("psi-trace needs a word ([tracer].word or --word)")
+    if not is_hyperbolic(surface.matrix(word)):
+        raise ConfigError(f"word {word!r} is not hyperbolic")
     psi = tracer.trace(word)
     if psi.is_closed_leaf:
         _write_csv(
@@ -466,7 +469,7 @@ def main(argv=None):
     except (ConfigError, FileNotFoundError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except DegenerateError as exc:
+    except (DegenerateError, TraceError) as exc:
         print(f"relation failure: {exc}", file=sys.stderr)
         return EXIT_RELATION
 

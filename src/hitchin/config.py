@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fuchsian import genus2_surface
+from .fuchsian import SurfaceError, genus2_surface
 from .pants import HitchinParams, PantsInvariants, chain_decomposition, internal_labels
 
 
@@ -140,9 +140,13 @@ class RunConfig:
             raise ConfigError(f"unknown backend {cfg.backend!r}")
         tracer = data.get("tracer", {})
         cfg.depth_cap = int(tracer.get("depth_cap", 64))
+        if cfg.depth_cap < 1:
+            raise ConfigError(f"[tracer].depth_cap must be at least 1, got {cfg.depth_cap}")
         cfg.word = tracer.get("word", "")
         scan = data.get("scan", {})
         cfg.steps = int(scan.get("steps", 10))
+        if cfg.steps < 0:
+            raise ConfigError(f"[scan].steps must be non-negative, got {cfg.steps}")
         cfg.direction = {
             _str_to_label(k): parse_scalar(v, exact=False)
             for k, v in scan.get("direction", {}).items()
@@ -173,7 +177,10 @@ class RunConfig:
             kwargs["twist"] = parse_scalar(spec["twist"], exact=True)
         if self.genus != 2:
             raise ConfigError("the built-in Fuchsian surface has genus 2")
-        return genus2_surface(**kwargs)
+        try:
+            return genus2_surface(**kwargs)
+        except SurfaceError as exc:
+            raise ConfigError(f"bad [surface]: {exc}") from exc
 
     def invariants(self, decomp=None):
         """PantsInvariants list from [parameters].invariants or the surface."""

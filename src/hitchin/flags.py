@@ -40,6 +40,7 @@ from .linalg import (
     det,
     det3,
     nullspace,
+    primitive,
     reduce_modulo,
     rref,
     wedge_det,
@@ -215,14 +216,6 @@ def reconstruct_triple(f, h, g_line, ratios):
     return Flag(g_basis, backend=backend)
 
 
-def _primitive(v):
-    """The primitive integer vector on the line of a rational vector."""
-    m = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (m // x.denominator) for x in v]
-    d = math.gcd(*ints) or 1
-    return tuple(x // d for x in ints)
-
-
 def _reconstruct_exact(fb, hb, g_basis, ratios):
     """:func:`reconstruct_triple` on exact flags, by reduction modulo the
     base F^(x-1) + G^(y0-1) + H^(z-1) of each index.
@@ -231,9 +224,9 @@ def _reconstruct_exact(fb, hb, g_basis, ratios):
     subspace equal to the span of the first y0 + 1 basis vectors, so the
     meets seed the new flag's level memo."""
     n = len(fb)
-    fi = [_primitive(v) for v in fb]
-    hi = [_primitive(v) for v in hb]
-    gi = [_primitive(g_basis[0])]
+    fi = [primitive(v) for v in fb]
+    hi = [primitive(v) for v in hb]
+    gi = [primitive(g_basis[0])]
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     current = Subspace.span(g_basis, ambient=n, backend=EXACT)
     levels = [current]
@@ -269,7 +262,7 @@ def _reconstruct_exact(fb, hb, g_basis, ratios):
                 g[2] * p[0] - g[0] * p[2],
                 g[0] * p[1] - g[1] * p[0],
             )
-            rows.append(_primitive([w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in es]))
+            rows.append(primitive([w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in es]))
         meet = Subspace.kernel(rows, n)
         if meet.dim != y0 + 1:
             raise DegenerateError(
@@ -283,7 +276,7 @@ def _reconstruct_exact(fb, hb, g_basis, ratios):
                 f"reconstructed level {y0 + 1} does not extend level {y0}"
             )
         g_basis.append(new_vec)
-        gi.append(_primitive(new_vec))
+        gi.append(primitive(new_vec))
         levels.append(meet)
         current = meet
     if current.dim != n - 1:

@@ -146,6 +146,14 @@ def _integer_rows(rows):
     return out, scale
 
 
+def primitive(v):
+    """The primitive integer vector on the line of a rational vector."""
+    m = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (m // x.denominator) for x in v]
+    d = math.gcd(*ints) or 1
+    return tuple(x // d for x in ints)
+
+
 def _eliminate(a, ncols, reduce_above=True):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
 
@@ -630,7 +638,7 @@ def is_generic_triple(f, g, h):
 
 
 # ---------------------------------------------------------------------------
-# Cartan / Jordan projections
+# Jordan projection
 
 
 @dataclass(frozen=True)
@@ -655,10 +663,6 @@ class WeylChamberPoint:
 
     def is_strict(self, tol=0.0):
         return all(g > tol for g in self.gaps())
-
-    def width(self):
-        """lambda_1 - lambda_n."""
-        return self.entries[0] - self.entries[-1]
 
     @classmethod
     def from_gaps(cls, gaps):
@@ -700,17 +704,3 @@ def jordan_projection(matrix):
     if np.any(mods <= 0):
         raise DegenerateError("zero eigenvalue on an invertible matrix")
     return _normalize_logs(np.log(mods))
-
-
-def cartan_projection(matrix):
-    """Sorted log singular values, normalized to sum zero."""
-    a = np.array(matrix, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise BackendError("cartan projection of a non-square matrix")
-    try:
-        sv = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigenvalueError(str(exc)) from exc
-    if sv[-1] <= 0:
-        raise DegenerateError("matrix is singular")
-    return _normalize_logs(np.log(sv))

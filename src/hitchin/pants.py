@@ -177,11 +177,6 @@ class PantsInvariants:
         sig = {idx: backend_value for idx in shear_index_set(n)}
         return cls(n=n, tau=tau, tau_prime=taup, sigma=sig)
 
-    def copy(self):
-        return PantsInvariants(
-            n=self.n, tau=dict(self.tau), tau_prime=dict(self.tau_prime), sigma=dict(self.sigma)
-        )
-
 
 def lambda_gaps_from_invariants(inv):
     """Eigenvalue gaps (lambda_k - lambda_(k+1)) of the three boundary slots.

@@ -8,18 +8,18 @@ steps cross one triangle at a time, and when the axis crosses a closed
 leaf (so the walk enters an infinite spiral) the fan is jumped
 analytically by locating the extreme crossing fan edge on the far side.
 
-Both orbit searches are one exact path each.  The fan edges at the far
-vertex that cross the axis are exactly those with k >= k_end, found by a
-monotone walk from k = 0.  The mesh edges that cross it form one window,
-whose far sides are the sides of the leaf's two ends; the window is
-guessed from a float coordinate, widened until each end reads its far
-side, and scanned exactly, from curve constants built once with the
-mesh.  The other answers of a leaf jump need no search: the kept fan
-edge toward the leaf sits at a fixed index offset from the exit edge
-(``FAN_NEIGHBOR_OFFSET``, read off the triangulation), and locating the
-axis from a fan is one pass that returns the first separating fan edge
-near k = 0, or else the first triangle on fan edge 0 to restart the
-dual walk from.
+The two fan families at a vertex alternate around it in an order fixed
+by the triangulation (``FAN_ORDER``), so the fan is one sequence of edges
+indexed by m over both families.  The fan edges at the far vertex that
+cross the axis are exactly those with m >= m_end, found by a monotone
+walk from m = 0; the least of them is the exit edge and the next one is
+the kept edge toward the leaf.  The mesh edges that cross the axis form
+one window, whose far sides are the sides of the leaf's two ends; the
+window is guessed from a float coordinate, widened until each end reads
+its far side, and scanned exactly, from curve constants built once with
+the mesh.  Locating the axis from a fan is one pass that returns the
+first separating fan edge near k = 0, or else the first triangle on fan
+edge 0 to restart the dual walk from.
 
 The trace records the cyclic tuple sequence
 
@@ -57,28 +57,25 @@ from .fuchsian import (
     separates,
     translation_length,
 )
-from .linalg import DegenerateError
+from .linalg import DegenerateError, primitive
 
 EDGE_ENDS = {"ab": ("a", "b"), "ac": ("a", "c"), "cb": ("c", "b")}
 #: the vertex letter of a triangle opposite each edge kind
 _OPPOSITE_LETTER = {"ab": "c", "ac": "b", "cb": "a"}
-#: fan families at each vertex letter: the two edge kinds through it
+#: fan families at each vertex letter: the two edge kinds through it, in the
+#: order ``_fan_locate`` and the mesh search try them (at c not ``FAN_ORDER``'s)
 VERTEX_FANS = {"a": ("ac", "ab"), "b": ("ab", "cb"), "c": ("ac", "cb")}
 _SHARED_LETTER = {
     frozenset(("ab", "ac")): "a",
     frozenset(("ab", "cb")): "b",
     frozenset(("ac", "cb")): "c",
 }
-#: (vertex letter, fan family) -> offset: the edge of the other family at the
-#: vertex between fan edges k and k + 1 of this family is the other's k +
-#: offset.  T(g) holds ab(g), ac(g), cb(g) and T'(g) holds ab(g), ac(g A),
-#: cb(g B^-1), with C = A^-1 B^-1, so the fans run ac(g), ab(g), ac(g A) at
-#: a; cb(g B^-1), ab(g), cb(g) at b; and cb(g), ac(g), cb(g C) at c.
-FAN_NEIGHBOR_OFFSET = {
-    ("a", "ab"): 1, ("a", "ac"): 0,
-    ("b", "cb"): 1, ("b", "ab"): 0,
-    ("c", "ac"): 1, ("c", "cb"): 0,
-}  # fmt: skip
+#: the two fan families at each vertex letter in their order around the
+#: vertex: fan edge m at v is ``fan_edge(v, FAN_ORDER[letter][m % 2], m // 2)``.
+#: T(g) holds ab(g), ac(g), cb(g) and T'(g) holds ab(g), ac(g A), cb(g B^-1),
+#: with C = A^-1 B^-1, so the fans run ac(g), ab(g), ac(g A) at a;
+#: ab(g), cb(g), ab(g B) at b; and cb(g), ac(g), cb(g C) at c.
+FAN_ORDER = {"a": ("ac", "ab"), "b": ("ab", "cb"), "c": ("cb", "ac")}
 #: ``_fan_locate`` looks for a separating fan edge with |k| below this
 FAN_LOCATE_RADIUS = 8
 
@@ -323,6 +320,10 @@ class PsiTracer:
                 g = mat2_mul(g, s)
                 cache[kk] = g
         return EdgeLift(cache[k], v.pants, kind)
+
+    def fan_edge_at(self, v, m):
+        """m-th fan edge at vertex v, over both families in ``FAN_ORDER``."""
+        return self.fan_edge(v, FAN_ORDER[v.letter][m % 2], m // 2)
 
     def leaf_endpoints(self, v):
         """The closed-leaf lift through vertex v: (v point, partner point)."""
@@ -644,58 +645,43 @@ class PsiTracer:
     def _leaf_jump(self, pivot, xm, xp):
         """Cross the closed leaf at the pivot and land on the far fan.
 
-        Returns (pred edge, exit binodal edge, their shared pivot lift) so
-        the main walk resumes just before the exit binodal fires.
+        The exit binodal edge is the least crossing fan edge m_end at the
+        partner lift vp: the axis leaves the fan through the triangle
+        between fan edges m_end - 1 and m_end, whose third side does not
+        end at vp, so the pivot switches there, while from every later
+        crossing edge the next crossing still ends at vp.  Returns (fan
+        edge m_end + 1, the exit edge, vp) so the main walk resumes just
+        before the exit binodal fires.
         """
         vp = self.partner_lift(pivot)
-        candidates = []
-        for kind in VERTEX_FANS[vp.letter]:
-            k_end = self._crossing_window_end(vp, kind, xm, xp)
-            if k_end is not None:
-                candidates.append((k_end, kind))
-        if not candidates:
+        m_end = self._crossing_window_end(vp, xm, xp)
+        if m_end is None:
             raise TraceError("leaf jump found no crossing fan edge")
-        # the exit binodal is extreme across *both* interleaved families:
-        # stepping from it must switch the pivot away from vp
-        for k_exit, kind in candidates:
-            exit_edge = self.fan_edge(vp, kind, k_exit)
-            _, piv = self._step(exit_edge, xm, xp)
-            if piv.letter != vp.letter:
-                return self._fan_neighbor_toward_leaf(vp, kind, k_exit), exit_edge, vp
-        raise TraceError("leaf jump could not identify the exit edge")
+        return self.fan_edge_at(vp, m_end + 1), self.fan_edge_at(vp, m_end), vp
 
-    def _crossing_window_end(self, vp, kind, xm, xp):
-        """The least k whose fan edge crosses the axis; None within the depth.
+    def _crossing_window_end(self, vp, xm, xp):
+        """The least m whose fan edge at vp crosses the axis; None within
+        the depth.
 
-        The far ends of the fan edges gamma s^k run from vp's point
-        (k -> -oo) to the other end of vp's leaf (k -> +oo), and the axis
-        crosses that leaf, so the crossing edges are exactly those with
-        k >= k_end.  A monotone walk from k = 0 finds k_end.
+        The far ends of the fan edges run monotonically around vp as m
+        grows, from vp's point (m -> -oo) to the other end of vp's leaf
+        (m -> +oo), and the axis crosses that leaf, so the crossing edges
+        are exactly those with m >= m_end.  A monotone walk from m = 0,
+        over at most 2 depth_cap fan edges, finds m_end.
         """
 
-        def crossing(k):
-            return self._edge_separates(self.fan_edge(vp, kind, k), xm, xp)
+        def crossing(m):
+            return self._edge_separates(self.fan_edge_at(vp, m), xm, xp)
 
+        cap = 2 * self.depth_cap
         if not crossing(0):
-            return next((k for k in range(1, self.depth_cap) if crossing(k)), None)
-        k = 0
-        while crossing(k - 1):
-            k -= 1
-            if k < -self.depth_cap:
+            return next((m for m in range(1, cap) if crossing(m)), None)
+        m = 0
+        while crossing(m - 1):
+            m -= 1
+            if m < -cap:
                 raise TraceError("crossing window end not found")
-        return k
-
-    def _fan_neighbor_toward_leaf(self, vp, kind, k_exit):
-        """The kept edge between the exit binodal edge and the closed leaf.
-
-        The leafward same-family neighbor of the exit edge is k_exit + 1.
-        The two fan families at vp alternate around the vertex, and the one
-        member of the other family between the two is fixed by the
-        triangulation (``FAN_NEIGHBOR_OFFSET``).
-        """
-        kinds = VERTEX_FANS[vp.letter]
-        other = kinds[0] if kind == kinds[1] else kinds[1]
-        return self.fan_edge(vp, other, k_exit + FAN_NEIGHBOR_OFFSET[vp.letter, kind])
+        return m
 
     def _winding(self, pending, xm, xp):
         """Signed mesh-crossing count for the stretch joined by ``pending``.
@@ -782,11 +768,8 @@ class PsiTracer:
 
 def _integer_matrix(m):
     """The primitive integer matrix projectively equal to a rational one."""
-    entries = [x for row in m for x in row]
-    scale = math.lcm(*(x.denominator for x in entries))
-    ints = [x.numerator * (scale // x.denominator) for x in entries]
-    g = math.gcd(*ints)
-    return ((ints[0] // g, ints[1] // g), (ints[2] // g, ints[3] // g))
+    a, b, c, d = primitive(m[0] + m[1])
+    return ((a, b), (c, d))
 
 
 def _adjugate(m):

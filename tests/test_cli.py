@@ -83,6 +83,32 @@ class TestConfig:
             assert run_cli(argv) == 2, command
         assert "decomposition genus disagrees" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data,command,message",
+        [
+            ({"tracer": {"depth_cap": 0}}, ["psi-trace", "--word", "ab"], "depth_cap must be at least 1"),
+            ({"scan": {"steps": -3}}, ["entropy-scan"], "steps must be non-negative"),
+        ],
+    )
+    def test_search_and_scan_bounds_checked(self, tmp_path, capsys, data, command, message):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+        cfg = tmp_path / "bounds.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_surface_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "identity_a1.json"
+        cfg.write_text(json.dumps({"n": 2, "surface": {"a1": [[1, 0], [0, 1]]}}))
+        for command in ("fuchsian-gen", "psi-trace"):
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert run_cli(argv) == 2, command
+            err = capsys.readouterr().err
+            assert "config error: bad [surface]: tr[a1,b1] = 2 >= -2" in err, command
+
     def test_n_range_checked(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"n": 9})
@@ -214,6 +240,19 @@ class TestCommands:
                  "--out", str(tmp_path / "y.csv")])
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
+
+    def test_psi_trace_non_hyperbolic_word(self, surface_config, tmp_path, capsys):
+        argv = ["psi-trace", "--config", str(surface_config), "--word", "aA"]
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: word 'aA' is not hyperbolic" in capsys.readouterr().err
+
+    def test_psi_trace_exhausted_depth(self, tmp_path, capsys):
+        # a^k b needs a depth cap above k, so it fails at cap 2
+        cfg = tmp_path / "shallow.json"
+        cfg.write_text(json.dumps({"n": 2, "tracer": {"depth_cap": 2}}))
+        argv = ["psi-trace", "--config", str(cfg), "--word", "aaab"]
+        assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("relation failure: ")
 
     def test_fuchsian_gen_round_trips_through_invariants(self, tmp_path):
         gen = tmp_path / "gen.json"

@@ -17,7 +17,6 @@ from hitchin.linalg import (
     Flag,
     Subspace,
     WeylChamberPoint,
-    cartan_projection,
     det,
     draw_generic,
     is_generic_triple,
@@ -433,30 +432,6 @@ class TestProjections:
             assert wp.entries == pytest.approx(
                 (math.log(2), 0.0, -math.log(2)), abs=1e-8
             )
-
-    def test_cartan_identity_and_rotation(self):
-        assert cartan_projection(np.eye(3)).entries == pytest.approx((0, 0, 0))
-        rot = [[0, -1], [1, 0]]
-        assert cartan_projection(rot).entries == pytest.approx((0, 0))
-
-    def test_cartan_diagonal(self):
-        wp = cartan_projection([[3, 0], [0, 1 / 3]])
-        assert wp.entries == pytest.approx((math.log(3), -math.log(3)))
-
-    def test_cartan_power_approximates_jordan(self, rng):
-        # entries of jordan(m) vs cartan(m^k)/k at k = 64; eigenvalue spread
-        # kept mild so the 64th power stays within float64 SVD resolution
-        state = np.random.RandomState(7)
-        for _ in range(5):
-            q, _ = np.linalg.qr(state.normal(size=(3, 3)))
-            p = q + 0.15 * state.uniform(-1, 1, (3, 3))
-            if abs(np.linalg.det(p)) < 0.1:
-                continue
-            m = p @ np.diag([1.25, 1.0, 0.8]) @ np.linalg.inv(p)
-            jp = jordan_projection(m).entries
-            mk = np.linalg.matrix_power(m, 64)
-            cp = [x / 64 for x in cartan_projection(mk).entries]
-            assert cp == pytest.approx(jp, abs=0.05)
 
 
 class TestWeylChamberPoint:

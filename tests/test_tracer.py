@@ -10,7 +10,9 @@ from hitchin.fuchsian import (
     BPoint,
     boundary_cross_ratio,
     genus2_surface,
+    MAT2_ID,
     in_arc,
+    mat2_eq_projective,
     mat2_inv,
     mat2_mul,
     mobius,
@@ -22,7 +24,7 @@ from hitchin.pants import standard_genus2
 from hitchin.tracer import (
     EDGE_ENDS,
     FAN_LOCATE_RADIUS,
-    FAN_NEIGHBOR_OFFSET,
+    FAN_ORDER,
     VERTEX_FANS,
     CountPair,
     EdgeLift,
@@ -31,6 +33,7 @@ from hitchin.tracer import (
     PsiTuple,
     TraceError,
     TriangleLift,
+    VertexLift,
     cyclic_equal,
     r_and_s,
     shared_letter,
@@ -356,16 +359,21 @@ class FullScans:
         g_inv = mat2_inv(gamma)
         return mobius(g_inv, xm), mobius(g_inv, xp)
 
-    def window_end(self, vp, kind, xm, xp):
-        """The least k whose fan edge crosses the axis, or None; every larger
-        k must cross too."""
-        edges = self._fan_orbit(vp, kind)
+    def window_end(self, vp, xm, xp):
+        """The least m in [-2 cap, 2 cap - 1] whose fan edge at vp (both
+        families in ``FAN_ORDER``) crosses the axis, or None; every larger
+        m must cross too."""
         xm, xp = self._in_frame(vp.gamma, xm, xp)
-        ks = [k for k in range(-self.cap, self.cap + 1) if separates(*edges[k], xm, xp)]
-        if not ks:
+
+        def crossing(m):
+            kind = FAN_ORDER[vp.letter][m % 2]
+            return separates(*self._fan_orbit(vp, kind)[m // 2], xm, xp)
+
+        ms = [m for m in range(-2 * self.cap, 2 * self.cap) if crossing(m)]
+        if not ms:
             return None
-        assert ks == list(range(ks[0], self.cap + 1)), "crossing fan edges are not a tail"
-        return ks[0]
+        assert ms == list(range(ms[0], 2 * self.cap)), "crossing fan edges are not a tail"
+        return ms[0]
 
     def fan_locate(self, v, xm, xp):
         """(kind, k) of the first fan edge at v with |k| < FAN_LOCATE_RADIUS
@@ -382,20 +390,19 @@ class FullScans:
 
 class TestWindowOracles:
     def test_windows_match_full_scans(self, surface):
-        """Every window search, fan locate and fan neighbour met on the
-        golden words agrees with its full scan or arc test.
+        """Every window search, fan locate and leaf jump met on the golden
+        words agrees with its full scan or arc test.
 
         The golden words wind a few times at most, so a cap of 16 traces
         them all and keeps the scans short.  Both outcomes of the fan
-        locate and every (letter, family) row of the fan-neighbour table
-        occur on them.
+        locate and an exit edge of every (letter, family) occur on them.
         """
         tracer = PsiTracer(surface, n=2, depth_cap=16)
         scans = FullScans(tracer)
         winding, window_end = tracer._winding, tracer._crossing_window_end
-        fan_locate, fan_neighbor = tracer._fan_locate, tracer._fan_neighbor_toward_leaf
+        fan_locate, leaf_jump = tracer._fan_locate, tracer._leaf_jump
         calls = {"winding": 0, "window_end": 0, "fan_edge": 0, "fan_triangle": 0}
-        neighbor_pairs = set()
+        exit_pairs = set()
 
         def checked_winding(pending, xm, xp):
             expect = scans.winding(pending, xm, xp)
@@ -408,9 +415,9 @@ class TestWindowOracles:
             calls["winding"] += 1
             return got
 
-        def checked_window_end(vp, kind, xm, xp):
-            got = window_end(vp, kind, xm, xp)
-            assert got == scans.window_end(vp, kind, xm, xp)
+        def checked_window_end(vp, xm, xp):
+            got = window_end(vp, xm, xp)
+            assert got == scans.window_end(vp, xm, xp)
             calls["window_end"] += 1
             return got
 
@@ -425,30 +432,35 @@ class TestWindowOracles:
                 calls["fan_edge"] += 1
             return got
 
-        def checked_fan_neighbor(vp, kind, k_exit):
-            """The returned edge is the other family's one between exit
-            edges k_exit and k_exit + 1: its far end lies strictly inside
-            their far ends' arc away from vp."""
-            got = fan_neighbor(vp, kind, k_exit)
+        def checked_leaf_jump(pivot, xm, xp):
+            """The exit edge is fan edge m_end, where the pivot leaves vp,
+            and pred is the fan edge between it and m_end + 2: its far end
+            lies strictly inside their far ends' arc away from vp, and the
+            walk from it stays at vp."""
+            pred, exit_edge, vp = leaf_jump(pivot, xm, xp)
+            m_end = scans.window_end(vp, xm, xp)
+            assert PsiTracer.same_edge(exit_edge, tracer.fan_edge_at(vp, m_end))
             ends = [
-                tracer.point(tracer.fan_edge(vp, kind, k).far_end(vp.letter))
-                for k in (k_exit, k_exit + 1)
+                tracer.point(tracer.fan_edge_at(vp, m).far_end(vp.letter))
+                for m in (m_end, m_end + 2)
             ]
             if in_arc(tracer.point(vp), *ends):
                 ends.reverse()
-            assert got.kind != kind
-            assert in_arc(tracer.point(got.far_end(vp.letter)), *ends)
-            neighbor_pairs.add((vp.letter, kind))
-            return got
+            assert pred.kind != exit_edge.kind
+            assert in_arc(tracer.point(pred.far_end(vp.letter)), *ends)
+            assert tracer._step(exit_edge, xm, xp)[1].letter != vp.letter
+            assert tracer._step(pred, xm, xp)[1].letter == vp.letter
+            exit_pairs.add((vp.letter, exit_edge.kind))
+            return pred, exit_edge, vp
 
         tracer._winding = checked_winding
         tracer._crossing_window_end = checked_window_end
         tracer._fan_locate = checked_fan_locate
-        tracer._fan_neighbor_toward_leaf = checked_fan_neighbor
+        tracer._leaf_jump = checked_leaf_jump
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
         assert all(calls.values()), calls
-        assert neighbor_pairs == set(FAN_NEIGHBOR_OFFSET)
+        assert exit_pairs == {(l, kind) for l, kinds in FAN_ORDER.items() for kind in kinds}
 
     def test_winding_reads_a_local_window(self, surface, monkeypatch):
         """``_winding`` builds the anchors eta w^k outward from k = 0, one
@@ -482,6 +494,24 @@ class TestWindowOracles:
         for word in GOLDEN:
             tracer.trace(word)
         assert products and max(products) <= 16
+
+
+class TestFanOrder:
+    @pytest.mark.parametrize("letter", sorted(FAN_ORDER))
+    def test_neighbours_share_a_triangle(self, tracer2, letter):
+        """Fan edges m and m + 1 at a vertex bound one triangle."""
+
+        def same_triangle(t1, t2):
+            return (t1.pants, t1.prime) == (t2.pants, t2.prime) and mat2_eq_projective(
+                t1.gamma, t2.gamma
+            )
+
+        for pants in range(tracer2.decomp.num_pants):
+            v = VertexLift(MAT2_ID, pants, letter)
+            for m in range(-6, 6):
+                t1 = tracer2.adjacent_triangles(tracer2.fan_edge_at(v, m))
+                t2 = tracer2.adjacent_triangles(tracer2.fan_edge_at(v, m + 1))
+                assert any(same_triangle(a, b) for a in t1 for b in t2), (pants, m)
 
 
 class TestDepthCap:
