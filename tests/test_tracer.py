@@ -10,11 +10,11 @@ from hitchin.fuchsian import (
     BPoint,
     boundary_cross_ratio,
     genus2_surface,
-    MAT2_ID,
     in_arc,
     mat2_eq_projective,
     mat2_inv,
     mat2_mul,
+    MAT2_ID,
     mobius,
     points_equal,
     separates,
