@@ -56,6 +56,13 @@ def parse_scalar(value, exact=False):
     raise ConfigError(f"cannot parse number {value!r}")
 
 
+def _integer(value, what):
+    """A config integer: a JSON integer, never a float, string or boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def format_scalar(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
@@ -126,25 +133,27 @@ class RunConfig:
                     raise ConfigError(f"[{section}] must be an object")
                 _check_keys(section, data[section], keys)
         cfg = cls(raw=data)
-        cfg.n = int(data.get("n", 3))
+        cfg.n = _integer(data.get("n", 3), "n")
         if not 2 <= cfg.n <= 8:
             raise ConfigError(f"n must be in 2..8, got {cfg.n}")
-        cfg.genus = int(data.get("genus", 2))
+        cfg.genus = _integer(data.get("genus", 2), "genus")
         if cfg.genus < 2:
             raise ConfigError("genus must be at least 2")
         decomp_genus = data.get("decomposition", {}).get("standard_genus", cfg.genus)
-        if int(decomp_genus) != cfg.genus:
+        if _integer(decomp_genus, "[decomposition].standard_genus") != cfg.genus:
             raise ConfigError("decomposition genus disagrees with [genus]")
         cfg.backend = data.get("backend", "float64")
         if cfg.backend not in ("exact", "float64"):
             raise ConfigError(f"unknown backend {cfg.backend!r}")
         tracer = data.get("tracer", {})
-        cfg.depth_cap = int(tracer.get("depth_cap", 64))
+        cfg.depth_cap = _integer(tracer.get("depth_cap", 64), "[tracer].depth_cap")
         if cfg.depth_cap < 1:
             raise ConfigError(f"[tracer].depth_cap must be at least 1, got {cfg.depth_cap}")
         cfg.word = tracer.get("word", "")
+        if not isinstance(cfg.word, str):
+            raise ConfigError(f"[tracer].word must be a string, got {cfg.word!r}")
         scan = data.get("scan", {})
-        cfg.steps = int(scan.get("steps", 10))
+        cfg.steps = _integer(scan.get("steps", 10), "[scan].steps")
         if cfg.steps < 0:
             raise ConfigError(f"[scan].steps must be non-negative, got {cfg.steps}")
         cfg.direction = {

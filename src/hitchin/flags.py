@@ -11,14 +11,31 @@ Three constructions feed everything downstream:
 * recovering the fourth line of an edge configuration from its shear
   values by intersecting the hyperplanes each shear pins down.
 
-On exact flags both rebuilds reduce their vectors modulo a shared base
-(``linalg.reduce_modulo``) and work with small integer minors.  In the
+Both rebuilds have a closed form in the coordinate edge frame: exact F
+(or A) the coordinate flag e_1, ..., e_n and H (or B) the reversed one,
+each basis vector up to a nonzero scale, a given line with no zero entry,
+and all triple ratios positive or all shear values nonzero.  There the
+middle flag is G = D u H, with u the totally positive unipotent product,
+over blocks k = 1..n-1 in ascending order and within each over
+p = 0..k-1, of I + a(k, p) E_(s, s+1), s = k - p: the reduced word
+(1; 2, 1; 3, 2, 1; ...) of the longest permutation (Fock-Goncharov's
+snakes, Lusztig's parametrisation).  a(k, 0) = 1 and, for
+1 <= y <= k <= n-2, a(k+1, y) = T_(k+1-y, y, n-k-1) a(k, y-1); that is,
+T_(x,y,z)(F, u H, H) = a(x+y, y) / a(x+y-1, y-1).  D = diag(l_i /
+(u e_n)_i) fixes F, H and every triple ratio and moves G^(1) onto the
+line l, so g_j = D u e_(n+1-j).  The fourth line of an edge is
+d_i = c_i values[1] ... values[i-1].  Positivity makes the triple
+generic, so the closed form never fails.
+
+Every other exact input reduces its vectors modulo a shared base
+(``linalg.reduce_modulo``) and works with small integer minors.  In the
 triple rebuild, index (x, y0, z) reads its two coefficient ratios and its
 hyperplane off 3 x 3 minors modulo F^(x-1) + G^(y0-1) + H^(z-1) (see
 :func:`reconstruct_triple`), and a level is the kernel of its integer
 hyperplane functionals; those kernels seed the rebuilt flag's level memo,
-so no level is reduced again.  A minor scales with every vector in it, but no
-hyperplane moves when a basis vector is rescaled, so primitive integer
+so no level is reduced again (a closed-form flag reduces its levels when
+first asked).  A minor scales with every vector in it, but no hyperplane
+moves when a basis vector is rescaled, so primitive integer
 representatives give the same flag.  Float flags keep the coordinate
 solves and hyperplane meets.
 
@@ -29,11 +46,14 @@ coordinate flag.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .linalg import (
     EXACT,
+    BackendError,
     DegenerateError,
     Flag,
     Subspace,
@@ -145,6 +165,11 @@ def reconstruct_triple(f, h, g_line, ratios):
     line.  So primitive integer representatives give the same flag.
     Float flags solve for the coordinates and meet the spanned
     hyperplanes.
+
+    In the coordinate edge frame with positive ratios and a line with no
+    zero entry, exact flags skip all of this for the closed form
+    G = D u H (module docstring, :func:`_snake_flag`), which cannot fail;
+    zero or negative ratios and any other frame take the elimination.
     """
     n = f.ambient
     backend = f.backend
@@ -153,6 +178,10 @@ def reconstruct_triple(f, h, g_line, ratios):
     g_vec = g_line.line_vector() if isinstance(g_line, Subspace) else tuple(g_line)
     g_basis = [tuple(backend.convert(x) for x in g_vec)]
     if backend.exact:
+        if _coordinate_frame(f, h) and all(g_basis[0]):
+            t = _exact_values(ratios, triple_index_set(n))
+            if t is not None and all(v > 0 for v in t.values()):
+                return _snake_flag(g_basis[0], t)
         return _reconstruct_exact(fb, hb, g_basis, ratios)
 
     for y0 in range(1, n - 1):
@@ -214,6 +243,52 @@ def reconstruct_triple(f, h, g_line, ratios):
             f"vector completes the flag"
         )
     return Flag(g_basis, backend=backend)
+
+
+def _coordinate_frame(f, h):
+    """Whether exact F is the coordinate flag e_1, ..., e_n and H the
+    reversed one e_n, ..., e_1, each basis vector up to a nonzero scale."""
+    n = f.ambient
+    if h.ambient != n or not (f.backend.exact and h.backend.exact):
+        return False
+
+    def on_axis(v, p):
+        return v[p] and not any(v[:p]) and not any(v[p + 1 :])
+
+    return all(
+        on_axis(fv, i) and on_axis(hv, n - 1 - i)
+        for i, (fv, hv) in enumerate(zip(f.compatible_basis(), h.compatible_basis()))
+    )
+
+
+def _exact_values(values, keys):
+    """``values`` at ``keys`` as exact scalars, or None when one is missing
+    or not exact; the elimination path then raises as it always has."""
+    try:
+        return {k: EXACT.convert(values[k]) for k in keys}
+    except (LookupError, BackendError):
+        return None
+
+
+def _snake_flag(line, ratios):
+    """The flag G = D u H of positive ``ratios`` in the coordinate frame,
+    u and D as in the module docstring.  Its levels are left to
+    ``Flag.subspace``, which reduces each one when first asked."""
+    n = len(line)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    a = []
+    for k in range(1, n):
+        # a(k, 0..k-1) from a(k-1, 0..k-2)
+        a = [1] + [ratios[(k - y, y, n - k)] * a[y - 1] for y in range(1, k)]
+        for p, c in enumerate(a):
+            s = k - p
+            # right multiplication by I + c E_(s, s+1) adds c col_s to col_(s+1);
+            # col_s of the product so far is zero below row s
+            cols[s] = [x + c * y for x, y in zip(cols[s], cols[s - 1][:s])] + cols[s][s:]
+    scale = [x / y for x, y in zip(line, cols[-1])]
+    # g_j = D u e_(n+1-j); col_j is zero below row j
+    basis = [[d * x for d, x in zip(scale, col[:j])] + col[j:] for j, col in enumerate(cols, 1)]
+    return Flag(basis[::-1], backend=EXACT)
 
 
 def _reconstruct_exact(fb, hb, g_basis, ratios):
@@ -332,12 +407,28 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     wedge linear in d from the minors with the reduced unit vectors.  One
     nonzero factor scales a level's whole equation, so its kernel, and the
     line, are those of the n x n wedges, which float flags keep.
+
+    In the coordinate edge frame (exact A standard, B reversed, each basis
+    vector up to scale) the level-x quotient is spanned by e_x and
+    e_(x+1), where values[x] = (d_(x+1) / d_x) (c_x / c_(x+1)).  So a line
+    C with no zero entry and nonzero values give the closed form
+    d_i = c_i values[1] ... values[i-1], a transverse line with no zero
+    entry; a zero value takes the elimination, which raises.
     """
     from .invariants import transverse_line
 
     n = a_flag.ambient
     backend = a_flag.backend
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)
+    if (
+        _coordinate_frame(a_flag, b_flag)
+        and len(c_vec) == n
+        and all(isinstance(x, (int, Fraction)) and x for x in c_vec)
+    ):
+        v = _exact_values(values, range(1, n))
+        if v is not None and all(v.values()):
+            prods = itertools.accumulate((v[x] for x in range(1, n)), operator.mul, initial=1)
+            return Subspace.span([[c * p for c, p in zip(c_vec, prods)]], ambient=n, backend=EXACT)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = []
     checks = []

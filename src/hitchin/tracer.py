@@ -78,6 +78,9 @@ _SHARED_LETTER = {
 FAN_ORDER = {"a": ("ac", "ab"), "b": ("ab", "cb"), "c": ("cb", "ac")}
 #: ``_fan_locate`` looks for a separating fan edge with |k| below this
 FAN_LOCATE_RADIUS = 8
+#: steps ``_minimize_g`` takes along a fan family before it gives up; fixed
+#: rather than ``depth_cap``, so the mesh does not depend on the cap
+MESH_SEARCH_CAP = 64
 
 
 class TraceError(RuntimeError):
@@ -440,13 +443,13 @@ class PsiTracer:
         # g is monotone in k; hop toward the g = 1 crossing, then refine
         k = 0
         guard = 0
-        while g_of(far(k)) >= 1.0 and guard < self.depth_cap:
+        while g_of(far(k)) >= 1.0 and guard < MESH_SEARCH_CAP:
             k -= step
             guard += 1
-        while g_of(far(k)) < 1.0 and guard < 2 * self.depth_cap:
+        while g_of(far(k)) < 1.0 and guard < 2 * MESH_SEARCH_CAP:
             k += step
             guard += 1
-        if guard >= 2 * self.depth_cap:
+        if guard >= 2 * MESH_SEARCH_CAP:
             return None
         return far(k), g_of(far(k))
 

@@ -100,6 +100,37 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data,command,message",
+        [
+            # int() would truncate 3.7 to 3
+            ({"n": 3.7}, ["kbound"], "n must be an integer, got 3.7"),
+            # int() would read true as 1
+            ({"genus": True}, ["kbound"], "genus must be an integer, got True"),
+            (
+                {"decomposition": {"standard_genus": "2"}},
+                ["kbound"],
+                "[decomposition].standard_genus must be an integer, got '2'",
+            ),
+            (
+                {"tracer": {"depth_cap": "x"}},
+                ["psi-trace", "--word", "ab"],
+                "[tracer].depth_cap must be an integer, got 'x'",
+            ),
+            ({"scan": {"steps": "3.5"}}, ["entropy-scan"], "[scan].steps must be an integer, got '3.5'"),
+            ({"tracer": {"word": 5}}, ["psi-trace"], "[tracer].word must be a string, got 5"),
+        ],
+    )
+    def test_field_types_checked(self, tmp_path, capsys, data, command, message):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(data)
+        cfg = tmp_path / "types.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_surface_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "identity_a1.json"
         cfg.write_text(json.dumps({"n": 2, "surface": {"a1": [[1, 0], [0, 1]]}}))

@@ -272,16 +272,97 @@ class TestReconstructionMatchesHyperplanes:
         # checks pass, F and H are transverse modulo G^(y0), and in a frame
         # where they are standard and reversed the level's functionals are
         # e_x - beta_x e_(x+1), independent for every beta.  So stand in a
-        # kernel that is too large.
+        # kernel that is too large.  Negative ratios keep the frame off the
+        # closed form, which builds no kernel.
         n = 4
         def too_large(cls, rows, ambient):
             return Subspace.full(ambient, EXACT)
 
         monkeypatch.setattr(Subspace, "kernel", classmethod(too_large))
         f, h = Flag.standard(n), Flag.reversed_standard(n)
-        ratios = {idx: Fraction(2) for idx in triple_index_set(n)}
+        ratios = {idx: Fraction(-2) for idx in triple_index_set(n)}
         with pytest.raises(DegenerateError, match="^hyperplane intersection at level 1"):
             reconstruct_triple(f, h, Subspace.span([(1,) * n]), ratios)
+
+
+def coordinate_frame_data(data, n):
+    """A coordinate frame with each basis vector scaled, a line with nonzero
+    entries of mixed signs, positive triple ratios and nonzero shear values
+    of mixed signs, all of one height (``small`` or ``dyadic``)."""
+    entry = HEIGHTS[data.draw(st.sampled_from(("small", "dyadic")))]
+    r = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def nonzero():
+        while True:
+            value = entry(r)
+            if value:
+                return value
+
+    f = Flag([[nonzero() if j == i else 0 for j in range(n)] for i in range(n)])
+    h = Flag([[nonzero() if j == n - 1 - i else 0 for j in range(n)] for i in range(n)])
+    line = tuple(nonzero() for _ in range(n))
+    ratios = {idx: abs(nonzero()) for idx in triple_index_set(n)}
+    values = {x: nonzero() for x in range(1, n)}
+    return f, h, line, ratios, values
+
+
+class TestCoordinateFrameClosedForm:
+    """Positive data in the coordinate frame takes the closed form."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_hyperplanes_and_round_trips(self, data):
+        n = data.draw(st.integers(2, 8))
+        f, h, line, ratios, values = coordinate_frame_data(data, n)
+        got = reconstruct_triple(f, h, line, ratios)
+        assert got == reconstruct_triple_hyperplanes(f, h, line, ratios)
+        assert got.subspace(1) == Subspace.span([line])
+        assert extract_triple_ratios(f, got, h) == ratios
+        d_line = recover_fourth_line_from_values(f, h, line, values)
+        assert extract_shear_values(f, h, line, d_line) == values
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_nonpositive_data_keeps_the_elimination_outcome(self, data):
+        n = data.draw(st.integers(3, 6))
+        f, h, line, ratios, values = coordinate_frame_data(data, n)
+        idx = data.draw(st.sampled_from(triple_index_set(n)))
+        ratios[idx] = data.draw(st.sampled_from((0, -1, Fraction(-2, 3), -ratios[idx])))
+        got = reconstruction_outcome(reconstruct_triple, f, h, line, ratios)
+        assert got == reconstruction_outcome(reconstruct_triple_hyperplanes, f, h, line, ratios)
+        values[data.draw(st.integers(1, n - 1))] = 0
+        with pytest.raises(DegenerateError):
+            recover_fourth_line_from_values(f, h, line, values)
+
+    def test_closed_form_runs_no_elimination(self, monkeypatch):
+        import hitchin.flags
+        import hitchin.linalg
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (hitchin.flags, hitchin.linalg):
+            monkeypatch.setattr(module, "reduce_modulo", counted("reduce_modulo", module.reduce_modulo))
+        kernel = counted("kernel", Subspace.kernel)
+        monkeypatch.setattr(Subspace, "kernel", classmethod(lambda cls, *args: kernel(*args)))
+        n = 5
+        f, h = Flag.standard(n), Flag.reversed_standard(n)
+        line = (Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-1, 5), Fraction(7))
+        ratios = {idx: Fraction(k + 1, 3) for k, idx in enumerate(triple_index_set(n))}
+        d_line = recover_fourth_line_from_values(f, h, line, {1: -2, 2: 3, 3: Fraction(-1, 2), 4: 5})
+        for g_line in (line, d_line):
+            reconstruct_triple(f, h, g_line, ratios)
+        assert calls == []
+        # the counters do see the elimination off the closed form
+        ratios[(1, 1, 3)] = Fraction(-1)
+        reconstruct_triple(f, h, line, ratios)
+        assert {"reduce_modulo", "kernel"} <= set(calls)
 
 
 class TestRatioEscape:

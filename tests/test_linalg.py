@@ -368,8 +368,9 @@ class TestFlags:
 
         f = random_flag(rng, 5)
         flags = [f, Flag([tuple(map(float, v)) for v in f.compatible_basis()])]
-        # exact reconstruct_triple seeds its flag's levels with the meets it
-        # computed; on edge-frame inputs like the exact_edge pool's
+        # exact reconstruct_triple's flags: on edge-frame inputs like the
+        # exact_edge pool's, closed-form bases whose levels reduce lazily;
+        # with a negative ratio, elimination seeds the levels with its meets
         small = lambda: Fraction(rng.randint(1, 9), rng.randint(1, 9))  # noqa: E731
         dyadic = lambda: Fraction(math.exp(rng.uniform(-2.0, 2.0)))  # noqa: E731
         for n in range(3, 9):
@@ -379,6 +380,8 @@ class TestFlags:
                 d_line = recover_fourth_line_from_values(a, b, ones, {x: -value() for x in range(1, n)})
                 for line in (ones, d_line):
                     ratios = {i: value() for i in triple_index_set(n)}
+                    flags.append(reconstruct_triple(a, b, line, ratios))
+                    ratios[(1, 1, n - 2)] *= -1
                     flags.append(reconstruct_triple(a, b, line, ratios))
         for flag in flags:
             basis = flag.compatible_basis()

@@ -551,6 +551,17 @@ class TestDepthCap:
         assert failing == powers | self.POOL_FAILING[cap]
 
 
+class TestMeshIndependentOfCap:
+    @pytest.mark.parametrize("cap", (1, 2, 3, 4))
+    def test_small_caps_build_the_default_mesh(self, surface, cap):
+        # at cap 1 a depth_cap-sized search on curve 2 missed the (c, ac)
+        # minimum g = 8.41 and took (c, cb)'s 74.73
+        default = PsiTracer(surface, n=2, depth_cap=64)
+        tracer = PsiTracer(surface, n=2, depth_cap=cap)
+        for curve in range(3):
+            assert tracer.mesh(curve) == default.mesh(curve)
+
+
 class TestWindingValues:
     def test_reference_windings(self, tracer2):
         # frozen from the exact tracer; the full-scan and windowed search
