@@ -18,7 +18,7 @@ import time
 from . import __version__
 from .config import ConfigError, RunConfig, invariants_to_dict, params_to_dict
 from .linalg import DegenerateError
-from .pants import CLOSED_LEAF_TOL, check_closed_leaf, xi_forward, xi_inverse
+from .pants import check_closed_leaf, closed_leaf_tol, xi_forward, xi_inverse
 from .tracer import TraceError
 
 EXIT_OK = 0
@@ -55,7 +55,7 @@ def cmd_invariants(cfg, out_path):
         for kind, ident, relation, k, v in report.rows()
     ]
     _write_csv(out_path, ("kind", "id", "relation", "k", "value"), rows, cfg)
-    tol = 0 if cfg.exact else CLOSED_LEAF_TOL
+    tol = closed_leaf_tol(invariants)
     for (cid, k), r in sorted(report.equality_residuals.items()):
         if r > tol:
             print(

@@ -27,17 +27,12 @@ line l, so g_j = D u e_(n+1-j).  The fourth line of an edge is
 d_i = c_i values[1] ... values[i-1].  Positivity makes the triple
 generic, so the closed form never fails.
 
-Every other exact input reduces its vectors modulo a shared base
-(``linalg.reduce_modulo``) and works with small integer minors.  In the
-triple rebuild, index (x, y0, z) reads its two coefficient ratios and its
-hyperplane off 3 x 3 minors modulo F^(x-1) + G^(y0-1) + H^(z-1) (see
-:func:`reconstruct_triple`), and a level is the kernel of its integer
-hyperplane functionals; those kernels seed the rebuilt flag's level memo,
-so no level is reduced again (a closed-form flag reduces its levels when
-first asked).  A minor scales with every vector in it, but no hyperplane
-moves when a basis vector is rescaled, so primitive integer
-representatives give the same flag.  Float flags keep the coordinate
-solves and hyperplane meets.
+Every other input, exact or float, takes one elimination.  The triple
+rebuild reads each index's two coefficient ratios off the coordinates of
+f_(x+1) and h_(z+1) and meets the hyperplanes they pin down (see
+:func:`reconstruct_triple`); the fourth line is the kernel of the n - 1
+wedge functionals its shear values give (see
+:func:`recover_fourth_line_from_values`).
 
 Conventions: a projective-line point [s:t] is the column vector (s, t);
 the flag base point is [1:0], whose osculating flag is the standard
@@ -58,10 +53,7 @@ from .linalg import (
     Flag,
     Subspace,
     det,
-    det3,
     nullspace,
-    primitive,
-    reduce_modulo,
     rref,
     wedge_det,
 )
@@ -153,18 +145,11 @@ def reconstruct_triple(f, h, g_line, ratios):
 
         c_low / c_mid = [h_(z+1) g_y0 h_z] / [f_x h_(z+1) h_z]
 
-    (those of h_(z+1) on f_x and on g_y0).  The new level satisfies
-    [g_y0, beta f_x + h_z, d] = 0 for d in it, with beta = -T (a_mid /
-    a_top) (c_low / c_mid).  Exact flags take every bracket as a 3 x 3
-    minor of the vectors reduced modulo that base, and the functional in d
-    from the reduced unit vectors; the level is the kernel of the
-    n - y0 - 1 integer functionals (``Subspace.kernel``).  Per-vector
-    scales cancel: f_(x+1) and h_(z+1) appear in numerator and
-    denominator alike, a scale on g_y0 enters the two ratios inversely,
-    and one on f_x or h_z changes beta so that beta f_x + h_z keeps its
-    line.  So primitive integer representatives give the same flag.
-    Float flags solve for the coordinates and meet the spanned
-    hyperplanes.
+    (those of h_(z+1) on f_x and on g_y0).  With beta = -T (a_mid / a_top)
+    (c_low / c_mid), the hyperplane spanned by that base, g_y0 and
+    beta f_x + h_z contains the next level, which is the meet of the
+    n - y0 - 1 hyperplanes of the level.  Both backends solve for the
+    coordinates (:func:`_coordinates`) and meet the spanned hyperplanes.
 
     In the coordinate edge frame with positive ratios and a line with no
     zero entry, exact flags skip all of this for the closed form
@@ -177,12 +162,10 @@ def reconstruct_triple(f, h, g_line, ratios):
     hb = h.compatible_basis()
     g_vec = g_line.line_vector() if isinstance(g_line, Subspace) else tuple(g_line)
     g_basis = [tuple(backend.convert(x) for x in g_vec)]
-    if backend.exact:
-        if _coordinate_frame(f, h) and all(g_basis[0]):
-            t = _exact_values(ratios, triple_index_set(n))
-            if t is not None and all(v > 0 for v in t.values()):
-                return _snake_flag(g_basis[0], t)
-        return _reconstruct_exact(fb, hb, g_basis, ratios)
+    if backend.exact and _coordinate_frame(f, h) and all(g_basis[0]):
+        t = _exact_values(ratios, triple_index_set(n))
+        if t is not None and all(v > 0 for v in t.values()):
+            return _snake_flag(g_basis[0], t)
 
     for y0 in range(1, n - 1):
         hyperplanes = []
@@ -291,86 +274,9 @@ def _snake_flag(line, ratios):
     return Flag(basis[::-1], backend=EXACT)
 
 
-def _reconstruct_exact(fb, hb, g_basis, ratios):
-    """:func:`reconstruct_triple` on exact flags, by reduction modulo the
-    base F^(x-1) + G^(y0-1) + H^(z-1) of each index.
-
-    Level y0 + 1 of G is the meet of its hyperplanes, a canonical RREF
-    subspace equal to the span of the first y0 + 1 basis vectors, so the
-    meets seed the new flag's level memo."""
-    n = len(fb)
-    fi = [primitive(v) for v in fb]
-    hi = [primitive(v) for v in hb]
-    gi = [primitive(g_basis[0])]
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    current = Subspace.span(g_basis, ambient=n, backend=EXACT)
-    levels = [current]
-    for y0 in range(1, n - 1):
-        rows = []
-        for x in range(1, n - y0):
-            z = n - x - y0
-            t_val = ratios[(x, y0, z)]
-            base = fi[: x - 1] + gi[: y0 - 1] + hi[: z - 1]
-            try:
-                f0, f1, g, h0, h1, *es = reduce_modulo(
-                    [fi[x - 1], fi[x], gi[y0 - 1], hi[z - 1], hi[z]] + units, base
-                )
-            except DegenerateError:
-                raise DegenerateError("coordinate basis is degenerate") from None
-            if det3(f0, g, h0) == 0:
-                raise DegenerateError("coordinate basis is degenerate")
-            a_mid, a_top = det3(f0, f1, h0), det3(f0, g, f1)
-            c_low, c_mid = det3(h1, g, h0), det3(f0, h1, h0)
-            if a_top == 0 or a_mid == 0 or c_mid == 0 or c_low == 0:
-                raise DegenerateError(
-                    f"ratio data forces a degenerate configuration at level {y0}"
-                )
-            t_val = EXACT.convert(t_val)
-            # p = den * (beta f_x + h_z) with beta = num / den; the functional
-            # d -> [g_y0, p, d] is w . d for w = g_y0 x p, kept primitive so
-            # the level's elimination works on small integers
-            num = -t_val.numerator * a_mid * c_low
-            den = t_val.denominator * a_top * c_mid
-            p = [num * a + den * b for a, b in zip(f0, h0)]
-            w = (
-                g[1] * p[2] - g[2] * p[1],
-                g[2] * p[0] - g[0] * p[2],
-                g[0] * p[1] - g[1] * p[0],
-            )
-            rows.append(primitive([w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in es]))
-        meet = Subspace.kernel(rows, n)
-        if meet.dim != y0 + 1:
-            raise DegenerateError(
-                f"hyperplane intersection at level {y0} has dimension {meet.dim}"
-            )
-        if any(sum(a * b for a, b in zip(row, v)) for row in rows for v in gi):
-            raise DegenerateError("reconstructed level does not extend the flag")
-        new_vec = next((v for v in meet.basis if not current.contains(v)), None)
-        if new_vec is None:
-            raise DegenerateError(
-                f"reconstructed level {y0 + 1} does not extend level {y0}"
-            )
-        g_basis.append(new_vec)
-        gi.append(primitive(new_vec))
-        levels.append(meet)
-        current = meet
-    if current.dim != n - 1:
-        raise DegenerateError(
-            f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
-            f"vector completes the flag"
-        )
-    g_basis.append(next(e for e in Subspace.full(n, EXACT).basis if not current.contains(e)))
-    flag = Flag(g_basis, backend=EXACT)
-    flag._levels.update(enumerate(levels, start=1))
-    return flag
-
-
 def _coordinates(basis, vector, backend):
-    """Coordinates of ``vector`` in ``basis`` (must be a basis of R^n).
-
-    Float reconstruction only: exact flags take coefficient ratios from
-    minors instead.  It goes when the scan reconstructs on exact flags.
-    """
+    """Coordinates of ``vector`` in ``basis`` (must be a basis of R^n), on
+    either backend; the triple rebuild's coefficient ratios come from them."""
     n = len(vector)
     rows = [tuple(col) for col in zip(*basis, vector)]
     red, piv = rref(rows, backend, ncols=n + 1)
@@ -401,12 +307,9 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     ``values[x]`` = (A, C, D, B)_{A^(x-1)+B^(n-x-1)} for x in 1..n-1; a
     shear sigma gives the value -exp(sigma).  Each value pins the
     hyperplane A^(x-1) + B^(n-x-1) + D, and the n-1 hyperplanes intersect
-    in the line D.  Exact scalars keep the whole computation exact.  On
-    exact flags every wedge [M u w] of a level comes from the 2 x 2 minor
-    of u and w reduced modulo its base M (``linalg.reduce_modulo``), and a
-    wedge linear in d from the minors with the reduced unit vectors.  One
-    nonzero factor scales a level's whole equation, so its kernel, and the
-    line, are those of the n x n wedges, which float flags keep.
+    in the line D.  Each hyperplane's functional comes from the cofactors
+    of the n x n wedges linear in d, on either backend; exact scalars keep
+    the whole computation exact.
 
     In the coordinate edge frame (exact A standard, B reversed, each basis
     vector up to scale) the level-x quotient is spanned by e_x and
@@ -429,12 +332,11 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
         if v is not None and all(v.values()):
             prods = itertools.accumulate((v[x] for x in range(1, n)), operator.mul, initial=1)
             return Subspace.span([[c * p for c, p in zip(c_vec, prods)]], ambient=n, backend=EXACT)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rows = []
     checks = []
     for x in range(1, n):
         y = n - x
-        v = backend.convert(values[x]) if backend.exact else float(values[x])
+        v = backend.convert(values[x])
         m_rows = list(a_flag.subspace(x - 1).basis) + list(
             b_flag.subspace(y - 1).basis
         )
@@ -442,24 +344,17 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
         a_line = transverse_line(a_flag, x - 1)
         b_line = transverse_line(b_flag, y - 1)
         # v = [M a d][M b c] / ([M a c][M b d]) is linear in d
-        if backend.exact:
-            pa, pb, pc, *pe = reduce_modulo([a_line, b_line, c_vec] + units, m_rows)
-            w_ad = tuple(pa[0] * e[1] - pa[1] * e[0] for e in pe)
-            w_bd = tuple(pb[0] * e[1] - pb[1] * e[0] for e in pe)
-            k_bc = pb[0] * pc[1] - pb[1] * pc[0]
-            k_ac = pa[0] * pc[1] - pa[1] * pc[0]
-        else:
-            w_ad = _partial_wedge_functional(m_rows + [a_line], backend)
-            w_bd = _partial_wedge_functional(m_rows + [b_line], backend)
-            k_bc = wedge_det(m_rows + [b_line, c_vec])
-            k_ac = wedge_det(m_rows + [a_line, c_vec])
+        w_ad = _partial_wedge_functional(m_rows + [a_line], backend)
+        w_bd = _partial_wedge_functional(m_rows + [b_line], backend)
+        k_bc = wedge_det(m_rows + [b_line, c_vec])
+        k_ac = wedge_det(m_rows + [a_line, c_vec])
         if k_ac == 0 or k_bc == 0:
             raise DegenerateError("edge configuration is not generic")
         row = tuple(
             wa * k_bc - v * k_ac * wb for wa, wb in zip(w_ad, w_bd)
         )
         rows.append(row)
-        checks += [(m_rows, a_line, w_ad), (m_rows, b_line, w_bd)]
+        checks += [m_rows + [a_line], m_rows + [b_line]]
     kernel = nullspace(rows, backend, n)
     if len(kernel) != 1:
         raise DegenerateError(
@@ -469,13 +364,8 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     # the recovered line must be transverse to every M + A and M + B; in
     # floats, up to rounding at the scale of the kernel vector
     tol = 0 if backend.exact else 1e-12 * max(1.0, max(abs(x) for x in d_vec))
-    for m_rows, other, w_od in checks:
-        if backend.exact:
-            # [M other d] up to the level's nonzero factor
-            wedge = sum(w * d for w, d in zip(w_od, d_vec))
-        else:
-            wedge = wedge_det(m_rows + [other, d_vec])
-        if abs(wedge) <= tol:
+    for m_other in checks:
+        if abs(wedge_det(m_other + [d_vec])) <= tol:
             raise DegenerateError("shear data forces a degenerate fourth line")
     return Subspace.span(kernel, ambient=n, backend=backend)
 

@@ -105,7 +105,7 @@ def cross_ratios(lines, base, orders):
             f"cross ratio base must have dimension {n - 2}, got {len(mrows)}"
         )
     if exact:
-        pts = reduce_modulo(reps, base if isinstance(base, Subspace) else mrows)
+        pts = reduce_modulo(reps, mrows)
         for order in orders:
             yield _plane_cross_ratio(*(pts[i] for i in order))
     else:

@@ -6,13 +6,14 @@ intersections of subspaces, and rank decisions, on one of two backends;
 a computation never mixes them.
 
 * The exact backend works over ``fractions.Fraction``, where identities
-  hold on the nose.  Its determinant, rank, RREF and kernel all come from
-  one fraction-free (Bareiss) Gauss-Jordan elimination on integer rows,
-  ``_eliminate``.  ``reduce_modulo`` reads vectors modulo a base in
-  integer coordinates, which turns wedges that share that base into small
-  minors.  A base row that is a coordinate vector e_p just drops column
-  p, so only the other rows are eliminated, over the columns left, and
-  the common factor of the coordinates is the last pivot of that rest.
+  hold on the nose.  Its determinant, rank and RREF (and so its null
+  spaces and subspace meets) all come from one fraction-free (Bareiss)
+  Gauss-Jordan elimination on integer rows, ``_eliminate``.
+  ``reduce_modulo`` reads vectors modulo a base in integer coordinates,
+  which turns wedges that share that base into small minors.  A base
+  row that is a coordinate vector e_p just drops column p, so only the
+  other rows are eliminated, over the columns left, and the common factor
+  of the coordinates is the last pivot of that rest.
 * The float64 backend takes determinants from ``numpy.linalg.det`` and
   row-reduces with partial pivoting, deciding rank with the relative
   pivot threshold ``PIVOT_RTOL``.
@@ -93,12 +94,6 @@ class Backend:
 
     def one(self):
         return Fraction(1) if self.exact else 1.0
-
-    def is_zero(self, x, scale=None):
-        if self.exact:
-            return x == 0
-        tol = PIVOT_RTOL * max(1.0, scale if scale else 1.0)
-        return abs(x) <= tol
 
 
 EXACT = Backend("exact")
@@ -197,9 +192,9 @@ def _eliminate(a, ncols, reduce_above=True):
 def reduce_modulo(vectors, base):
     """Integer coordinates of exact vectors modulo the span of ``base``.
 
-    ``base`` is a :class:`Subspace` or a list of m independent rational
-    rows in R^n.  Each vector v is reduced modulo the base and read off in
-    the k = n - m columns without a pivot:
+    ``base`` is a list of m independent rational rows in R^n.  Each
+    vector v is reduced modulo the base and read off in the k = n - m
+    columns without a pivot:
 
         coords(v) = c * s_v * (v - sum_i v[p_i] r_i)[free columns],
 
@@ -207,44 +202,35 @@ def reduce_modulo(vectors, base):
     lcm of v's denominators and c != 0 is one factor common to all vectors.
     So for k vectors, the k x k determinant of their coordinates is
     [base ^ v_1 ^ ... ^ v_k] times c^k * s_1 * ... * s_k and a nonzero
-    factor that depends only on the base.  A Subspace already holds RREF
-    rows, which only need a common denominator (c is its lcm).
+    factor that depends only on the base.
 
-    Raw rows set their unit rows aside first: a row with one nonzero entry,
-    in a column p no earlier such row took, spans the coordinate line e_p.
+    The unit rows are set aside first: a row with one nonzero entry, in
+    a column p no earlier such row took, spans the coordinate line e_p.
     Then p is a pivot and e_p its RREF row, which is 0 in every free
     column, so reducing modulo it just drops column p.  The other rows go
     through ``_eliminate`` over the columns left (c is its last pivot, or
     1 when no row is left); in a frame where two flags are coordinate
     flags, that is the third flag's rows in the middle columns.  Raises
-    DegenerateError naming the rank of the whole base when the raw rows
-    are dependent.
+    DegenerateError naming the rank of the whole base when its rows are
+    dependent.
     """
-    if isinstance(base, Subspace):
-        ncols = base.ambient
-        cols = range(ncols)
-        c = math.lcm(*(x.denominator for row in base.basis for x in row))
-        rows = [[x.numerator * (c // x.denominator) for x in row] for row in base.basis]
-        # a RREF row leads with its pivot
-        piv = [next(j for j, x in enumerate(row) if x) for row in rows]
-    else:
-        ncols = len(vectors[0])
-        units = set()
-        rest = []
-        for row in base:
-            support = [j for j, x in enumerate(row) if x]
-            if len(support) == 1 and support[0] not in units:
-                units.add(support[0])
-            else:
-                rest.append(row)
-        cols = [j for j in range(ncols) if j not in units]
-        rows, _ = _integer_rows([[row[j] for j in cols] for row in rest])
-        piv = _eliminate(rows, len(cols))[0]
-        if len(piv) < len(rows):
-            raise DegenerateError(
-                f"base of {len(base)} rows is rank-deficient: rank {len(units) + len(piv)}"
-            )
-        c = rows[-1][piv[-1]] if rows else 1
+    ncols = len(vectors[0])
+    units = set()
+    rest = []
+    for row in base:
+        support = [j for j, x in enumerate(row) if x]
+        if len(support) == 1 and support[0] not in units:
+            units.add(support[0])
+        else:
+            rest.append(row)
+    cols = [j for j in range(ncols) if j not in units]
+    rows, _ = _integer_rows([[row[j] for j in cols] for row in rest])
+    piv = _eliminate(rows, len(cols))[0]
+    if len(piv) < len(rows):
+        raise DegenerateError(
+            f"base of {len(base)} rows is rank-deficient: rank {len(units) + len(piv)}"
+        )
+    c = rows[-1][piv[-1]] if rows else 1
     # positions in ``cols`` of the free columns
     free = [j for j in range(len(cols)) if j not in piv]
     out = []
@@ -292,7 +278,7 @@ def det(rows, backend=None):
     return Fraction(sign * a[-1][-1], scale)
 
 
-def wedge_det(vectors, backend=None):
+def wedge_det(vectors):
     """Evaluate v_1 ^ ... ^ v_n under the determinant identification.
 
     The input must be exactly n vectors of dimension n; the result is the
@@ -305,7 +291,7 @@ def wedge_det(vectors, backend=None):
             raise BackendError(
                 f"wedge of {n} vectors needs dimension {n}, got {len(v)}"
             )
-    return det([tuple(v) for v in vectors], backend=backend)
+    return det([tuple(v) for v in vectors])
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +323,7 @@ def rref(rows, backend, ncols=None):
         if r == m:
             break
         piv = max(range(r, m), key=lambda i: abs(a[i][c]))
-        if backend.is_zero(a[piv][c], scale):
+        if abs(a[piv][c]) <= PIVOT_RTOL * max(1.0, scale):
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = 1.0 / a[r][c]
@@ -407,29 +393,6 @@ class Subspace:
                 raise BackendError("span of vectors of mixed dimension")
         red, _ = rref(vectors, backend, ncols=ambient)
         return cls(ambient, red, backend)
-
-    @classmethod
-    def kernel(cls, rows, ambient):
-        """Right kernel of exact rows in R^ambient, from one elimination.
-
-        Eliminating with the columns in reverse order puts the pivots as
-        far right as they go, so the other columns are the first ones the
-        kernel projects onto isomorphically (by matroid duality), which are
-        the pivots of its RREF: the kernel vector with 1 in one of them and
-        0 in the others is an RREF row.
-        """
-        a, _ = _integer_rows([tuple(row[::-1]) for row in rows])
-        piv = _eliminate(a, ambient)[0]
-        d = a[len(piv) - 1][piv[-1]] if piv else 1
-        pivot_rows = {ambient - 1 - c: a[i] for i, c in enumerate(piv)}
-        basis = []
-        for j in range(ambient):
-            if j not in pivot_rows:
-                v = [Fraction(int(k == j)) for k in range(ambient)]
-                for p, row in pivot_rows.items():
-                    v[p] = Fraction(-row[ambient - 1 - j], d)
-                basis.append(tuple(v))
-        return cls(ambient, tuple(basis), EXACT)
 
     @classmethod
     def zero(cls, ambient, backend):

@@ -313,21 +313,30 @@ def slot_boundary_gaps(params, pants, slot):
     return list(gaps) if aligned else list(reversed(gaps))
 
 
+def closed_leaf_tol(invariants):
+    """Tolerance of the closed leaf relations on these invariants: 0 when
+    every tau, tau_prime and sigma value is rational, else
+    ``CLOSED_LEAF_TOL``.  It follows the data, not the config's backend:
+    Fuchsian invariants are floats whatever the backend says."""
+    exact = all(
+        isinstance(v, (Fraction, int))
+        for inv in invariants
+        for values in (inv.tau, inv.tau_prime, inv.sigma)
+        for v in values.values()
+    )
+    return 0 if exact else CLOSED_LEAF_TOL
+
+
 def xi_forward(decomp, invariants, gluing):
     """Assemble modified parameters from per-pants invariants.
 
     Fails if the closed leaf equalities do not hold (within
-    ``CLOSED_LEAF_TOL`` for float data, exactly for rational data) or a
-    boundary point leaves the open chamber, naming the offending curve.
+    :func:`closed_leaf_tol`) or a boundary point leaves the open chamber,
+    naming the offending curve.
     """
     report = check_closed_leaf(decomp, invariants)
     n = invariants[0].n
-    exact = all(
-        isinstance(v, (Fraction, int))
-        for inv in invariants
-        for v in list(inv.tau.values()) + list(inv.sigma.values())
-    )
-    tol = 0 if exact else CLOSED_LEAF_TOL
+    tol = closed_leaf_tol(invariants)
     for (cid, k), r in report.equality_residuals.items():
         if r > tol:
             raise DegenerateError(
@@ -387,9 +396,6 @@ def xi_inverse(params):
         gaps_a = slot_boundary_gaps(params, j, "A")
         gaps_b = slot_boundary_gaps(params, j, "B")
         gaps_c = slot_boundary_gaps(params, j, "C")
-
-        def tri(d, idx):
-            return d.get(idx, 0)
 
         # weighted identity: n * sum_k sigma_(n-k,k,0) =
         #   sum_k (n-k)(gapA_k + gapB_k) - sum_k k gapC_k

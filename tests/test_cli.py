@@ -169,6 +169,46 @@ class TestCommands:
         bad.write_text(json.dumps(data))
         assert run_cli(["invariants", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("name", ("genus2_surface.json", "scan_n3_g2.json"))
+    def test_invariants_exact_backend_on_fuchsian_config(self, name, tmp_path):
+        # Fuchsian invariants are floats whatever the backend says, so their
+        # closed leaf relations hold to rounding, not exactly
+        out = tmp_path / "resid.csv"
+        argv = ["invariants", "--backend", "exact", "--config", str(CONFIG_DIR / name)]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+
+    def test_invariants_exact_data_checked_exactly(self, tmp_path):
+        # the exact invariants of an exact parameter file pass; one shear
+        # moved by far less than CLOSED_LEAF_TOL breaks an equality
+        from fractions import Fraction
+
+        cfg = {
+            "n": 3,
+            "genus": 2,
+            "backend": "exact",
+            "decomposition": {"standard_genus": 2},
+            "parameters": {
+                "boundary": {"0": ["3", "2"], "1": ["1", "5/2"], "2": ["4/3", "1"]},
+                "internal": [
+                    {"tau:1,1,1": "1/2", "sigma:2,1,0": "-2"},
+                    {"tau:1,1,1": "0", "sigma:2,1,0": "7/3"},
+                ],
+                "gluing": {"0": ["0", "1"], "1": ["2", "0"], "2": ["1/2", "-1"]},
+            },
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(cfg))
+        inv_path = tmp_path / "inv.json"
+        argv = ["reparam", "--direction", "inverse", "--config", str(path), "--out", str(inv_path)]
+        assert run_cli(argv) == 0
+        cfg["parameters"] = json.loads(inv_path.read_text())["parameters"]
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["invariants", "--config", str(path), "--out", str(tmp_path / "ok.csv")]) == 0
+        sigma = cfg["parameters"]["invariants"][0]["sigma"]
+        sigma["1,0,2"] = str(Fraction(sigma["1,0,2"]) + Fraction(1, 10**12))
+        path.write_text(json.dumps(cfg))
+        assert run_cli(["invariants", "--config", str(path), "--out", str(tmp_path / "bad.csv")]) == 1
+
     def test_invariants_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 3, "parameters": {"invariants": []}}))

@@ -272,13 +272,14 @@ class TestReconstructionMatchesHyperplanes:
         # checks pass, F and H are transverse modulo G^(y0), and in a frame
         # where they are standard and reversed the level's functionals are
         # e_x - beta_x e_(x+1), independent for every beta.  So stand in a
-        # kernel that is too large.  Negative ratios keep the frame off the
-        # closed form, which builds no kernel.
+        # meet of the hyperplanes that is too large.  Negative ratios keep
+        # the frame off the closed form, which meets no hyperplanes.
         n = 4
-        def too_large(cls, rows, ambient):
-            return Subspace.full(ambient, EXACT)
 
-        monkeypatch.setattr(Subspace, "kernel", classmethod(too_large))
+        def too_large(self, other):
+            return Subspace.full(self.ambient, EXACT)
+
+        monkeypatch.setattr(Subspace, "__and__", too_large)
         f, h = Flag.standard(n), Flag.reversed_standard(n)
         ratios = {idx: Fraction(-2) for idx in triple_index_set(n)}
         with pytest.raises(DegenerateError, match="^hyperplane intersection at level 1"):
@@ -346,9 +347,8 @@ class TestCoordinateFrameClosedForm:
 
             return wrapper
 
-        monkeypatch.setattr(hitchin.flags, "reduce_modulo", counted("reduce_modulo", hitchin.flags.reduce_modulo))
-        kernel = counted("kernel", Subspace.kernel)
-        monkeypatch.setattr(Subspace, "kernel", classmethod(lambda cls, *args: kernel(*args)))
+        monkeypatch.setattr(hitchin.flags, "_coordinates", counted("coordinates", hitchin.flags._coordinates))
+        monkeypatch.setattr(Subspace, "__and__", counted("meet", Subspace.__and__))
         n = 5
         f, h = Flag.standard(n), Flag.reversed_standard(n)
         line = (Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-1, 5), Fraction(7))
@@ -360,7 +360,7 @@ class TestCoordinateFrameClosedForm:
         # the counters do see the elimination off the closed form
         ratios[(1, 1, 3)] = Fraction(-1)
         reconstruct_triple(f, h, line, ratios)
-        assert {"reduce_modulo", "kernel"} <= set(calls)
+        assert {"coordinates", "meet"} <= set(calls)
 
 
 class TestRatioEscape:
