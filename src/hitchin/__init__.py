@@ -17,9 +17,7 @@ from .linalg import (
     DegenerateError,
     Flag,
     Subspace,
-    WeylChamberPoint,
     is_generic_triple,
-    jordan_projection,
     subspace_intersect,
     subspace_sum,
     wedge_det,
@@ -78,7 +76,6 @@ __all__ = [
     "PsiEncoding",
     "PsiTracer",
     "Subspace",
-    "WeylChamberPoint",
     "chain_decomposition",
     "check_closed_leaf",
     "compute_K",
@@ -94,7 +91,6 @@ __all__ = [
     "internal_sequence_scan",
     "is_generic_triple",
     "is_infinite",
-    "jordan_projection",
     "k_edge",
     "lambda_gaps_from_invariants",
     "length_lower_bound",

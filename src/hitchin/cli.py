@@ -18,7 +18,7 @@ import time
 from . import __version__
 from .config import ConfigError, RunConfig, invariants_to_dict, params_to_dict
 from .linalg import DegenerateError
-from .pants import check_closed_leaf, closed_leaf_tol, xi_forward, xi_inverse
+from .pants import PantsDataError, check_closed_leaf, closed_leaf_tol, xi_forward, xi_inverse
 from .tracer import TraceError
 
 EXIT_OK = 0
@@ -466,7 +466,7 @@ def main(argv=None):
         if args.command == "selftest":
             return cmd_selftest(cfg)
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError, KeyError) as exc:
+    except (ConfigError, PantsDataError, FileNotFoundError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (DegenerateError, TraceError) as exc:

@@ -85,6 +85,14 @@ def _str_to_label(text):
     return (kind, parts)
 
 
+def _curve_id(key, section):
+    """A curve id written as a JSON object key in [parameters].<section>."""
+    try:
+        return int(key)
+    except ValueError as exc:
+        raise ConfigError(f"[parameters].{section} key {key!r} is not a curve id") from exc
+
+
 def _check_keys(section, data, allowed):
     unknown = set(data) - allowed
     if unknown:
@@ -238,7 +246,7 @@ class RunConfig:
             }
         out = {}
         for key, vals in raw.items():
-            out[int(key)] = tuple(parse_scalar(v, self.exact) for v in vals)
+            out[_curve_id(key, "gluing")] = tuple(parse_scalar(v, self.exact) for v in vals)
         return out
 
     def hitchin_params(self, decomp=None):
@@ -251,7 +259,7 @@ class RunConfig:
             invs = fuchsian_invariants(self.surface(), self.n)
             return xi_forward(decomp, invs, self.gluing(decomp))
         boundary = {
-            int(k): tuple(parse_scalar(v, self.exact) for v in vals)
+            _curve_id(k, "boundary"): tuple(parse_scalar(v, self.exact) for v in vals)
             for k, vals in params["boundary"].items()
         }
         internal_raw = params.get("internal")
@@ -272,9 +280,12 @@ class RunConfig:
 
     @staticmethod
     def _idx(text):
-        parts = tuple(int(p) for p in text.split(","))
-        if len(parts) != 3:
-            raise ConfigError(f"bad invariant index {text!r}")
+        try:
+            parts = tuple(int(p) for p in text.split(","))
+            if len(parts) != 3:
+                raise ValueError
+        except ValueError as exc:
+            raise ConfigError(f"bad invariant index {text!r}") from exc
         return parts
 
 

@@ -42,7 +42,6 @@ coordinate flag.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from fractions import Fraction
 
@@ -57,7 +56,7 @@ from .linalg import (
     rref,
     wedge_det,
 )
-from .invariants import triple_index_set, triple_ratio
+from .invariants import based_lines, cross_ratio, transverse_line, triple_index_set, triple_ratio
 
 
 def _binary_form_product(p, q):
@@ -88,18 +87,6 @@ def sym_power(matrix, n):
             form = _binary_form_product(form, [b, d])
         cols.append(form)
     return tuple(tuple(cols[i][j] for i in range(n)) for j in range(n))
-
-
-def veronese_vector(point, n):
-    """Binomially weighted rational normal curve value at [s:t].
-
-    nu_j(s,t) = C(n-1,j) s^(n-1-j) t^j, chosen so that
-    nu(m p) = sym_power(m, n) nu(p) exactly.
-    """
-    s, t = point
-    return tuple(
-        math.comb(n - 1, j) * s ** (n - 1 - j) * t ** j for j in range(n)
-    )
 
 
 def _sl2_moving_frame(point):
@@ -173,8 +160,7 @@ def reconstruct_triple(f, h, g_line, ratios):
             z = n - x - y0
             t_val = ratios[(x, y0, z)]
             coords_basis = list(fb[:x]) + g_basis + list(hb[:z])
-            alpha = _coordinates(coords_basis, fb[x], backend)
-            gamma = _coordinates(coords_basis, hb[z], backend)
+            alpha, gamma = _coordinates(coords_basis, (fb[x], hb[z]), backend)
             a_top, a_mid = alpha[n - 1], alpha[x + y0 - 1]
             c_mid, c_low = gamma[x + y0 - 1], gamma[x - 1]
             if a_top == 0 or a_mid == 0 or c_mid == 0 or c_low == 0:
@@ -274,15 +260,16 @@ def _snake_flag(line, ratios):
     return Flag(basis[::-1], backend=EXACT)
 
 
-def _coordinates(basis, vector, backend):
-    """Coordinates of ``vector`` in ``basis`` (must be a basis of R^n), on
+def _coordinates(basis, vectors, backend):
+    """Coordinates of each of ``vectors`` in ``basis`` (must be a basis of
+    R^n), from one row reduction with a right-hand side per vector, on
     either backend; the triple rebuild's coefficient ratios come from them."""
-    n = len(vector)
-    rows = [tuple(col) for col in zip(*basis, vector)]
-    red, piv = rref(rows, backend, ncols=n + 1)
+    n = len(basis)
+    rows = [tuple(col) for col in zip(*basis, *vectors)]
+    red, piv = rref(rows, backend, ncols=n + len(vectors))
     if len(red) != n or piv != tuple(range(n)):
         raise DegenerateError("coordinate basis is degenerate")
-    return tuple(red[i][n] for i in range(n))
+    return [tuple(red[i][n + j] for i in range(n)) for j in range(len(vectors))]
 
 
 def extract_triple_ratios(f, g, h):
@@ -318,8 +305,6 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     d_i = c_i values[1] ... values[i-1], a transverse line with no zero
     entry; a zero value takes the elimination, which raises.
     """
-    from .invariants import transverse_line
-
     n = a_flag.ambient
     backend = a_flag.backend
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)
@@ -378,8 +363,6 @@ def extract_shear_values(a_flag, b_flag, c_line, d_line):
     stacked RREF rows, which ``cross_ratio`` reduces by itself, so a sum
     that is not direct raises its rank error.
     """
-    from .invariants import based_lines, cross_ratio
-
     n = a_flag.ambient
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)
     d_vec = d_line.line_vector() if isinstance(d_line, Subspace) else tuple(d_line)

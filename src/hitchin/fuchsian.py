@@ -70,9 +70,6 @@ class BPoint:
     def rational(cls, x):
         return cls.make(Fraction(x))
 
-    def is_rational(self):
-        return self.d == 0
-
     def sign(self):
         a, b = self.a, self.b
         if b == 0:
@@ -427,13 +424,6 @@ class FuchsianSurfaceData:
     def slot_vertex_attracting(self, pants, letter):
         """Attracting fixed point of the slot word: a_j^+, b_j^+, or c_j^+."""
         return self._slot_fixed_points(pants, letter)[1]
-
-    def length_spectrum(self):
-        """Translation length of each pants curve, keyed by curve id."""
-        return {
-            cid: translation_length(self.matrix(w))
-            for cid, w in self.curve_words.items()
-        }
 
     # -- validation ----------------------------------------------------------
 

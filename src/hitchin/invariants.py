@@ -295,8 +295,8 @@ def eigen_gap_check(matrix, i, j, line):
     V_i, V_j are the eigenlines for the i-th and j-th largest eigenvalue
     moduli (1-indexed, i < j), M the invariant complement spanned by the
     remaining eigenvectors.  For diagonalizable real-split input the value
-    equals exp(lambda_i - lambda_j); the caller compares against
-    :func:`jordan_projection`.
+    equals exp(lambda_i - lambda_j), where lambda_1 >= ... >= lambda_n are
+    the log-moduli of the eigenvalues.
     """
     import numpy as np
 

@@ -21,15 +21,12 @@ a computation never mixes them.
 Subspaces are stored with a canonical reduced-row-echelon basis, so two
 subspaces are equal iff their representations are equal.  A flag is
 stored as a compatible basis; it reduces a level to that canonical form
-the first time the level is asked for and memoises it.  Matrices that
-represent group elements are treated projectively: operations that care
-about eigenvalue data normalize to determinant +-1 first.
+the first time the level is asked for and memoises it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -422,11 +419,6 @@ class Subspace:
         b = np.array(other.basis, dtype=float).reshape(self.dim, self.ambient)
         return bool(np.allclose(a, b, atol=1e-9))
 
-    def __hash__(self):
-        if not self.backend.exact:
-            raise TypeError("float subspaces are not hashable")
-        return hash((self.ambient, self.basis))
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
@@ -550,20 +542,12 @@ class Flag:
         """The basis v_1..v_n with F^(k) = span(v_1..v_k) for every k."""
         return self._basis
 
-    def apply(self, matrix):
-        """Image flag under an invertible matrix (rows act on the left)."""
-        m = convert_matrix(matrix, self.backend)
-        return Flag([mat_vec(m, v) for v in self._basis], backend=self.backend)
-
     def __eq__(self, other):
         if not isinstance(other, Flag):
             return NotImplemented
         return self.ambient == other.ambient and all(
             self.subspace(k) == other.subspace(k) for k in range(1, self.ambient)
         )
-
-    def __hash__(self):
-        return hash(tuple(self.subspace(k) for k in range(1, self.ambient)))
 
     def __repr__(self):
         return f"Flag(ambient={self.ambient}, backend={self.backend.name})"
@@ -599,71 +583,3 @@ def is_generic_triple(f, g, h):
                 return False
     return True
 
-
-# ---------------------------------------------------------------------------
-# Jordan projection
-
-
-@dataclass(frozen=True)
-class WeylChamberPoint:
-    """Traceless diagonal data lambda_1 >= ... >= lambda_n, sum zero."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        ent = tuple(float(x) for x in self.entries)
-        object.__setattr__(self, "entries", ent)
-        if any(ent[i] < ent[i + 1] - 1e-12 for i in range(len(ent) - 1)):
-            raise DegenerateError(f"entries not sorted decreasing: {ent}")
-
-    @property
-    def n(self):
-        return len(self.entries)
-
-    def gaps(self):
-        e = self.entries
-        return tuple(e[k] - e[k + 1] for k in range(len(e) - 1))
-
-    def is_strict(self, tol=0.0):
-        return all(g > tol for g in self.gaps())
-
-    @classmethod
-    def from_gaps(cls, gaps):
-        gaps = [float(g) for g in gaps]
-        n = len(gaps) + 1
-        lam = [0.0] * n
-        for k in range(n - 2, -1, -1):
-            lam[k] = lam[k + 1] + gaps[k]
-        mean = sum(lam) / n
-        return cls(tuple(x - mean for x in lam))
-
-
-class EigenvalueError(RuntimeError):
-    """Eigenvalue / singular value computation did not converge."""
-
-
-def _normalize_logs(logs):
-    logs = sorted((float(x) for x in logs), reverse=True)
-    mean = sum(logs) / len(logs)
-    return WeylChamberPoint(tuple(x - mean for x in logs))
-
-
-def jordan_projection(matrix):
-    """Sorted log-moduli of eigenvalues, normalized to sum zero.
-
-    The normalization makes the value projective (insensitive to scaling
-    the matrix), matching the determinant +-1 convention.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.shape[0] != a.shape[1]:
-        raise BackendError("jordan projection of a non-square matrix")
-    if abs(np.linalg.det(a)) < 1e-300:
-        raise DegenerateError("matrix is singular")
-    try:
-        eig = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy internal
-        raise EigenvalueError(str(exc)) from exc
-    mods = np.abs(eig)
-    if np.any(mods <= 0):
-        raise DegenerateError("zero eigenvalue on an invertible matrix")
-    return _normalize_logs(np.log(mods))

@@ -170,13 +170,6 @@ class PantsInvariants:
         if set(self.sigma) != set(shear_index_set(self.n)):
             raise PantsDataError("shear invariants must cover the three edge blocks")
 
-    @classmethod
-    def zero(cls, n, backend_value=Fraction(0)):
-        tau = {idx: backend_value for idx in triple_index_set(n)}
-        taup = dict(tau)
-        sig = {idx: backend_value for idx in shear_index_set(n)}
-        return cls(n=n, tau=tau, tau_prime=taup, sigma=sig)
-
 
 def lambda_gaps_from_invariants(inv):
     """Eigenvalue gaps (lambda_k - lambda_(k+1)) of the three boundary slots.
@@ -216,9 +209,6 @@ class ClosedLeafReport:
 
     def max_residual(self):
         return max(self.equality_residuals.values(), default=0)
-
-    def inequalities_strict(self, tol=0):
-        return all(v > tol for v in self.gap_values.values())
 
     def rows(self):
         out = []

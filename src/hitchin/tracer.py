@@ -225,8 +225,9 @@ def validate_psi(psi, decomp):
 
 @dataclass
 class MeshSpec:
-    """Anchor pair of one pants-curve mesh with its defining inequality,
-    and the curve constants ``_winding`` reads on every call."""
+    """Anchor pair of one pants-curve mesh, whose ``g_value`` satisfies its
+    defining inequality 1 <= g < exp(width), and the curve constants
+    ``_winding`` reads on every call."""
 
     curve: int
     word: str
@@ -240,9 +241,6 @@ class MeshSpec:
     rep: object  # repelling and attracting fixed points of w
     att: object
     length: float  # translation length of w
-
-    def inequality_holds(self):
-        return 1.0 <= self.g_value < math.exp(self.width)
 
 
 class PsiTracer:

@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from hitchin.flags import veronese_flag
-from hitchin.fuchsian import genus2_surface, in_arc, mobius, points_equal
+from hitchin.fuchsian import genus2_surface, in_arc, mobius, points_equal, translation_length
 from hitchin.invariants import (
     INFINITY,
     cross_ratio,
@@ -22,9 +23,10 @@ from hitchin.linalg import (
     DegenerateError,
     Flag,
     Subspace,
+    convert_matrix,
     draw_generic,
     is_generic_triple,
-    jordan_projection,
+    mat_vec,
     rref,
     subspace_intersect,
     wedge_det,
@@ -314,10 +316,33 @@ def reconstruct_triple_hyperplanes(f, h, g_line, ratios):
     return Flag(g_basis, backend=backend)
 
 
+def jordan_projection(matrix):
+    """Sorted log-moduli of a matrix's eigenvalues, shifted to sum zero.
+
+    The shift makes the value projective: scaling the matrix leaves it
+    unchanged.
+    """
+    eigenvalues = np.linalg.eigvals(np.array(matrix, dtype=float))
+    logs = sorted(np.log(np.abs(eigenvalues)).tolist(), reverse=True)
+    mean = sum(logs) / len(logs)
+    return tuple(x - mean for x in logs)
+
+
 def eigen_gap_oracle(matrix, i, j):
     """exp(lambda_i - lambda_j) straight from the Jordan projection."""
-    lam = jordan_projection(matrix).entries
+    lam = jordan_projection(matrix)
     return math.exp(lam[i - 1] - lam[j - 1])
+
+
+def apply_flag(flag, matrix):
+    """Image of a flag under an invertible matrix (rows act on the left)."""
+    m = convert_matrix(matrix, flag.backend)
+    return Flag([mat_vec(m, v) for v in flag.compatible_basis()], backend=flag.backend)
+
+
+def length_spectrum(surface):
+    """Translation length of each pants curve of a surface, keyed by curve id."""
+    return {cid: translation_length(surface.matrix(w)) for cid, w in surface.curve_words.items()}
 
 
 def _m_collection(fa, fb, fc, p):

@@ -131,6 +131,40 @@ class TestConfig:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data,command,message",
+        [
+            (
+                {"n": 3, "parameters": {"boundary": {"0": [1, 1]}, "internal": [{}, {}]}},
+                "kbound",
+                "boundary data must cover every curve",
+            ),
+            (
+                {"n": 3, "parameters": {"fuchsian": True, "gluing": {"x": [0, 0]}}},
+                "kbound",
+                "[parameters].gluing key 'x' is not a curve id",
+            ),
+            (
+                {"n": 3, "parameters": {"invariants": [{"tau": {"1,1,1": 0}, "tau_prime": {"1,1,1": 0}, "sigma": {}}] * 2}},
+                "invariants",
+                "shear invariants must cover the three edge blocks",
+            ),
+            (
+                {"n": 3, "parameters": {"invariants": [{"tau": {"a": 0}, "tau_prime": {"1,1,1": 0}, "sigma": {}}] * 2}},
+                "invariants",
+                "bad invariant index 'a'",
+            ),
+        ],
+    )
+    def test_malformed_parameters_are_config_errors(self, tmp_path, capsys, data, command, message):
+        cfg = tmp_path / "params.json"
+        cfg.write_text(json.dumps(data))
+        out = tmp_path / "out.csv"
+        assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_surface_is_a_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "identity_a1.json"
         cfg.write_text(json.dumps({"n": 2, "surface": {"a1": [[1, 0], [0, 1]]}}))

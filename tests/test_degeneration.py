@@ -45,8 +45,10 @@ from hitchin.tracer import CountPair, EdgeLift, PsiTracer, r_and_s
 
 from conftest import (
     SURFACES,
+    apply_flag,
     exact_flag_at,
     k_edge_two_branches,
+    length_spectrum,
     named_surface,
     plane_cross_ratio,
     segment_lengths_exact_flags,
@@ -170,7 +172,7 @@ class TestKEdge:
             m = state.uniform(-1, 1, (3, 3))
         m /= abs(np.linalg.det(m)) ** (1 / 3)
         moved = EdgeQuadruple(
-            a=quad.a.apply(m), b=quad.b.apply(m), c=quad.c.apply(m), d=quad.d.apply(m)
+            a=apply_flag(quad.a, m), b=apply_flag(quad.b, m), c=apply_flag(quad.c, m), d=apply_flag(quad.d, m)
         )
         assert k_edge(moved) == pytest.approx(base, abs=1e-8)
 
@@ -275,7 +277,7 @@ class TestComputeL:
     def test_fuchsian_symmetric_power(self, surface):
         invs = fuchsian_invariants(surface, 3)
         params = xi_forward(surface.decomp, invs, {c: (0.0, 0.0) for c in range(3)})
-        lens = surface.length_spectrum()
+        lens = length_spectrum(surface)
         expected = min(2 * l / 3 for l in lens.values())
         assert compute_L(params.boundary, 3) == pytest.approx(expected, abs=1e-9)
 

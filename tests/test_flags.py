@@ -15,7 +15,6 @@ from hitchin.flags import (
     reconstruct_triple,
     sym_power,
     veronese_flag,
-    veronese_vector,
 )
 from hitchin.invariants import is_infinite, triple_index_set, triple_ratio
 from hitchin.linalg import (
@@ -30,12 +29,23 @@ from hitchin.linalg import (
 
 from conftest import (
     HEIGHTS,
+    apply_flag,
     generic_triple,
     height_vectors,
     random_flag,
     random_unimodular,
     reconstruct_triple_hyperplanes,
 )
+
+
+def veronese_vector(point, n):
+    """Binomially weighted rational normal curve value at [s:t].
+
+    nu_j(s,t) = C(n-1,j) s^(n-1-j) t^j, chosen so that
+    nu(m p) = sym_power(m, n) nu(p) exactly.
+    """
+    s, t = point
+    return tuple(math.comb(n - 1, j) * s ** (n - 1 - j) * t ** j for j in range(n))
 
 
 def rand_sl2(rng):
@@ -95,7 +105,7 @@ class TestVeronese:
             p = (Fraction(rng.randint(-5, 5)), Fraction(1))
             mp = (m[0][0] * p[0] + m[0][1] * p[1], m[1][0] * p[0] + m[1][1] * p[1])
             left = veronese_flag(mp, n)
-            right = veronese_flag(p, n).apply(sym_power(m, n))
+            right = apply_flag(veronese_flag(p, n), sym_power(m, n))
             assert left == right
 
     def test_triple_ratios_are_one(self, rng):
@@ -361,6 +371,8 @@ class TestCoordinateFrameClosedForm:
         ratios[(1, 1, 3)] = Fraction(-1)
         reconstruct_triple(f, h, line, ratios)
         assert {"coordinates", "meet"} <= set(calls)
+        # one row reduction per index (x, y, z), for both coefficient ratios
+        assert calls.count("coordinates") == len(triple_index_set(n)) == 6
 
 
 class TestRatioEscape:
@@ -436,8 +448,8 @@ class TestFourthLine:
         from hitchin.linalg import mat_vec
 
         d2 = recover_fourth_line_from_values(
-            a.apply(m),
-            b.apply(m),
+            apply_flag(a, m),
+            apply_flag(b, m),
             Subspace.span([mat_vec(m, (1, 1, 1))]),
             vals,
         )

@@ -29,7 +29,7 @@ from hitchin.invariants import INFINITY, is_infinite
 from hitchin.linalg import DegenerateError
 from hitchin.pants import check_closed_leaf, lambda_gaps_from_invariants
 
-from conftest import SURFACES, fuchsian_invariants_exact_flags
+from conftest import SURFACES, fuchsian_invariants_exact_flags, jordan_projection, length_spectrum
 
 
 def edges_cross(e1, e2):
@@ -42,7 +42,7 @@ def edges_cross(e1, e2):
 class TestBPoint:
     def test_square_folding(self):
         p = BPoint.make(1, 2, 9)  # 1 + 2*3
-        assert p.is_rational() and p.a == 7
+        assert p.d == 0 and p.a == 7
 
     def test_square_factor_reduction(self):
         p = BPoint.make(0, 1, 8)  # sqrt(8) = 2 sqrt(2)
@@ -347,14 +347,14 @@ class TestGenus2Surface:
             assert prod in (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
 
     def test_handle_curves_have_equal_length(self, surface):
-        lens = surface.length_spectrum()
+        lens = length_spectrum(surface)
         assert lens[0] == pytest.approx(lens[1])
         assert lens[0] == pytest.approx(2 * math.acosh(1.5))
         assert lens[2] == pytest.approx(2 * math.acosh(4.5))
 
     def test_twist_deformation(self):
         s = genus2_surface(twist=Fraction(1, 5))
-        assert s.length_spectrum()[2] == pytest.approx(2 * math.acosh(4.5))
+        assert length_spectrum(s)[2] == pytest.approx(2 * math.acosh(4.5))
 
     def test_rejects_thin_input(self):
         # tr[a,b] = -2 at the cusp: not a closed one-holed torus
@@ -442,16 +442,13 @@ class TestFuchsianInvariants:
             surface = genus2_surface(**kwargs)
             report = check_closed_leaf(surface.decomp, fuchsian_invariants(surface, n))
             assert report.max_residual() < 1e-12
-            assert report.inequalities_strict(tol=1e-12)
+            assert all(v > 1e-12 for v in report.gap_values.values())
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_gaps_match_symmetric_power_spectrum(self, surface, n):
         # consecutive eigenvalue gaps of the power representation all equal
         # the curve length; cross-checked against the Jordan projection
-        import numpy as np
-
         from hitchin.flags import sym_power
-        from hitchin.linalg import jordan_projection
 
         invs = fuchsian_invariants(surface, n)
         for j, inv in enumerate(invs):
@@ -461,11 +458,12 @@ class TestFuchsianInvariants:
             jp = jordan_projection([[float(x) for x in row] for row in big])
             # the float eigensolver loses digits on the huge conjugated
             # entries as n grows; the exact-length check below is the sharp one
-            assert list(gaps) == pytest.approx(list(jp.gaps()), abs=10.0 ** (2 * n - 14))
+            jp_gaps = [jp[k] - jp[k + 1] for k in range(n - 1)]
+            assert list(gaps) == pytest.approx(jp_gaps, abs=10.0 ** (2 * n - 14))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_gaps_equal_curve_length(self, surface, n):
-        lens = surface.length_spectrum()
+        lens = length_spectrum(surface)
         for inv in fuchsian_invariants(surface, n):
             for g in lambda_gaps_from_invariants(inv)[0]:
                 assert g == pytest.approx(lens[0], abs=1e-12)

@@ -29,6 +29,7 @@ from hitchin.linalg import (
 )
 
 from conftest import (
+    apply_flag,
     cross_ratio_wedges,
     eigen_gap_oracle,
     generic_triple,
@@ -394,7 +395,8 @@ class TestTripleRatio:
         f, g, h = generic_triple(rng, n)
         m = random_unimodular(rng, n)
         v = triple_ratio(f, g, h, (1, 1, 1))
-        assert triple_ratio(f.apply(m), g.apply(m), h.apply(m), (1, 1, 1)) == v
+        moved = [apply_flag(flag, m) for flag in (f, g, h)]
+        assert triple_ratio(*moved, (1, 1, 1)) == v
 
     def test_index_validation(self):
         f = Flag.standard(3)

@@ -23,6 +23,13 @@ from hitchin.invariants import shear_index_set, triple_index_set
 from conftest import gap_terms, xi_inverse_dense
 
 
+def zero_invariants(n):
+    """The invariants of one pants with every tau, tau' and sigma zero."""
+    tau = {idx: Fraction(0) for idx in triple_index_set(n)}
+    sigma = {idx: Fraction(0) for idx in shear_index_set(n)}
+    return PantsInvariants(n=n, tau=tau, tau_prime=dict(tau), sigma=sigma)
+
+
 def random_params(rng, decomp, n, exact=True):
     conv = (lambda x: Fraction(x)) if exact else float
     labels = internal_labels(n)
@@ -82,14 +89,14 @@ class TestDecomposition:
 
 class TestGaps:
     def test_n2_sum(self):
-        inv = PantsInvariants.zero(2)
+        inv = zero_invariants(2)
         inv.sigma[(1, 1, 0)] = Fraction(1)
         inv.sigma[(1, 0, 1)] = Fraction(2)
         ga, gb, gc = lambda_gaps_from_invariants(inv)
         assert ga == [Fraction(3)]
 
     def test_zero_invariants_zero_gaps(self):
-        inv = PantsInvariants.zero(4)
+        inv = zero_invariants(4)
         for gaps in lambda_gaps_from_invariants(inv):
             assert all(g == 0 for g in gaps)
 
@@ -215,7 +222,7 @@ class TestReparameterization:
 
     def test_forward_rejects_closed_chamber(self):
         decomp = standard_genus2()
-        invs = [PantsInvariants.zero(3) for _ in range(2)]
+        invs = [zero_invariants(3) for _ in range(2)]
         gluing = {c: (0, 0) for c in range(3)}
         with pytest.raises(DegenerateError):
             xi_forward(decomp, invs, gluing)
