@@ -93,6 +93,14 @@ def _curve_id(key, section):
         raise ConfigError(f"[parameters].{section} key {key!r} is not a curve id") from exc
 
 
+def _json(value, kind, what):
+    """``value`` if it is a JSON object (``kind`` dict) or list (``kind`` list)."""
+    if not isinstance(value, kind):
+        article = "an object" if kind is dict else "a list"
+        raise ConfigError(f"{what} must be {article}, got {value!r}")
+    return value
+
+
 def _check_keys(section, data, allowed):
     unknown = set(data) - allowed
     if unknown:
@@ -210,26 +218,24 @@ class RunConfig:
         blocks = params.get("invariants")
         if blocks is None:
             raise ConfigError("[parameters].invariants is missing")
-        if len(blocks) != decomp.num_pants:
+        if len(_json(blocks, list, "[parameters].invariants")) != decomp.num_pants:
             raise ConfigError(
                 f"expected {decomp.num_pants} invariant blocks, got {len(blocks)}"
             )
         out = []
         for j, block in enumerate(blocks):
-            _check_keys(f"invariants[{j}]", block, {"tau", "tau_prime", "sigma"})
+            where = f"[parameters].invariants[{j}]"
+            _check_keys(
+                f"invariants[{j}]", _json(block, dict, where), {"tau", "tau_prime", "sigma"}
+            )
             try:
-                tau = {
-                    self._idx(k): parse_scalar(v, self.exact)
-                    for k, v in block["tau"].items()
-                }
-                taup = {
-                    self._idx(k): parse_scalar(v, self.exact)
-                    for k, v in block["tau_prime"].items()
-                }
-                sigma = {
-                    self._idx(k): parse_scalar(v, self.exact)
-                    for k, v in block["sigma"].items()
-                }
+                tau, taup, sigma = (
+                    {
+                        self._idx(k): parse_scalar(v, self.exact)
+                        for k, v in _json(block[kind], dict, f"{where}.{kind}").items()
+                    }
+                    for kind in ("tau", "tau_prime", "sigma")
+                )
             except KeyError as exc:
                 raise ConfigError(f"invariant block {j} missing {exc}") from exc
             out.append(PantsInvariants(n=self.n, tau=tau, tau_prime=taup, sigma=sigma))
@@ -245,7 +251,8 @@ class RunConfig:
                 for c in range(decomp.num_curves)
             }
         out = {}
-        for key, vals in raw.items():
+        for key, vals in _json(raw, dict, "[parameters].gluing").items():
+            vals = _json(vals, list, f"[parameters].gluing[{key!r}]")
             out[_curve_id(key, "gluing")] = tuple(parse_scalar(v, self.exact) for v in vals)
         return out
 
@@ -259,14 +266,18 @@ class RunConfig:
             invs = fuchsian_invariants(self.surface(), self.n)
             return xi_forward(decomp, invs, self.gluing(decomp))
         boundary = {
-            _curve_id(k, "boundary"): tuple(parse_scalar(v, self.exact) for v in vals)
-            for k, vals in params["boundary"].items()
+            _curve_id(k, "boundary"): tuple(
+                parse_scalar(v, self.exact)
+                for v in _json(vals, list, f"[parameters].boundary[{k!r}]")
+            )
+            for k, vals in _json(params["boundary"], dict, "[parameters].boundary").items()
         }
         internal_raw = params.get("internal")
         if internal_raw is None:
             raise ConfigError("[parameters].internal is missing")
         internal = []
-        for j, block in enumerate(internal_raw):
+        for j, block in enumerate(_json(internal_raw, list, "[parameters].internal")):
+            block = _json(block, dict, f"[parameters].internal[{j}]")
             internal.append(
                 {_str_to_label(k): parse_scalar(v, self.exact) for k, v in block.items()}
             )

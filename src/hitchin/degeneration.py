@@ -99,7 +99,9 @@ def k_edge(quad):
     and at p = i in the other (see the module docstring), so one pass over
     (e, i, j) builds each base sum once and takes both orderings of its
     four moving lines from one reduction modulo the base.  Each moving line
-    depends only on its flag and multiplicity, and its flag memoises it
+    depends only on its flag and multiplicity (``invariants.based_lines``):
+    an exact flag reads it and its base rows off its own basis, with no
+    level reduced, and a float flag memoises it
     (``invariants.transverse_line``).
     """
     fa, fb, fc, fd = flags = (quad.a, quad.b, quad.c, quad.d)

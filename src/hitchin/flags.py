@@ -360,8 +360,9 @@ def extract_shear_values(a_flag, b_flag, c_line, d_line):
 
     The base and the transverse lines of A and B come from
     ``invariants.based_lines``: on exact flags the base is the summands'
-    stacked RREF rows, which ``cross_ratio`` reduces by itself, so a sum
-    that is not direct raises its rank error.
+    stacked basis rows and each line the next basis vector, and
+    ``cross_ratio`` reduces the rows by itself, so a sum that is not direct
+    raises its rank error.
     """
     n = a_flag.ambient
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)

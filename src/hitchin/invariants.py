@@ -15,7 +15,9 @@ Every wedge of one ratio contains the same base: M for a cross ratio,
 F^(x-1) + G^(y-1) + H^(z-1) for a triple ratio.  So exact values come from
 reducing the moving vectors modulo that base once
 (``linalg.reduce_modulo``) and taking 2 x 2 or 3 x 3 minors of their
-integer coordinates, the same rationals as the n x n wedges.  Float input
+integer coordinates, the same rationals as the n x n wedges.  Both the
+base rows and the moving vectors are read off each exact flag's own
+compatible basis, so no flag level is reduced on the way.  Float input
 keeps the n x n LU wedges: the same reduction in floats rounds
 differently and moves float64 scan values near the edge of the domain by
 up to 7e-9 relative (n = 3, tau(1,1,1) ray), more than the 1e-9 the
@@ -159,7 +161,9 @@ def transverse_line(flag, mult):
     This is the moving-subspace representative for a point carrying base
     multiplicity ``mult``: the first reduced-basis vector of F^(mult+1)
     outside F^(mult), built once per flag and multiplicity and memoised on
-    the flag.
+    the flag.  Float cross ratios (:func:`based_lines`) and the off-frame
+    elimination of ``flags.recover_fourth_line_from_values`` use it; exact
+    cross ratios take the flag's own basis vector instead.
     """
     if mult not in flag._transverse:
         if mult == 0:
@@ -177,13 +181,17 @@ def based_lines(flags, base):
     """The base M and one moving line per flag.
 
     ``base`` is a list of (Flag, multiplicity) pairs with multiplicities
-    summing to n-2 and a direct sum M of dimension n-2.  On exact flags M
-    comes back as the summands' stacked RREF rows, which
-    :func:`cross_ratio` reduces by itself (a sum that is not direct shows
-    there as a rank-deficient base); on float flags it is the sum
-    Subspace, whose rows the LU wedges use.  A flag that also carries base
-    multiplicity m is represented by a line of its level m+1 transverse to
-    its level m; see :func:`transverse_line`.
+    summing to n-2 and a direct sum M of dimension n-2.  A cross ratio
+    based at M depends only on M and on the lines modulo M, so a flag
+    carrying base multiplicity m (0 if none) may be represented by any
+    vector of its level m+1 outside its level m.  Exact flags read both
+    off their own basis: the summand (F, m) gives the rows v_1..v_m of
+    ``F.compatible_basis()``, and each flag's moving line is its v_(m+1);
+    :func:`cross_ratio` reduces the stacked rows by itself (a sum that is
+    not direct shows there as a rank-deficient base), and no level is
+    reduced.  Float flags keep the sum Subspace, whose RREF rows the LU
+    wedges use, and the moving lines of :func:`transverse_line`, since a
+    different representative rounds differently.
     """
     n = flags[0].ambient
     total = sum(m for _, m in base)
@@ -191,21 +199,18 @@ def based_lines(flags, base):
         raise DegenerateError(
             f"base multiplicities sum to {total}, expected {n - 2}"
         )
+    mults = [next((m for bflag, m in base if bflag is flag), 0) for flag in flags]
     backend = flags[0].backend
     if backend.exact:
-        m_space = [row for bflag, mult in base for row in bflag.subspace(mult).basis]
-    else:
-        m_space = Subspace.zero(n, backend)
-        for bflag, mult in base:
-            if mult:
-                m_space = m_space | bflag.subspace(mult)
-        if m_space.dim != n - 2:
-            raise DegenerateError("degenerate configuration: base sum is not direct")
-    lines = [
-        transverse_line(flag, next((m for bflag, m in base if bflag is flag), 0))
-        for flag in flags
-    ]
-    return m_space, lines
+        m_space = [row for bflag, mult in base for row in bflag.compatible_basis()[:mult]]
+        return m_space, [flag.compatible_basis()[m] for flag, m in zip(flags, mults)]
+    m_space = Subspace.zero(n, backend)
+    for bflag, mult in base:
+        if mult:
+            m_space = m_space | bflag.subspace(mult)
+    if m_space.dim != n - 2:
+        raise DegenerateError("degenerate configuration: base sum is not direct")
+    return m_space, [transverse_line(flag, m) for flag, m in zip(flags, mults)]
 
 
 def cross_ratio_flags(a, b, c, d, base):

@@ -493,7 +493,8 @@ class Flag:
     independent; ``subspace(k)`` reduces level k the first time it is
     asked for and keeps it in ``_levels``.  ``subspace(0)`` is the zero
     space and ``subspace(n)`` all of R^n, so indexing by 0..n always works.
-    ``_transverse`` memoises ``invariants.transverse_line`` by multiplicity.
+    ``_transverse`` memoises ``invariants.transverse_line`` by multiplicity;
+    only float cross ratios and the off-frame fourth-line elimination fill it.
     """
 
     __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse")

@@ -355,19 +355,31 @@ def _m_collection(fa, fb, fc, p):
     return out
 
 
+def _level_line(flag, mult):
+    """The moving line read off the levels: the first RREF row of
+    F^(mult+1) outside F^(mult)."""
+    lower = flag.subspace(mult)
+    return next(v for v in flag.subspace(mult + 1).basis if not lower.contains(v))
+
+
 def k_edge_two_branches(quad):
     """Oracle for ``k_edge``: each branch built collection by collection.
 
     Branch one averages over p the largest log (d, a, c, b)_M over
     M_p(a, b, c) u M_(n-1-p)(b, a, d), branch two the largest
-    log (b, d, a, c)_M over M_p(a, b, d) u M_(n-1-p)(b, a, c); every
-    cross ratio is evaluated from scratch by ``cross_ratio_flags``.
+    log (b, d, a, c)_M over M_p(a, b, d) u M_(n-1-p)(b, a, c).  Every
+    cross ratio is evaluated from scratch through n x n wedges
+    (``cross_ratio_wedges``) on the levels' representatives: M from the
+    RREF rows of the summands' levels and each moving line from
+    ``_level_line``, where ``k_edge`` reads both off the flags' bases.
     """
     fa, fb, fc, fd = quad.a, quad.b, quad.c, quad.d
     n = quad.n
 
     def log_cross(flags, base):
-        value = cross_ratio_flags(*flags, base)
+        mrows = [row for flag, mult in base for row in flag.subspace(mult).basis]
+        mults = [next((m for bflag, m in base if bflag is flag), 0) for flag in flags]
+        value = cross_ratio_wedges([_level_line(f, m) for f, m in zip(flags, mults)], mrows)
         if is_infinite(value) or value <= 0:
             raise DegenerateError(f"crossing cross ratio not positive: {value}")
         return math.log(float(value))

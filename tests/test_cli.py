@@ -154,6 +154,31 @@ class TestConfig:
                 "invariants",
                 "bad invariant index 'a'",
             ),
+            (
+                {"n": 3, "parameters": {"boundary": [[1, 1]], "internal": [{}, {}]}},
+                "kbound",
+                "[parameters].boundary must be an object, got [[1, 1]]",
+            ),
+            (
+                {"n": 3, "parameters": {"boundary": {str(c): [1, 1] for c in range(3)}, "internal": 5}},
+                "kbound",
+                "[parameters].internal must be a list, got 5",
+            ),
+            (
+                {"n": 3, "parameters": {"fuchsian": True, "gluing": {"0": 5}}},
+                "kbound",
+                "[parameters].gluing['0'] must be a list, got 5",
+            ),
+            (
+                {"n": 3, "parameters": {"invariants": [5, 5]}},
+                "invariants",
+                "[parameters].invariants[0] must be an object, got 5",
+            ),
+            (
+                {"n": 3, "parameters": {"invariants": [{"tau": 5, "tau_prime": {"1,1,1": 0}, "sigma": {}}] * 2}},
+                "invariants",
+                "[parameters].invariants[0].tau must be an object, got 5",
+            ),
         ],
     )
     def test_malformed_parameters_are_config_errors(self, tmp_path, capsys, data, command, message):

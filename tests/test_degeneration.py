@@ -39,7 +39,7 @@ from hitchin.fuchsian import (
     translation_length,
 )
 from hitchin.invariants import is_infinite, triple_index_set
-from hitchin.linalg import EXACT, FLOAT64, DegenerateError, Flag, Subspace
+from hitchin.linalg import EXACT, FLOAT64, DegenerateError, Flag, Subspace, mat_vec
 from hitchin.pants import HitchinParams, internal_labels, xi_forward, xi_inverse
 from hitchin.tracer import CountPair, EdgeLift, PsiTracer, r_and_s
 
@@ -51,6 +51,7 @@ from conftest import (
     length_spectrum,
     named_surface,
     plane_cross_ratio,
+    random_unimodular,
     segment_lengths_exact_flags,
 )
 
@@ -135,6 +136,32 @@ def small_height_quadruple(n, seed):
     return reconstructed_quadruple(n, tau, shear, taup)
 
 
+def off_frame_quadruple(n, seed):
+    """``small_height_quadruple`` moved off the coordinate frame.
+
+    One random unimodular map moves all four flags, and each flag's basis
+    then takes a random triangular change (v_k -> s v_k + a combination of
+    v_1..v_(k-1)), so the bases are far from the levels' RREF rows.
+    """
+    rng = random.Random(seed)
+    m = random_unimodular(rng, n, steps=3 * n)
+
+    def moved(flag):
+        basis = [mat_vec(m, v) for v in flag.compatible_basis()]
+        out = []
+        for k, v in enumerate(basis):
+            scale = rng.choice((-2, -1, 1, 3))
+            coeffs = [rng.randint(-2, 2) for _ in range(k)]
+            out.append(tuple(
+                scale * x + sum(c * lower[t] for c, lower in zip(coeffs, basis))
+                for t, x in enumerate(v)
+            ))
+        return Flag(out)
+
+    quad = small_height_quadruple(n, seed)
+    return EdgeQuadruple(*(moved(f) for f in (quad.a, quad.b, quad.c, quad.d)))
+
+
 def veronese_quadruple(surface, n):
     """Exact osculating flags at a, b, c and the far vertex of edge ab."""
     a, b, c = (surface.base_vertex(0, letter) for letter in "abc")
@@ -179,15 +206,48 @@ class TestKEdge:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_two_branch_oracle(self, surface, n):
-        quads = [veronese_quadruple(surface, n), small_height_quadruple(n, 100 + n)]
+        # k_edge reads base rows and moving lines off the flags' bases, the
+        # oracle off their reduced levels; off the frame the two differ
+        quads = [
+            veronese_quadruple(surface, n),
+            small_height_quadruple(n, 100 + n),
+            off_frame_quadruple(n, 200 + n),
+            off_frame_quadruple(n, 300 + n),
+        ]
         for quad in quads:
             assert k_edge(quad) == pytest.approx(k_edge_two_branches(quad), rel=1e-12)
 
+    def test_exact_lines_read_off_the_basis(self, monkeypatch):
+        # exact k_edge takes its base rows and moving lines from each flag's
+        # basis: it reduces no level and memoises no transverse line, in the
+        # edge frame and off it
+        quads = [small_height_quadruple(5, 105), off_frame_quadruple(5, 105)]
+        levels = collections.Counter()
+        subspace = Flag.subspace
+
+        def counting_subspace(flag, k):
+            levels[k] += 1
+            return subspace(flag, k)
+
+        monkeypatch.setattr(Flag, "subspace", counting_subspace)
+        for quad in quads:
+            flags = (quad.a, quad.b, quad.c, quad.d)
+            memos = [dict(flag._transverse) for flag in flags]
+            k_edge(quad)
+            assert [flag._transverse for flag in flags] == memos
+        assert not levels
+
     def test_moving_lines_built_once(self):
-        # a moving line depends only on its flag and multiplicity, and the
-        # flag keeps it: an edge sharing A and B builds no new line for them
-        fa, fb = Flag.standard(5, backend=EXACT), Flag.reversed_standard(5, backend=EXACT)
+        # a float moving line depends only on its flag and multiplicity, and
+        # the flag keeps it: an edge sharing the float frame's A and B builds
+        # no new line for them
+        fa, fb = Flag.standard(5, backend=FLOAT64), Flag.reversed_standard(5, backend=FLOAT64)
+
+        def to_float(flag):
+            return Flag([tuple(float(x) for x in v) for v in flag.compatible_basis()])
+
         first, second = (small_height_quadruple(5, seed) for seed in (105, 106))
+        fc1, fd1, fc2, fd2 = (to_float(f) for f in (first.c, first.d, second.c, second.d))
         builds = collections.Counter()
 
         class CountingMemo(dict):
@@ -201,13 +261,13 @@ class TestKEdge:
                 builds[(id(self.flag), mult)] += 1
                 super().__setitem__(mult, line)
 
-        for flag in (fa, fb, first.c, first.d, second.c, second.d):
+        for flag in (fa, fb, fc1, fd1, fc2, fd2):
             flag._transverse = CountingMemo(flag)
-        k_edge(EdgeQuadruple(a=fa, b=fb, c=first.c, d=first.d))
+        k_edge(EdgeQuadruple(a=fa, b=fb, c=fc1, d=fd1))
         assert builds and max(builds.values()) == 1
         built = set(builds)
         assert (id(fa), 3) in built and (id(fb), 3) in built
-        k_edge(EdgeQuadruple(a=fa, b=fb, c=second.c, d=second.d))
+        k_edge(EdgeQuadruple(a=fa, b=fb, c=fc2, d=fd2))
         assert max(builds.values()) == 1
         new = set(builds) - built
         assert new and all(key[0] not in (id(fa), id(fb)) for key in new)
