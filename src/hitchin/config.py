@@ -101,6 +101,14 @@ def _json(value, kind, what):
     return value
 
 
+def _matrix2(value, what):
+    """A 2 x 2 matrix of exact config numbers, written as a list of rows."""
+    rows = [_json(row, list, f"{what}[{i}]") for i, row in enumerate(_json(value, list, what))]
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise ConfigError(f"{what} must be a 2 x 2 matrix, got {value!r}")
+    return [[parse_scalar(x, exact=True) for x in row] for row in rows]
+
+
 def _check_keys(section, data, allowed):
     unknown = set(data) - allowed
     if unknown:
@@ -174,7 +182,7 @@ class RunConfig:
             raise ConfigError(f"[scan].steps must be non-negative, got {cfg.steps}")
         cfg.direction = {
             _str_to_label(k): parse_scalar(v, exact=False)
-            for k, v in scan.get("direction", {}).items()
+            for k, v in _json(scan.get("direction", {}), dict, "[scan].direction").items()
         }
         labels = set(internal_labels(cfg.n))
         for label in cfg.direction:
@@ -194,10 +202,9 @@ class RunConfig:
     def surface(self):
         spec = self.raw.get("surface", {})
         kwargs = {}
-        if "a1" in spec:
-            kwargs["a1"] = [[parse_scalar(x, exact=True) for x in row] for row in spec["a1"]]
-        if "b1" in spec:
-            kwargs["b1"] = [[parse_scalar(x, exact=True) for x in row] for row in spec["b1"]]
+        for name in ("a1", "b1"):
+            if name in spec:
+                kwargs[name] = _matrix2(spec[name], f"[surface].{name}")
         if "twist" in spec:
             kwargs["twist"] = parse_scalar(spec["twist"], exact=True)
         if self.genus != 2:

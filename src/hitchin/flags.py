@@ -51,10 +51,9 @@ from .linalg import (
     DegenerateError,
     Flag,
     Subspace,
-    det,
+    dets,
     nullspace,
     rref,
-    wedge_det,
 )
 from .invariants import based_lines, cross_ratio, transverse_line, triple_index_set, triple_ratio
 
@@ -278,14 +277,15 @@ def extract_triple_ratios(f, g, h):
 
 
 def _partial_wedge_functional(rows, backend):
-    """Vector w with det(rows + [d]) = <w, d>, via cofactor expansion."""
+    """Vector w with det(rows + [d]) = <w, d>, via cofactor expansion.
+
+    The n cofactor minors go to ``linalg.dets`` together, one stacked LU
+    call on float input with the bits of one call each.
+    """
     n = len(rows) + 1
-    out = []
-    for i in range(n):
-        minor = [tuple(r[:i]) + tuple(r[i + 1 :]) for r in rows]
-        cof = det(minor, backend=backend)
-        out.append(cof if (n - 1 + i) % 2 == 0 else -cof)
-    return tuple(out)
+    minors = [[tuple(r[:i]) + tuple(r[i + 1 :]) for r in rows] for i in range(n)]
+    cofs = dets(minors, backend)
+    return tuple(cof if (n - 1 + i) % 2 == 0 else -cof for i, cof in enumerate(cofs))
 
 
 def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
@@ -296,7 +296,10 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     hyperplane A^(x-1) + B^(n-x-1) + D, and the n-1 hyperplanes intersect
     in the line D.  Each hyperplane's functional comes from the cofactors
     of the n x n wedges linear in d, on either backend; exact scalars keep
-    the whole computation exact.
+    the whole computation exact.  The determinants go to ``linalg.dets`` in
+    groups: each functional's n cofactor minors, each level's pair
+    [M b c], [M a c], and the 2(n-1) transversality checks of the result,
+    so float input takes one stacked LU call per group.
 
     In the coordinate edge frame (exact A standard, B reversed, each basis
     vector up to scale) the level-x quotient is spanned by e_x and
@@ -331,8 +334,7 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
         # v = [M a d][M b c] / ([M a c][M b d]) is linear in d
         w_ad = _partial_wedge_functional(m_rows + [a_line], backend)
         w_bd = _partial_wedge_functional(m_rows + [b_line], backend)
-        k_bc = wedge_det(m_rows + [b_line, c_vec])
-        k_ac = wedge_det(m_rows + [a_line, c_vec])
+        k_bc, k_ac = dets([m_rows + [b_line, c_vec], m_rows + [a_line, c_vec]], backend)
         if k_ac == 0 or k_bc == 0:
             raise DegenerateError("edge configuration is not generic")
         row = tuple(
@@ -349,9 +351,8 @@ def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     # the recovered line must be transverse to every M + A and M + B; in
     # floats, up to rounding at the scale of the kernel vector
     tol = 0 if backend.exact else 1e-12 * max(1.0, max(abs(x) for x in d_vec))
-    for m_other in checks:
-        if abs(wedge_det(m_other + [d_vec])) <= tol:
-            raise DegenerateError("shear data forces a degenerate fourth line")
+    if any(abs(w) <= tol for w in dets([m + [d_vec] for m in checks], backend)):
+        raise DegenerateError("shear data forces a degenerate fourth line")
     return Subspace.span(kernel, ambient=n, backend=backend)
 
 

@@ -18,10 +18,12 @@ reducing the moving vectors modulo that base once
 integer coordinates, the same rationals as the n x n wedges.  Both the
 base rows and the moving vectors are read off each exact flag's own
 compatible basis, so no flag level is reduced on the way.  Float input
-keeps the n x n LU wedges: the same reduction in floats rounds
+keeps the n x n LU wedges, since the same reduction in floats rounds
 differently and moves float64 scan values near the edge of the domain by
 up to 7e-9 relative (n = 3, tau(1,1,1) ray), more than the 1e-9 the
-recorded float64 references are checked to.
+recorded float64 references are checked to.  A float cross ratio stacks
+its distinct wedges into one ``linalg.dets`` call, which gives each the
+bits of its own LU determinant.
 """
 
 from __future__ import annotations
@@ -29,9 +31,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import (
+    FLOAT64,
+    BackendError,
     DegenerateError,
     Subspace,
     det3,
+    dets,
     mat_vec,
     reduce_modulo,
     wedge_det,
@@ -77,10 +82,11 @@ def cross_ratio(lines, base):
     classical cross ratio from 2 x 2 minors of integer coordinates.  The
     base's own factor and each line's scaling appear as often in the
     numerator as in the denominator, so this is the same rational as the
-    n x n wedge formula.  Float input keeps the LU wedge determinants: the
-    reduction in floats rounds differently, and the recorded float64
-    reference values depend on the LU rounding.  A rank-deficient exact
-    base raises DegenerateError naming its rank.
+    n x n wedge formula.  Float input keeps the n x n LU wedge
+    determinants, stacked into one ``linalg.dets`` call with the same bits
+    as one call each: the reduction in floats rounds differently, and the
+    recorded float64 reference values depend on the LU rounding.  A
+    rank-deficient exact base raises DegenerateError naming its rank.
     """
     return next(cross_ratios(lines, base, ((0, 1, 2, 3),)))
 
@@ -90,7 +96,9 @@ def cross_ratios(lines, base, orders):
 
     ``orders`` holds permutations of (0, 1, 2, 3).  The values come one by
     one, so a caller that checks each sees the errors in order; exact input
-    is reduced modulo the base once for all of them.
+    is reduced modulo the base once for all of them, and float input takes
+    the distinct wedges of all orders from one stacked determinant call
+    (two orders that share a wedge, as ``k_edge``'s do, compute it once).
     """
     if len(lines) != 4:
         raise DegenerateError("cross ratio needs exactly four lines")
@@ -110,9 +118,27 @@ def cross_ratios(lines, base, orders):
         pts = reduce_modulo(reps, mrows)
         for order in orders:
             yield _plane_cross_ratio(*(pts[i] for i in order))
-    else:
-        for order in orders:
-            yield _float_cross_ratio(*(reps[i] for i in order), mrows)
+        return
+    for v in mrows + reps:
+        if len(v) != n:
+            raise BackendError(f"wedge of {n} vectors needs dimension {n}, got {len(v)}")
+    # the wedges [M^Li^Lj] of all orders, each distinct (i, j) once, from one
+    # stacked LU call
+    pairs = dict.fromkeys(p for a, b, c, d in orders for p in ((a, c), (d, b), (a, b), (d, c)))
+    w = dict(zip(pairs, dets([mrows + [reps[i], reps[j]] for i, j in pairs], FLOAT64)))
+    for a, b, c, d in orders:
+        num = w[a, c] * w[d, b]
+        den = w[a, b] * w[d, c]
+        # a denominator at rounding scale is a true infinity
+        scale = max(abs(num), abs(den))
+        if abs(den) <= 1e-13 * scale:
+            if abs(num) <= 1e-13 * scale or scale == 0:
+                raise DegenerateError(
+                    "cross ratio undefined: three of the hyperplanes M+L_i agree"
+                )
+            yield INFINITY
+        else:
+            yield num / den
 
 
 def _is_exact(rows):
@@ -134,25 +160,6 @@ def _plane_cross_ratio(p1, p2, p3, p4):
             )
         return INFINITY
     return Fraction(num, den)
-
-
-def _float_cross_ratio(l1, l2, l3, l4, mrows):
-    """The wedge formula through n x n LU determinants."""
-
-    def w(u, v):
-        return wedge_det(mrows + [u, v])
-
-    num = w(l1, l3) * w(l4, l2)
-    den = w(l1, l2) * w(l4, l3)
-    # a denominator at rounding scale is a true infinity
-    scale = max(abs(num), abs(den))
-    if abs(den) <= 1e-13 * scale:
-        if abs(num) <= 1e-13 * scale or scale == 0:
-            raise DegenerateError(
-                "cross ratio undefined: three of the hyperplanes M+L_i agree"
-            )
-        return INFINITY
-    return num / den
 
 
 def transverse_line(flag, mult):
@@ -191,7 +198,9 @@ def based_lines(flags, base):
     not direct shows there as a rank-deficient base), and no level is
     reduced.  Float flags keep the sum Subspace, whose RREF rows the LU
     wedges use, and the moving lines of :func:`transverse_line`, since a
-    different representative rounds differently.
+    different representative rounds differently.  The sum starts from the
+    first summand's level: reducing an RREF basis again returns it bit for
+    bit, so adding it to the zero space first would only repeat that work.
     """
     n = flags[0].ambient
     total = sum(m for _, m in base)
@@ -204,10 +213,10 @@ def based_lines(flags, base):
     if backend.exact:
         m_space = [row for bflag, mult in base for row in bflag.compatible_basis()[:mult]]
         return m_space, [flag.compatible_basis()[m] for flag, m in zip(flags, mults)]
-    m_space = Subspace.zero(n, backend)
-    for bflag, mult in base:
-        if mult:
-            m_space = m_space | bflag.subspace(mult)
+    levels = [bflag.subspace(mult) for bflag, mult in base if mult]
+    m_space = levels[0] if levels else Subspace.zero(n, backend)
+    for level in levels[1:]:
+        m_space = m_space | level
     if m_space.dim != n - 2:
         raise DegenerateError("degenerate configuration: base sum is not direct")
     return m_space, [transverse_line(flag, m) for flag, m in zip(flags, mults)]

@@ -14,9 +14,10 @@ a computation never mixes them.
   row that is a coordinate vector e_p just drops column p, so only the
   other rows are eliminated, over the columns left, and the common factor
   of the coordinates is the last pivot of that rest.
-* The float64 backend takes determinants from ``numpy.linalg.det`` and
-  row-reduces with partial pivoting, deciding rank with the relative
-  pivot threshold ``PIVOT_RTOL``.
+* The float64 backend takes determinants from ``numpy.linalg.det``
+  (several of one size from one stacked call, ``dets``) and row-reduces
+  with partial pivoting, deciding rank with the relative pivot threshold
+  ``PIVOT_RTOL``.
 
 Subspaces are stored with a canonical reduced-row-echelon basis, so two
 subspaces are equal iff their representations are equal.  A flag is
@@ -273,6 +274,21 @@ def det(rows, backend=None):
     if len(piv_cols) < n:
         return Fraction(0)
     return Fraction(sign * a[-1][-1], scale)
+
+
+def dets(matrices, backend):
+    """:func:`det` of several k x k matrices, k the same for all.
+
+    Float input takes one stacked ``numpy.linalg.det`` call.  numpy runs
+    the same LU routine on every slice of a stack, so each value keeps the
+    bits :func:`det` gives it, for the numpy overhead of one call.  1 x 1
+    matrices keep :func:`det`'s rule, since a 1 x 1 LU determinant is
+    exp(log|x|) with a sign and not always x.  Exact input takes
+    :func:`det` one matrix at a time.
+    """
+    if backend.exact or not matrices or len(matrices[0]) < 2:
+        return [det(m, backend=backend) for m in matrices]
+    return np.linalg.det(np.array(matrices, dtype=float)).tolist()
 
 
 def wedge_det(vectors):

@@ -24,6 +24,7 @@ from hitchin.linalg import (
     Flag,
     Subspace,
     convert_matrix,
+    det,
     draw_generic,
     is_generic_triple,
     mat_vec,
@@ -202,11 +203,13 @@ def xi_inverse_dense(params):
 
 
 def cross_ratio_wedges(lines, base):
-    """Oracle for exact ``cross_ratio``: the n x n wedge formula
+    """Oracle for ``cross_ratio``: the n x n wedge formula
 
         [M^L1^L3][M^L4^L2] / ([M^L1^L2][M^L4^L3])
 
-    through ``wedge_det``, on a Subspace base or raw rows.
+    through one ``wedge_det`` call per wedge, on a Subspace base or raw
+    rows.  Exact input gives the same rational as the reduction modulo the
+    base; float input gives the bits of the stacked LU wedges.
     """
     reps = [l.line_vector() if isinstance(l, Subspace) else tuple(l) for l in lines]
     mrows = list(base.basis) if isinstance(base, Subspace) else [tuple(v) for v in base]
@@ -222,6 +225,17 @@ def cross_ratio_wedges(lines, base):
             raise DegenerateError("cross ratio undefined: 0/0")
         return INFINITY
     return num / den
+
+
+def partial_wedge_functional_minors(rows, backend):
+    """Oracle for ``flags._partial_wedge_functional``: the cofactor expansion
+    of det(rows + [d]) along d, one ``det`` call per minor."""
+    n = len(rows) + 1
+    out = []
+    for i in range(n):
+        cof = det([tuple(r[:i]) + tuple(r[i + 1 :]) for r in rows], backend=backend)
+        out.append(cof if (n - 1 + i) % 2 == 0 else -cof)
+    return tuple(out)
 
 
 def triple_ratio_wedges(f, g, h, index):

@@ -179,6 +179,22 @@ class TestConfig:
                 "invariants",
                 "[parameters].invariants[0].tau must be an object, got 5",
             ),
+            ({"n": 3, "surface": {"a1": 5}}, "fuchsian-gen", "[surface].a1 must be a list, got 5"),
+            (
+                {"n": 3, "surface": {"a1": [5, 6]}},
+                "fuchsian-gen",
+                "[surface].a1[0] must be a list, got 5",
+            ),
+            (
+                {"n": 3, "surface": {"b1": [[1, 2], [3]]}},
+                "fuchsian-gen",
+                "[surface].b1 must be a 2 x 2 matrix, got [[1, 2], [3]]",
+            ),
+            (
+                {"n": 3, "scan": {"direction": [1, 2]}},
+                "entropy-scan",
+                "[scan].direction must be an object, got [1, 2]",
+            ),
         ],
     )
     def test_malformed_parameters_are_config_errors(self, tmp_path, capsys, data, command, message):

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hitchin import degeneration, linalg
 from hitchin.degeneration import (
     EdgeQuadruple,
     binomial_growth_rate,
@@ -189,8 +191,6 @@ class TestKEdge:
             assert k_edge(swapped_cd) == pytest.approx(base, abs=1e-9)
 
     def test_projective_invariance(self, surface, rng):
-        import numpy as np
-
         quad = direct_quadruples(surface, 0, 3)["ab"]
         base = k_edge(quad)
         state = np.random.RandomState(5)
@@ -236,6 +236,36 @@ class TestKEdge:
             k_edge(quad)
             assert [flag._transverse for flag in flags] == memos
         assert not levels
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_float_wedges_stacked_per_base(self, monkeypatch, n):
+        # float k_edge takes all wedges of a base from one determinant call,
+        # n(n-1) calls in all, and sums a base from its first summand's level:
+        # one rref per extra summand, one fewer than a sum started at zero
+        points = (-1, Fraction(1, 3), Fraction(-1, 3), 1)
+        quad = EdgeQuadruple(*(veronese_flag((p, 1), n, backend=FLOAT64) for p in points))
+        value = k_edge(quad)  # reduces the levels and builds the moving lines
+        det_calls = []
+        numpy_det = np.linalg.det
+        monkeypatch.setattr(np.linalg, "det", lambda a: det_calls.append(a.shape) or numpy_det(a))
+        rrefs, summands = [], []
+        linalg_rref, based = linalg.rref, degeneration.based_lines
+
+        def counting_rref(*args, **kwargs):
+            rrefs[-1] += 1
+            return linalg_rref(*args, **kwargs)
+
+        def counting_based_lines(flags, base):
+            rrefs.append(0)
+            summands.append(sum(1 for _, m in base if m))
+            return based(flags, base)
+
+        monkeypatch.setattr(linalg, "rref", counting_rref)
+        monkeypatch.setattr(degeneration, "based_lines", counting_based_lines)
+        assert k_edge(quad) == value
+        assert det_calls == [(7, n, n)] * (n * (n - 1))
+        assert len(rrefs) == n * (n - 1) and max(summands) == min(n - 2, 3)
+        assert rrefs == [max(k - 1, 0) for k in summands]
 
     def test_moving_lines_built_once(self):
         # a float moving line depends only on its flag and multiplicity, and

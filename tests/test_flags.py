@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hitchin.flags import (
+    _partial_wedge_functional,
     extract_shear_values,
     extract_triple_ratios,
     recover_fourth_line_from_values,
@@ -25,6 +26,7 @@ from hitchin.linalg import (
     mat_mul,
     matrix_rank,
     EXACT,
+    FLOAT64,
 )
 
 from conftest import (
@@ -32,6 +34,7 @@ from conftest import (
     apply_flag,
     generic_triple,
     height_vectors,
+    partial_wedge_functional_minors,
     random_flag,
     random_unimodular,
     reconstruct_triple_hyperplanes,
@@ -469,6 +472,20 @@ class TestFourthLine:
         d2 = recover_fourth_line_from_values(a, b, c, vals2)
         assert d1 != d2
         assert extract_shear_values(a, b, c, d2) == vals2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_functional_matches_per_minor_dets(self, n, rng):
+        # float cofactors come from one stacked LU call with the bits of one
+        # det call each; at n = 2 the minors are 1 x 1 and keep det's rule
+        state = np.random.RandomState(40 + n)
+        for _ in range(25):
+            scale = 10.0 ** state.randint(-6, 7)
+            rows = [tuple((scale * state.uniform(-1, 1, n)).tolist()) for _ in range(n - 1)]
+            got = _partial_wedge_functional(rows, FLOAT64)
+            want = partial_wedge_functional_minors(rows, FLOAT64)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+        rows = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)) for _ in range(n - 1)]
+        assert _partial_wedge_functional(rows, EXACT) == partial_wedge_functional_minors(rows, EXACT)
 
     def test_degenerate_intersection_raises(self):
         n = 3

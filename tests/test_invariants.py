@@ -10,6 +10,7 @@ from hitchin.invariants import (
     based_lines,
     cross_ratio,
     cross_ratio_flags,
+    cross_ratios,
     eigen_gap_check,
     is_infinite,
     project_curve_point,
@@ -20,6 +21,7 @@ from hitchin.flags import veronese_flag
 from hitchin.fuchsian import BPoint, boundary_cross_ratio
 from hitchin.linalg import (
     EXACT,
+    FLOAT64,
     DegenerateError,
     Flag,
     Subspace,
@@ -255,6 +257,43 @@ class TestReductionMatchesWedges:
         # the base F^(1) + G^(1) + H^(0) of T_{2,2,1} has rank 1
         with pytest.raises(DegenerateError, match="rank 1"):
             triple_ratio(f, g, h, (2, 2, 1))
+
+
+class TestFloatWedges:
+    """Float cross ratios stack their wedges into one LU call, and keep the
+    bits of the one-call-per-wedge formula (``cross_ratio_wedges``)."""
+
+    #: the two orders ``k_edge`` asks for; they share the wedge [M^L1^L0]
+    ORDERS = ((3, 0, 2, 1), (1, 3, 0, 2))
+
+    def check(self, lines, base):
+        got = list(cross_ratios(lines, base, self.ORDERS))
+        want = [cross_ratio_wedges([lines[i] for i in order], base) for order in self.ORDERS]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_frames(self, n):
+        state = np.random.RandomState(70 + n)
+        for _ in range(25):
+            scale = 10.0 ** state.randint(-4, 5)
+            lines = [tuple((scale * state.uniform(-1, 1, n)).tolist()) for _ in range(4)]
+            base = [tuple(state.uniform(-1, 1, n).tolist()) for _ in range(n - 2)]
+            self.check(lines, base)
+            self.check(lines, Subspace.span(base, ambient=n, backend=FLOAT64))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_veronese_quadruples(self, n, rng):
+        # every base k_edge sums, n = 2 included, where the base is empty
+        for _ in range(3):
+            pts = sorted(rng.sample(range(-12, 13), 4))
+            flags = [veronese_flag((Fraction(p, 8), 1), n, backend=FLOAT64) for p in pts]
+            fa, fb, fc, fd = flags
+            for fe in (fc, fd):
+                for i in range(n - 1):
+                    for j in range(n - 1 - i):
+                        base = [(fa, i), (fb, j), (fe, n - 2 - i - j)]
+                        m_space, lines = based_lines(flags, base)
+                        self.check(lines, m_space)
 
 
 class TestCrossRatioFlags:
