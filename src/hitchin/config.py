@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,9 +43,15 @@ _SECTION_KEYS = {
 
 
 def parse_scalar(value, exact=False):
-    """A config number: JSON numeric, or a string like "3/7" or "0.25"."""
+    """A config number: JSON numeric, or a string like "3/7" or "0.25".
+
+    Python's JSON reader accepts NaN and Infinity, which are no numbers a
+    coordinate can take, so they are rejected here.
+    """
     if isinstance(value, bool):
         raise ConfigError(f"boolean is not a number: {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"number must be finite, got {value!r}")
     if isinstance(value, (int, float)):
         return Fraction(value) if exact else float(value)
     if isinstance(value, str):
@@ -191,6 +198,9 @@ class RunConfig:
                     f"[scan].direction label {_label_to_str(label)!r} is not an "
                     f"internal coordinate at n={cfg.n}"
                 )
+        fuchsian = data.get("parameters", {}).get("fuchsian", False)
+        if not isinstance(fuchsian, bool):
+            raise ConfigError(f"[parameters].fuchsian must be true or false, got {fuchsian!r}")
         cfg.output_path = data.get("output", {}).get("path", "")
         return cfg
 

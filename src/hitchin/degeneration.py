@@ -13,12 +13,16 @@ boundary width over n.  The two orderings share their bases: a^i + b^j +
 e^k (e in {c, d}) can only sit in M_p(a, b, e), where b has multiplicity
 n-1-p, or in M_(n-1-p)(b, a, e), where a has multiplicity p.  So it serves
 p = n-1-j in one ordering and p = i in the other, and ``k_edge`` builds
-each base sum once for both.  Away from the Fuchsian locus the four flags
-are reconstructed from the invariant data alone: the edge pair is
-normalized to the standard and reversed coordinate flags, the triangle
-invariants pin the two opposite flags (after the cyclic/transposition
-reindexing that moves the unknown flag into the middle slot), and the
-shear values pin the fourth line.
+each base sum once for both; a base a^i + b^(n-2-i) with no e part is the
+same for e = c and e = d, so it is built once in all.  Away from the
+Fuchsian locus the four flags are reconstructed from the invariant data
+alone: the edge pair is normalized to the standard and reversed
+coordinate flags, the triangle invariants pin the two opposite flags
+(after the cyclic/transposition reindexing that moves the unknown flag
+into the middle slot), and the shear values pin the fourth line.  Edges
+of one point often share that data (at n = 3 every edge takes all-ones
+ratios wherever tau = 0), so ``compute_K`` rebuilds each distinct flag
+once per call.
 
 The segment-length checks on the Fuchsian locus build no flag: the
 hyperplane Q1^(k1) + Q2^(k2) of osculating subspaces is the zero set of
@@ -98,26 +102,34 @@ def k_edge(quad):
     a^i + b^j + e^k sits at p = n-1-j in the branch that pairs M_p with e
     and at p = i in the other (see the module docstring), so one pass over
     (e, i, j) builds each base sum once and takes both orderings of its
-    four moving lines from one reduction modulo the base.  Each moving line
-    depends only on its flag and multiplicity (``invariants.based_lines``):
-    an exact flag reads it and its base rows off its own basis, with no
-    level reduced, and a float flag memoises it
-    (``invariants.transverse_line``).
+    four moving lines from one reduction modulo the base.  A base with
+    i + j = n-2 has no e part: the e = d pass meets the base and lines of
+    the e = c pass again and reuses their two logs, so an edge evaluates
+    (n-1)^2 bases, not n(n-1).  Each moving line depends only on its flag
+    and multiplicity (``invariants.based_lines``): an exact flag reads it
+    and its base rows off its own basis, with no level reduced, and a
+    float flag memoises it (``invariants.transverse_line``).
     """
     fa, fb, fc, fd = flags = (quad.a, quad.b, quad.c, quad.d)
     n = quad.n
     k_one = [-math.inf] * n
     k_two = [-math.inf] * n
+    ab_logs = {}
     for e_is_c, fe in ((True, fc), (False, fd)):
         for i in range(n - 1):
             for j in range(n - 1 - i):
-                base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
-                m_base, moving = based_lines(flags, base)
-                # (d, a, c, b) for branch one, (b, d, a, c) for branch two
-                values = cross_ratios(moving, m_base, ((3, 0, 2, 1), (1, 3, 0, 2)))
+                logs = ab_logs.get((i, j))
+                if logs is None:
+                    base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
+                    m_base, moving = based_lines(flags, base)
+                    # (d, a, c, b) for branch one, (b, d, a, c) for branch two
+                    values = cross_ratios(moving, m_base, ((3, 0, 2, 1), (1, 3, 0, 2)))
+                    logs = [_log_cross(value) for value in values]
+                    if i + j == n - 2:
+                        ab_logs[i, j] = logs
                 p_one, p_two = (n - 1 - j, i) if e_is_c else (i, n - 1 - j)
-                for k_branch, p, value in zip((k_one, k_two), (p_one, p_two), values):
-                    k_branch[p] = max(k_branch[p], _log_cross(value))
+                for k_branch, p, log in zip((k_one, k_two), (p_one, p_two), logs):
+                    k_branch[p] = max(k_branch[p], log)
     return min(sum(k_one) / n, sum(k_two) / n)
 
 
@@ -131,17 +143,29 @@ def _edge_frame(n):
     )
 
 
-def edge_quadruple_from_invariants(inv, kind):
+def edge_quadruple_from_invariants(inv, kind, rebuilt=None):
     """Reconstruct the four flags of one edge class from invariant data.
 
     The edge endpoints are normalized to the standard and reversed
     coordinate flags; the triangle-side vertex carries the all-ones line
     and its flag comes from the tau data, the opposite vertex's line from
     the shear block and its flag from the tau' data.
+
+    ``rebuilt`` maps the data of each rebuild already made to its result:
+    C's ratios, D's shear values, and D's shear values with its ratios.
+    A rebuild whose data is there is taken from it.  Every other rebuild
+    runs, in the usual order, and is added, so a point that fails still
+    fails at the same rebuild with the same message.
     """
     n = inv.n
     rules = _EDGE_RULES[kind]
     fa, fb, ones = _edge_frame(n)
+    rebuilt = {} if rebuilt is None else rebuilt
+
+    def once(key, build, *args):
+        if key not in rebuilt:
+            rebuilt[key] = build(*args)
+        return rebuilt[key]
 
     tau_ratios = {}
     taup_ratios = {}
@@ -149,21 +173,32 @@ def edge_quadruple_from_invariants(inv, kind):
         moved = rules["perm"](*idx)
         tau_ratios[idx] = math.exp(float(inv.tau[moved]))
         taup_ratios[idx] = math.exp(-float(inv.tau_prime[moved]))
-    fc = reconstruct_triple(fa, fb, ones, tau_ratios)
+    fc = once(("c", tuple(tau_ratios.values())), reconstruct_triple, fa, fb, ones, tau_ratios)
     shear_values = {
         k: -math.exp(float(inv.sigma[rules["shear"](n, k)])) for k in range(1, n)
     }
-    d_line = recover_fourth_line_from_values(fa, fb, ones, shear_values)
-    fd = reconstruct_triple(fa, fb, d_line, taup_ratios)
+    shear_key = tuple(shear_values.values())
+    d_line = once(("line", shear_key), recover_fourth_line_from_values, fa, fb, ones, shear_values)
+    taup_key = tuple(taup_ratios.values())
+    fd = once(("d", shear_key, taup_key), reconstruct_triple, fa, fb, d_line, taup_ratios)
     return EdgeQuadruple(a=fa, b=fb, c=fc, d=fd)
 
 
 def compute_K(decomp, invariants):
-    """K and the per-edge crossing costs for a full invariant set."""
+    """K and the per-edge crossing costs for a full invariant set.
+
+    One map of rebuilds, local to the call, goes to every
+    ``edge_quadruple_from_invariants``, so each distinct flag and fourth
+    line is rebuilt once per call.  Edges that share a flag object share
+    its memoised levels and moving lines in ``k_edge`` too.  Every edge
+    still takes one ``edge_quadruple_from_invariants`` and one ``k_edge``
+    call, looked up by module name.
+    """
     per_edge = {}
+    rebuilt = {}
     for j, inv in enumerate(invariants):
         for kind in ("ab", "ac", "cb"):
-            quad = edge_quadruple_from_invariants(inv, kind)
+            quad = edge_quadruple_from_invariants(inv, kind, rebuilt)
             per_edge[(j, kind)] = k_edge(quad)
     k_min = min(per_edge.values())
     return k_min, per_edge
@@ -238,9 +273,15 @@ def binomial_growth_rate(K, L):
     """max over q in [0, 1/K] of the growth exponent of
     binom(floor((1-qK)/L T) + qT, qT).
 
-    The exponent is (m+q)log(m+q) - m log m - q log q with m = (1-qK)/L,
-    continuous up to the endpoints where it vanishes.  Golden-section
-    search with deterministic restarts guards against flat stretches.
+    The exponent is phi(q) = (m+q)log(m+q) - m log m - q log q with
+    m = (1-qK)/L, continuous up to the endpoints where it vanishes.  With
+    b = K/L, so that dm/dq = -b,
+
+        phi''(q) = (1-b)^2/(m+q) - b^2/m - 1/q <= -4b/(m+q) < 0,
+
+    since b^2/m + 1/q >= (1+b)^2/(m+q) by Cauchy-Schwarz.  So phi is
+    strictly concave on (0, 1/K), and one golden-section search over the
+    whole interval finds its maximum.
     """
     K, L = float(K), float(L)
     if K <= 0 or L <= 0:
@@ -271,14 +312,7 @@ def binomial_growth_rate(K, L):
         return max(phi(qm), fc, fd)
 
     hi = 1.0 / K
-    best = max(phi(0.0), phi(hi))
-    windows = [(0.0, hi)]
-    for i in range(1, 11):
-        lo = hi * (i - 1) / 10.0
-        windows.append((lo, hi * i / 10.0))
-    for lo, up in windows:
-        best = max(best, golden(lo, up))
-    return best
+    return max(phi(0.0), phi(hi), golden(0.0, hi))
 
 
 def entropy_upper_bound(K, L, genus):

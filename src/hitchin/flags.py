@@ -201,16 +201,17 @@ def reconstruct_triple(f, h, g_line, ratios):
         new_vec = tuple(x / lead for x in new_vec)
         g_basis.append(new_vec)
 
+    # the first coordinate vector that completes the flag; Flag's own rank
+    # check decides, so the rows are reduced once per vector tried
     for v in Subspace.full(n, backend).basis:
-        if Subspace.span(g_basis + [v], ambient=n, backend=backend).dim == n:
-            g_basis.append(v)
-            break
-    else:
-        raise DegenerateError(
-            f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
-            f"vector completes the flag"
-        )
-    return Flag(g_basis, backend=backend)
+        try:
+            return Flag(g_basis + [v], backend=backend)
+        except DegenerateError:
+            continue
+    raise DegenerateError(
+        f"reconstructed level {n - 1} is not a hyperplane: no coordinate "
+        f"vector completes the flag"
+    )
 
 
 def _coordinate_frame(f, h):

@@ -523,3 +523,49 @@ def segment_lengths_exact_flags(tracer, entry, next_entry, xm, xp):
     crossing = sum(seg_log(minus, plus, p) for p in range(n)) / n
     _, next_plus = moved(next_entry)
     return crossing, [seg_log(minus, next_plus, p) for p in range(n)]
+
+
+def growth_exponent(q, K, L):
+    """The exponent (m+q)log(m+q) - m log m - q log q, m = (1-qK)/L, that
+    ``binomial_growth_rate`` maximises over q in [0, 1/K]."""
+    m = (1.0 - q * K) / L
+    if m < 0 or q < 0:
+        return -math.inf
+
+    def xlogx(t):
+        return 0.0 if t <= 0 else t * math.log(t)
+
+    return xlogx(m + q) - xlogx(m) - xlogx(q)
+
+
+def growth_rate_windows(K, L):
+    """Oracle for ``binomial_growth_rate``: golden-section searches over
+    [0, 1/K] and over each tenth of it, with the endpoints, maximised.
+
+    The windows assume nothing about the exponent's shape; the library
+    relies on its concavity and searches [0, 1/K] once."""
+    K, L = float(K), float(L)
+
+    def phi(q):
+        return growth_exponent(q, K, L)
+
+    def golden(lo, hi, tol=1e-12):
+        invphi = (math.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c = b - invphi * (b - a)
+        d = a + invphi * (b - a)
+        fc, fd = phi(c), phi(d)
+        while b - a > tol:
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = phi(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = phi(d)
+        return max(phi((a + b) / 2.0), fc, fd)
+
+    hi = 1.0 / K
+    windows = [(0.0, hi)] + [(hi * (i - 1) / 10.0, hi * i / 10.0) for i in range(1, 11)]
+    return max([phi(0.0), phi(hi)] + [golden(lo, up) for lo, up in windows])

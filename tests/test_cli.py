@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -194,6 +195,29 @@ class TestConfig:
                 {"n": 3, "scan": {"direction": [1, 2]}},
                 "entropy-scan",
                 "[scan].direction must be an object, got [1, 2]",
+            ),
+            # a truthy string would replace explicit data by the Fuchsian point
+            (
+                {"n": 3, "parameters": {"fuchsian": "false"}},
+                "kbound",
+                "[parameters].fuchsian must be true or false, got 'false'",
+            ),
+            # JSON readers take NaN and Infinity; a NaN tau passes the
+            # closed-leaf check r > tol, a NaN direction fails every row
+            (
+                {"n": 3, "parameters": {"invariants": [{"tau": {"1,1,1": math.nan}, "tau_prime": {"1,1,1": 0}, "sigma": {}}] * 2}},
+                "invariants",
+                "number must be finite, got nan",
+            ),
+            (
+                {"n": 3, "backend": "exact", "parameters": {"invariants": [{"tau": {"1,1,1": math.inf}, "tau_prime": {"1,1,1": 0}, "sigma": {}}] * 2}},
+                "invariants",
+                "number must be finite, got inf",
+            ),
+            (
+                {"n": 3, "scan": {"direction": {"tau:1,1,1": math.nan}}},
+                "entropy-scan",
+                "number must be finite, got nan",
             ),
         ],
     )

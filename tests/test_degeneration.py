@@ -49,6 +49,8 @@ from conftest import (
     SURFACES,
     apply_flag,
     exact_flag_at,
+    growth_exponent,
+    growth_rate_windows,
     k_edge_two_branches,
     length_spectrum,
     named_surface,
@@ -240,8 +242,9 @@ class TestKEdge:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_float_wedges_stacked_per_base(self, monkeypatch, n):
         # float k_edge takes all wedges of a base from one determinant call,
-        # n(n-1) calls in all, and sums a base from its first summand's level:
-        # one rref per extra summand, one fewer than a sum started at zero
+        # (n-1)^2 calls in all, since the n-1 bases a^i + b^(n-2-i) serve both
+        # passes, and sums a base from its first summand's level: one rref per
+        # extra summand, one fewer than a sum started at zero
         points = (-1, Fraction(1, 3), Fraction(-1, 3), 1)
         quad = EdgeQuadruple(*(veronese_flag((p, 1), n, backend=FLOAT64) for p in points))
         value = k_edge(quad)  # reduces the levels and builds the moving lines
@@ -263,8 +266,8 @@ class TestKEdge:
         monkeypatch.setattr(linalg, "rref", counting_rref)
         monkeypatch.setattr(degeneration, "based_lines", counting_based_lines)
         assert k_edge(quad) == value
-        assert det_calls == [(7, n, n)] * (n * (n - 1))
-        assert len(rrefs) == n * (n - 1) and max(summands) == min(n - 2, 3)
+        assert det_calls == [(7, n, n)] * (n - 1) ** 2
+        assert len(rrefs) == (n - 1) ** 2 and max(summands) == min(n - 2, 3)
         assert rrefs == [max(k - 1, 0) for k in summands]
 
     def test_moving_lines_built_once(self):
@@ -344,6 +347,64 @@ class TestComputeK:
         k_two, _ = compute_K(surface.decomp, fuchsian_invariants(surface, 2))
         k_val, _ = compute_K(surface.decomp, fuchsian_invariants(surface, n))
         assert k_val == pytest.approx(k_two, rel=1e-12)
+
+    @staticmethod
+    def points(surface, n):
+        """The Fuchsian point and a point with tau moved in pants 0 only."""
+        invs = fuchsian_invariants(surface, n)
+        base = xi_forward(surface.decomp, invs, {c: (0.0,) * (n - 1) for c in range(3)})
+        moved = shifted_params(base, [{("tau", (1, n - 2, 1)): 0.5}, {}], 1)
+        return {"fuchsian": invs, "shifted": xi_inverse(moved)[0]}
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_shared_rebuilds_keep_every_edge(self, surface, n):
+        # compute_K shares its flags between edges; every per-edge K is the
+        # one of an edge rebuilt alone, bit for bit
+        for where, invs in self.points(surface, n).items():
+            _, per_edge = compute_K(surface.decomp, invs)
+            for (j, kind), value in per_edge.items():
+                alone = k_edge(degeneration.edge_quadruple_from_invariants(invs[j], kind))
+                assert value.hex() == alone.hex(), (where, j, kind)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_each_distinct_rebuild_once(self, surface, monkeypatch, n):
+        # one flag rebuild per distinct (line, ratios) and one fourth line
+        # per distinct shear data, against the rebuilds of edges made alone
+        calls = {"flag": [], "line": []}
+        rebuild, recover = degeneration.reconstruct_triple, degeneration.recover_fourth_line_from_values
+
+        def counting_rebuild(f, h, g_line, ratios):
+            calls["flag"].append((g_line.line_vector(), tuple(ratios.items())))
+            return rebuild(f, h, g_line, ratios)
+
+        def counting_recover(a, b, c_line, values):
+            calls["line"].append(tuple(values.items()))
+            return recover(a, b, c_line, values)
+
+        monkeypatch.setattr(degeneration, "reconstruct_triple", counting_rebuild)
+        monkeypatch.setattr(degeneration, "recover_fourth_line_from_values", counting_recover)
+        c_flags = {}
+        for where, invs in self.points(surface, n).items():
+            for kind in ("ab", "ac", "cb"):
+                for inv in invs:
+                    degeneration.edge_quadruple_from_invariants(inv, kind)
+            alone = {what: list(keys) for what, keys in calls.items()}
+            for keys in calls.values():
+                keys.clear()
+            compute_K(surface.decomp, invs)
+            assert len(alone["flag"]) == 12 and len(alone["line"]) == 6
+            for what, keys in calls.items():
+                assert len(keys) == len(set(keys)) == len(set(alone[what])), (where, what)
+                assert set(keys) == set(alone[what]), (where, what)
+                keys.clear()
+            c_flags[where] = {key for key in alone["flag"] if key[0] == (1.0,) * n}
+        if n == 3:
+            # the only tau index is fixed by every edge's reindexing: C is
+            # one flag per pants, and one in all where tau = 0 everywhere
+            assert {where: len(keys) for where, keys in c_flags.items()} == {
+                "fuchsian": 1,
+                "shifted": 2,
+            }
 
     def test_positive_on_deformed_points(self, surface, rng):
         invs = fuchsian_invariants(surface, 3)
@@ -531,11 +592,29 @@ class TestCountBounds:
 
 class TestEntropyBound:
     def test_growth_rate_endpoints_vanish(self):
-        # the q -> 0 and q -> 1/K limits contribute nothing
-        val = binomial_growth_rate(5.0, 1.0)
-        assert val > 0
-        # at q = 0 the expression is identically zero
-        assert 0.0 == pytest.approx(0.0)
+        # the exponent is zero at q = 0 and q = 1/K, so the rate is an
+        # interior maximum, above every point near the ends
+        K, L = 5.0, 1.0
+        assert growth_exponent(0.0, K, L) == 0.0
+        assert growth_exponent(1.0 / K, K, L) == 0.0
+        val = binomial_growth_rate(K, L)
+        ends = [growth_exponent(q, K, L) for q in (1e-9, 1.0 / K - 1e-9)]
+        assert all(0.0 < e < 1e-7 for e in ends)
+        assert val > 0.1
+
+    @pytest.mark.parametrize("K", [0.25, 1.0, 6.0, 1e4])
+    def test_equal_costs_give_log_two(self, K):
+        # K = L puts the maximum at q = 1/(2L), where m = q and the
+        # binomial is central: the rate is log(2)/L
+        assert binomial_growth_rate(K, K) == pytest.approx(math.log(2.0) / K, rel=1e-12)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("ratio", [10.0**k for k in range(-3, 7)])
+    def test_matches_window_oracle(self, ratio, L):
+        # one search over [0, 1/K] finds what the 11 windows find, since the
+        # exponent is strictly concave; K/L from 1e-3 to 1e6 (K = 1e6 at L = 1)
+        K = ratio * L
+        assert binomial_growth_rate(K, L) == pytest.approx(growth_rate_windows(K, L), rel=1e-12)
 
     def test_monotone_in_K(self):
         assert entropy_upper_bound(1e4, 1.0, 2) < entropy_upper_bound(1e2, 1.0, 2)
