@@ -42,7 +42,7 @@ from hitchin.fuchsian import (
 )
 from hitchin.invariants import is_infinite, triple_index_set
 from hitchin.linalg import EXACT, FLOAT64, DegenerateError, Flag, Subspace, mat_vec
-from hitchin.pants import HitchinParams, internal_labels, xi_forward, xi_inverse
+from hitchin.pants import HitchinParams, PantsInvariants, internal_labels, xi_forward, xi_inverse
 from hitchin.tracer import CountPair, EdgeLift, PsiTracer, r_and_s
 
 from conftest import (
@@ -350,11 +350,18 @@ class TestComputeK:
 
     @staticmethod
     def points(surface, n):
-        """The Fuchsian point and a point with tau moved in pants 0 only."""
+        """The Fuchsian point, a point with tau moved in pants 0 only, and a
+        pair of pants with the same shears and different tau'."""
         invs = fuchsian_invariants(surface, n)
         base = xi_forward(surface.decomp, invs, {c: (0.0,) * (n - 1) for c in range(3)})
         moved = shifted_params(base, [{("tau", (1, n - 2, 1)): 0.5}, {}], 1)
-        return {"fuchsian": invs, "shifted": xi_inverse(moved)[0]}
+        twin = PantsInvariants(
+            n=n,
+            tau=invs[0].tau,
+            tau_prime={**invs[0].tau_prime, (1, 1, n - 2): 0.25},
+            sigma=invs[0].sigma,
+        )
+        return {"fuchsian": invs, "shifted": xi_inverse(moved)[0], "twins": [invs[0], twin]}
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_shared_rebuilds_keep_every_edge(self, surface, n):
@@ -404,6 +411,7 @@ class TestComputeK:
             assert {where: len(keys) for where, keys in c_flags.items()} == {
                 "fuchsian": 1,
                 "shifted": 2,
+                "twins": 1,
             }
 
     def test_positive_on_deformed_points(self, surface, rng):
