@@ -263,10 +263,8 @@ class RunConfig:
         params = self.raw.get("parameters", {})
         raw = params.get("gluing")
         if raw is None:
-            return {
-                c: tuple(0.0 for _ in range(self.n - 1))
-                for c in range(decomp.num_curves)
-            }
+            zero = parse_scalar(0, self.exact)
+            return {c: (zero,) * (self.n - 1) for c in range(decomp.num_curves)}
         out = {}
         for key, vals in _json(raw, dict, "[parameters].gluing").items():
             vals = _json(vals, list, f"[parameters].gluing[{key!r}]")

@@ -9,10 +9,10 @@ Three constructions feed everything downstream:
 * rebuilding the middle flag of a generic triple from its triple ratios,
   level by level;
 * recovering the fourth line of an edge configuration from its shear
-  values by intersecting the hyperplanes each shear pins down.
+  values.
 
-Both rebuilds have a closed form in the coordinate edge frame: exact F
-(or A) the coordinate flag e_1, ..., e_n and H (or B) the reversed one,
+Both rebuilds have a closed form in the coordinate edge frame: F (or A)
+the coordinate flag e_1, ..., e_n and H (or B) the reversed one,
 each basis vector up to a nonzero scale, a given line with no zero entry,
 and all triple ratios positive or all shear values nonzero.  There the
 middle flag is G = D u H, with u the totally positive unipotent product,
@@ -23,16 +23,16 @@ snakes, Lusztig's parametrisation).  a(k, 0) = 1 and, for
 1 <= y <= k <= n-2, a(k+1, y) = T_(k+1-y, y, n-k-1) a(k, y-1); that is,
 T_(x,y,z)(F, u H, H) = a(x+y, y) / a(x+y-1, y-1).  D = diag(l_i /
 (u e_n)_i) fixes F, H and every triple ratio and moves G^(1) onto the
-line l, so g_j = D u e_(n+1-j).  The fourth line of an edge is
-d_i = c_i values[1] ... values[i-1].  Positivity makes the triple
-generic, so the closed form never fails.
-
-Every other input, exact or float, takes one elimination.  The triple
-rebuild reads each index's two coefficient ratios off the coordinates of
-f_(x+1) and h_(z+1) and meets the hyperplanes they pin down (see
-:func:`reconstruct_triple`); the fourth line is the kernel of the n - 1
-wedge functionals its shear values give (see
+line l, so g_j = D u e_(n+1-j).  Positivity makes the triple generic,
+so the exact closed form never fails.  The fourth line of an edge is
+d_i = c_i values[1] ... values[i-1] on either backend; that is its only
+construction, and input it cannot take raises (see
 :func:`recover_fourth_line_from_values`).
+
+Every other triple, and every float triple, takes one elimination: it
+reads each index's two coefficient ratios off the coordinates of f_(x+1)
+and h_(z+1) and meets the hyperplanes they pin down (see
+:func:`reconstruct_triple`).
 
 Conventions: a projective-line point [s:t] is the column vector (s, t);
 the flag base point is [1:0], whose osculating flag is the standard
@@ -51,11 +51,10 @@ from .linalg import (
     DegenerateError,
     Flag,
     Subspace,
-    dets,
-    nullspace,
+    convert_vector,
     rref,
 )
-from .invariants import based_lines, cross_ratio, transverse_line, triple_index_set, triple_ratio
+from .invariants import based_lines, cross_ratio, triple_index_set, triple_ratio
 
 
 def _binary_form_product(p, q):
@@ -141,6 +140,10 @@ def reconstruct_triple(f, h, g_line, ratios):
     zero entry, exact flags skip all of this for the closed form
     G = D u H (module docstring, :func:`_snake_flag`), which cannot fail;
     zero or negative ratios and any other frame take the elimination.
+    Float flags always take the elimination: on the bench scan grid, D u H
+    in float64 loses 19 rows that the elimination computes, each failing
+    the float rank check of ``Flag`` ("flag basis is not linearly
+    independent").
     """
     n = f.ambient
     backend = f.backend
@@ -195,9 +198,7 @@ def reconstruct_triple(f, h, g_line, ratios):
             raise DegenerateError(
                 f"reconstructed level {y0 + 1} does not extend level {y0}"
             )
-        lead = next((x for x in new_vec if x != 0), None)
-        if lead is None:
-            raise DegenerateError(f"reconstructed level {y0 + 1} has a zero vector")
+        lead = next(x for x in new_vec if x != 0)
         new_vec = tuple(x / lead for x in new_vec)
         g_basis.append(new_vec)
 
@@ -215,10 +216,11 @@ def reconstruct_triple(f, h, g_line, ratios):
 
 
 def _coordinate_frame(f, h):
-    """Whether exact F is the coordinate flag e_1, ..., e_n and H the
-    reversed one e_n, ..., e_1, each basis vector up to a nonzero scale."""
+    """Whether F is the coordinate flag e_1, ..., e_n and H the reversed
+    one e_n, ..., e_1, on one backend, each basis vector up to a nonzero
+    scale."""
     n = f.ambient
-    if h.ambient != n or not (f.backend.exact and h.backend.exact):
+    if h.ambient != n or h.backend is not f.backend:
         return False
 
     def on_axis(v, p):
@@ -277,84 +279,41 @@ def extract_triple_ratios(f, g, h):
     return {idx: triple_ratio(f, g, h, idx) for idx in triple_index_set(f.ambient)}
 
 
-def _partial_wedge_functional(rows, backend):
-    """Vector w with det(rows + [d]) = <w, d>, via cofactor expansion.
-
-    The n cofactor minors go to ``linalg.dets`` together, one stacked LU
-    call on float input with the bits of one call each.
-    """
-    n = len(rows) + 1
-    minors = [[tuple(r[:i]) + tuple(r[i + 1 :]) for r in rows] for i in range(n)]
-    cofs = dets(minors, backend)
-    return tuple(cof if (n - 1 + i) % 2 == 0 else -cof for i, cof in enumerate(cofs))
-
-
 def recover_fourth_line_from_values(a_flag, b_flag, c_line, values):
     """Fourth line of an edge configuration from its cross-ratio values.
 
     ``values[x]`` = (A, C, D, B)_{A^(x-1)+B^(n-x-1)} for x in 1..n-1; a
-    shear sigma gives the value -exp(sigma).  Each value pins the
-    hyperplane A^(x-1) + B^(n-x-1) + D, and the n-1 hyperplanes intersect
-    in the line D.  Each hyperplane's functional comes from the cofactors
-    of the n x n wedges linear in d, on either backend; exact scalars keep
-    the whole computation exact.  The determinants go to ``linalg.dets`` in
-    groups: each functional's n cofactor minors, each level's pair
-    [M b c], [M a c], and the 2(n-1) transversality checks of the result,
-    so float input takes one stacked LU call per group.
+    shear sigma gives the value -exp(sigma).  A and B must sit in the
+    coordinate edge frame (A standard, B reversed, each basis vector up to
+    a nonzero scale), where the level-x quotient is spanned by e_x and
+    e_(x+1) and values[x] = (d_(x+1) / d_x) (c_x / c_(x+1)).  So a line C
+    with no zero entry and nonzero values give the closed form
+    d_i = c_i values[1] ... values[i-1], on the flags' backend: a line
+    with no zero entry, transverse to every A^(x-1) + B^(n-x-1).
 
-    In the coordinate edge frame (exact A standard, B reversed, each basis
-    vector up to scale) the level-x quotient is spanned by e_x and
-    e_(x+1), where values[x] = (d_(x+1) / d_x) (c_x / c_(x+1)).  So a line
-    C with no zero entry and nonzero values give the closed form
-    d_i = c_i values[1] ... values[i-1], a transverse line with no zero
-    entry; a zero value takes the elimination, which raises.
+    Every other input raises: DegenerateError for an off-frame pair
+    ("coordinate edge frame"), a zero entry of C ("edge configuration is
+    not generic"), or a zero value or a float product that underflows or
+    overflows ("shear data forces a degenerate fourth line");
+    BackendError for an entry the backend cannot take, such as a
+    non-integral float on exact flags.
     """
     n = a_flag.ambient
     backend = a_flag.backend
+    if not _coordinate_frame(a_flag, b_flag):
+        raise DegenerateError("edge pair is not the coordinate edge frame (A standard, B reversed)")
     c_vec = c_line.line_vector() if isinstance(c_line, Subspace) else tuple(c_line)
-    if (
-        _coordinate_frame(a_flag, b_flag)
-        and len(c_vec) == n
-        and all(isinstance(x, (int, Fraction)) and x for x in c_vec)
-    ):
-        v = _exact_values(values, range(1, n))
-        if v is not None and all(v.values()):
-            prods = itertools.accumulate((v[x] for x in range(1, n)), operator.mul, initial=1)
-            return Subspace.span([[c * p for c, p in zip(c_vec, prods)]], ambient=n, backend=EXACT)
-    rows = []
-    checks = []
-    for x in range(1, n):
-        y = n - x
-        v = backend.convert(values[x])
-        m_rows = list(a_flag.subspace(x - 1).basis) + list(
-            b_flag.subspace(y - 1).basis
-        )
-        # A and B carry base multiplicity, so use transverse representatives
-        a_line = transverse_line(a_flag, x - 1)
-        b_line = transverse_line(b_flag, y - 1)
-        # v = [M a d][M b c] / ([M a c][M b d]) is linear in d
-        w_ad = _partial_wedge_functional(m_rows + [a_line], backend)
-        w_bd = _partial_wedge_functional(m_rows + [b_line], backend)
-        k_bc, k_ac = dets([m_rows + [b_line, c_vec], m_rows + [a_line, c_vec]], backend)
-        if k_ac == 0 or k_bc == 0:
-            raise DegenerateError("edge configuration is not generic")
-        row = tuple(
-            wa * k_bc - v * k_ac * wb for wa, wb in zip(w_ad, w_bd)
-        )
-        rows.append(row)
-        checks += [m_rows + [a_line], m_rows + [b_line]]
-    kernel = nullspace(rows, backend, n)
-    if len(kernel) != 1:
-        raise DegenerateError(
-            f"shear data is inconsistent: hyperplane intersection has dim {len(kernel)}"
-        )
-    d_vec = kernel[0]
-    # the recovered line must be transverse to every M + A and M + B; in
-    # floats, up to rounding at the scale of the kernel vector
-    tol = 0 if backend.exact else 1e-12 * max(1.0, max(abs(x) for x in d_vec))
-    if any(abs(w) <= tol for w in dets([m + [d_vec] for m in checks], backend)):
+    if len(c_vec) != n:
+        raise BackendError(f"line C in R^{len(c_vec)} for an edge in R^{n}")
+    c_vec = convert_vector(c_vec, backend)
+    if not all(c_vec):
+        raise DegenerateError("edge configuration is not generic: C has a zero entry")
+    v = [backend.convert(values[x]) for x in range(1, n)]
+    prods = itertools.accumulate(v, operator.mul, initial=backend.one())
+    line = Subspace.span([[c * p for c, p in zip(c_vec, prods)]], ambient=n, backend=backend)
+    if line.dim != 1 or not all(line.basis[0]):
         raise DegenerateError("shear data forces a degenerate fourth line")
-    return Subspace.span(kernel, ambient=n, backend=backend)
+    return line
 
 
 def extract_shear_values(a_flag, b_flag, c_line, d_line):

@@ -168,8 +168,7 @@ def transverse_line(flag, mult):
     This is the moving-subspace representative for a point carrying base
     multiplicity ``mult``: the first reduced-basis vector of F^(mult+1)
     outside F^(mult), built once per flag and multiplicity and memoised on
-    the flag.  Float cross ratios (:func:`based_lines`) and the off-frame
-    elimination of ``flags.recover_fourth_line_from_values`` use it; exact
+    the flag.  Float cross ratios (:func:`based_lines`) use it; exact
     cross ratios take the flag's own basis vector instead.
     """
     if mult not in flag._transverse:

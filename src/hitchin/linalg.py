@@ -510,7 +510,7 @@ class Flag:
     asked for and keeps it in ``_levels``.  ``subspace(0)`` is the zero
     space and ``subspace(n)`` all of R^n, so indexing by 0..n always works.
     ``_transverse`` memoises ``invariants.transverse_line`` by multiplicity;
-    only float cross ratios and the off-frame fourth-line elimination fill it.
+    only float cross ratios fill it.
     """
 
     __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse")

@@ -24,7 +24,6 @@ from hitchin.linalg import (
     Flag,
     Subspace,
     convert_matrix,
-    det,
     draw_generic,
     is_generic_triple,
     mat_vec,
@@ -225,17 +224,6 @@ def cross_ratio_wedges(lines, base):
             raise DegenerateError("cross ratio undefined: 0/0")
         return INFINITY
     return num / den
-
-
-def partial_wedge_functional_minors(rows, backend):
-    """Oracle for ``flags._partial_wedge_functional``: the cofactor expansion
-    of det(rows + [d]) along d, one ``det`` call per minor."""
-    n = len(rows) + 1
-    out = []
-    for i in range(n):
-        cof = det([tuple(r[:i]) + tuple(r[i + 1 :]) for r in rows], backend=backend)
-        out.append(cof if (n - 1 + i) % 2 == 0 else -cof)
-    return tuple(out)
 
 
 def triple_ratio_wedges(f, g, h, index):

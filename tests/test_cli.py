@@ -353,6 +353,32 @@ class TestCommands:
         assert result["internal"][0]["tau:1,1,1"] == "1/2"
         assert result["internal"][1]["sigma:2,1,0"] == "7/3"
 
+    def test_reparam_exact_default_gluing(self, tmp_path):
+        # with no [parameters].gluing the exact backend's gluing is an exact
+        # zero, written like the exact invariants beside it, not as "0.0"
+        cfg = {
+            "n": 3,
+            "genus": 2,
+            "backend": "exact",
+            "decomposition": {"standard_genus": 2},
+            "parameters": {
+                "boundary": {"0": ["3", "2"], "1": ["1", "5/2"], "2": ["4/3", "1"]},
+                "internal": [
+                    {"tau:1,1,1": "1/2", "sigma:2,1,0": "-2"},
+                    {"tau:1,1,1": "0", "sigma:2,1,0": "7/3"},
+                ],
+            },
+        }
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "inv.json"
+        assert run_cli([
+            "reparam", "--direction", "inverse", "--config", str(cfg_path), "--out", str(out),
+        ]) == 0
+        params = json.loads(out.read_text())["parameters"]
+        assert params["gluing"] == {str(c): ["0", "0"] for c in range(3)}
+        assert params["invariants"][0]["sigma"]["2,1,0"] == "-2/1"
+
     def test_reparam_rejects_wall(self, tmp_path):
         cfg = {
             "n": 2,

@@ -130,6 +130,26 @@ def reconstructed_quadruple(n, tau, shear, taup):
     return EdgeQuadruple(a=fa, b=fb, c=fc, d=fd)
 
 
+def exact_frame_k(invariants):
+    """K of an invariant set with every edge rebuilt on the exact frame,
+    each exp(invariant) taken as ``Fraction(math.exp(.))``."""
+    n = invariants[0].n
+
+    def exact_exp(x):
+        return Fraction(math.exp(float(x)))
+
+    ks = []
+    for inv in invariants:
+        for rules in degeneration._EDGE_RULES.values():
+            tau, taup = (
+                {idx: exact_exp(sign * values[rules["perm"](*idx)]) for idx in triple_index_set(n)}
+                for sign, values in ((1, inv.tau), (-1, inv.tau_prime))
+            )
+            shear = {k: -exact_exp(inv.sigma[rules["shear"](n, k)]) for k in range(1, n)}
+            ks.append(k_edge(reconstructed_quadruple(n, tau, shear, taup)))
+    return min(ks)
+
+
 def small_height_quadruple(n, seed):
     """Reconstructed quadruple with positive ratios p/q, 1 <= p, q <= 5."""
     rng = random.Random(seed)
@@ -670,6 +690,23 @@ class TestScan:
         assert all(a > b for a, b in zip(es, es[1:]))
         ls = [r.L for r in rows]
         assert max(ls) - min(ls) < 1e-12  # boundary held fixed
+
+    @pytest.mark.parametrize("sign, last", [(1.0, 16), (-1.0, 27)])
+    def test_shear_ray_matches_exact_frame(self, surface, sign, last):
+        # the float fourth line is the edge-frame closed form, so the shear
+        # rays at n = 3 get past the steps where the hyperplane elimination
+        # failed (+: step 12, -: step 21), and each K is the one of the same
+        # invariants rebuilt on the exact frame
+        invs = fuchsian_invariants(surface, 3)
+        base = xi_forward(surface.decomp, invs, {c: (0.0, 0.0) for c in range(3)})
+        direction = {("sigma", (2, 1, 0)): sign}
+        rows = internal_sequence_scan(base, direction, last)
+        assert [r.error for r in rows if not r.flags_ok] == []
+        ks = [r.K for r in rows]
+        assert all(a < b for a, b in zip(ks, ks[1:]))
+        for step, k_val in enumerate(ks):
+            exact_invs, _ = xi_inverse(shifted_params(base, direction, step))
+            assert k_val == pytest.approx(exact_frame_k(exact_invs), rel=1e-12), step
 
     def test_exhausted_flag_completion_is_a_failure_row(self, surface):
         # closed-form Fuchsian point at n=6: tau = tau' = 0, every sigma the
