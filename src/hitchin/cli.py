@@ -46,6 +46,16 @@ def _write_csv(path, header, rows, cfg):
             fh.close()
 
 
+def _write_json(path, payload):
+    fh, owned = _open_out(path)
+    try:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+    finally:
+        if owned:
+            fh.close()
+
+
 def cmd_invariants(cfg, out_path):
     decomp = cfg.decomposition()
     invariants = cfg.invariants(decomp)
@@ -90,13 +100,7 @@ def cmd_reparam(cfg, direction, out_path):
                 "gluing": {str(c): [str(v) for v in vals] for c, vals in sorted(gluing.items())},
             },
         }
-    fh, owned = _open_out(out_path)
-    try:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_json(out_path, payload)
     return EXIT_OK
 
 
@@ -193,13 +197,7 @@ def cmd_fuchsian_gen(cfg, out_path):
             "gluing": params_to_dict(params)["gluing"],
         },
     }
-    fh, owned = _open_out(out_path)
-    try:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
+    _write_json(out_path, payload)
     return EXIT_OK
 
 

@@ -44,9 +44,9 @@ from .flags import (
 )
 from .fuchsian import (
     boundary_cross_ratio,
+    canonical_mul,
     fixed_points,
     in_arc,
-    mat2_mul,
 )
 from .invariants import INFINITY, based_lines, cross_ratios, is_infinite, triple_index_set
 from .linalg import DegenerateError, FLOAT64, Flag, Subspace
@@ -403,7 +403,7 @@ def segment_length_check(tracer, psi, index, x_mat, k_value, l_value):
     next_entry = psi.lifts[wrap]
     if wrap <= index:
         next_entry = tuple(
-            EdgeLift(mat2_mul(x_mat, e.gamma), e.pants, e.kind)
+            EdgeLift(canonical_mul(x_mat, e.gamma), e.pants, e.kind)
             if isinstance(e, EdgeLift)
             else e
             for e in next_entry

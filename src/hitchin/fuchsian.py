@@ -254,7 +254,8 @@ def mat2_inv(m):
     det = a * d - b * c
     if det == 0:
         raise SurfaceError("singular 2x2 matrix")
-    return ((d / det, -b / det), (-c / det, a / det))
+    inv = 1 / Fraction(det)
+    return ((d * inv, -b * inv), (-c * inv, a * inv))
 
 
 def mat2_det(m):
@@ -274,6 +275,37 @@ def mat2_convert(rows):
 
 def mat2_eq_projective(m, n):
     return m == n or m == tuple(tuple(-x for x in row) for row in n)
+
+
+# ---------------------------------------------------------------------------
+# group elements up to scale
+#
+# The Moebius action is projective, so the tracer keeps each group element as
+# the one primitive integer matrix on its projective line whose first nonzero
+# entry is positive: the same element is always the same tuple of ints.
+
+
+def canonical(m):
+    """The canonical integer matrix of a nonzero rational or integer 2x2 matrix."""
+    v = m[0] + m[1]
+    scale = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (scale // x.denominator) for x in v]
+    g = math.gcd(*ints)
+    if (ints[0] or ints[1] or ints[2] or ints[3]) < 0:
+        g = -g
+    a, b, c, d = (x // g for x in ints)
+    return ((a, b), (c, d))
+
+
+def canonical_mul(m, n):
+    """The canonical matrix of the product m n."""
+    return canonical(mat2_mul(m, n))
+
+
+def canonical_adj(m):
+    """The canonical matrix of the adjugate of m, which acts as m^-1."""
+    (a, b), (c, d) = m
+    return canonical(((d, -b), (-c, a)))
 
 
 def is_hyperbolic(m):
@@ -306,7 +338,7 @@ def fixed_points(m):
     (a, b), (c, d) = m
     det = mat2_det(m)
     if c == 0:
-        finite = BPoint.rational(b / (d - a))
+        finite = BPoint.rational(Fraction(b) / (d - a))
         # infinity is attracting iff |a| > |d|
         if a * a > d * d:
             return finite, INFINITY
@@ -377,23 +409,12 @@ class FuchsianSurfaceData:
     slot_conjugators: dict
 
     def __post_init__(self):
-        self._matrix_cache = {}
         self._slot_fixed = {}
-        # only the words the surface names itself are kept; any other word
-        # (a traced curve, say) is evaluated afresh, so the cache is bounded
-        self._named_words = (
-            {ch for letter in self.generators for ch in (letter, letter.upper())}
-            | set(self.curve_words.values())
-            | set(self.slot_words.values())
-            | set(self.slot_conjugators.values())
-        )
         self._validate()
 
     # -- word evaluation ----------------------------------------------------
 
     def matrix(self, word):
-        if word in self._matrix_cache:
-            return self._matrix_cache[word]
         m = MAT2_ID
         for ch in word:
             if ch.islower():
@@ -401,8 +422,6 @@ class FuchsianSurfaceData:
             else:
                 g = mat2_inv(self.generators[ch.lower()])
             m = mat2_mul(m, g)
-        if word in self._named_words:
-            self._matrix_cache[word] = m
         return m
 
     def slot_matrix(self, pants, slot):

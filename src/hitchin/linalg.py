@@ -139,14 +139,6 @@ def _integer_rows(rows):
     return out, scale
 
 
-def primitive(v):
-    """The primitive integer vector on the line of a rational vector."""
-    m = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (m // x.denominator) for x in v]
-    d = math.gcd(*ints) or 1
-    return tuple(x // d for x in ints)
-
-
 def _eliminate(a, ncols, reduce_above=True):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
 

@@ -21,6 +21,14 @@ the mesh.  Locating the axis from a fan is one pass that returns the
 first separating fan edge near k = 0, or else the first triangle on fan
 edge 0 to restart the dual walk from.
 
+Every group element the tracer makes or compares is one canonical
+matrix: the primitive integer matrix on its projective line whose first
+nonzero entry is positive (``fuchsian.canonical``).  The Moebius action
+is projective, so each boundary point is the same exact rational as from
+the det-1 matrix, equal lifts are equal tuples of ints, and a lift cache
+hashes ints.  The slot matrices, their inverses, the slot conjugators and
+the leaf-partner transfers are built once, with the tracer.
+
 The trace records the cyclic tuple sequence
 
     (pred edge class, edge class, succ edge class, Z/S type, winding count)
@@ -44,20 +52,19 @@ from dataclasses import dataclass
 
 from .fuchsian import (
     boundary_cross_ratio,
+    canonical,
+    canonical_adj,
+    canonical_mul,
     cyclic_order,
     fixed_points,
     in_arc,
     is_hyperbolic,
-    mat2_eq_projective,
-    mat2_inv,
-    mat2_mul,
-    MAT2_ID,
     mobius,
     points_equal,
     separates,
     translation_length,
 )
-from .linalg import DegenerateError, primitive
+from .linalg import DegenerateError
 
 EDGE_ENDS = {"ab": ("a", "b"), "ac": ("a", "c"), "cb": ("c", "b")}
 #: the vertex letter of a triangle opposite each edge kind
@@ -81,6 +88,7 @@ FAN_LOCATE_RADIUS = 8
 #: steps ``_minimize_g`` takes along a fan family before it gives up; fixed
 #: rather than ``depth_cap``, so the mesh does not depend on the cap
 MESH_SEARCH_CAP = 64
+_IDENTITY = ((1, 0), (0, 1))
 
 
 class TraceError(RuntimeError):
@@ -104,6 +112,10 @@ class VertexLift:
 @dataclass(frozen=True)
 class EdgeLift:
     """The lift gamma * (base edge ``kind`` of ``pants``).
+
+    Two lifts are the same edge exactly when they are equal: an edge joins
+    fixed points of two different curves, so no group element but the
+    identity fixes it, and gamma is canonical.
 
     Its ends are named by the letters of ``kind``: the end named l is the
     vertex lift (gamma, pants, l) in both triangles that hold the edge, and
@@ -177,10 +189,11 @@ def r_and_s(psi):
 
 
 def cyclic_equal(psi1, psi2):
-    """Equality of encodings up to cyclic rotation."""
+    """Equality of encodings up to cyclic rotation; closed-leaf encodings
+    are equal when their curves are."""
     t1, t2 = tuple(psi1.tuples), tuple(psi2.tuples)
     if psi1.is_closed_leaf or psi2.is_closed_leaf:
-        return psi1.is_closed_leaf and psi2.is_closed_leaf
+        return psi1.closed_leaf_curve == psi2.closed_leaf_curve
     if len(t1) != len(t2):
         return False
     return any(t1 == t2[k:] + t2[:k] for k in range(len(t2)))
@@ -236,11 +249,20 @@ class MeshSpec:
     g_value: float
     width: float  # lambda_1 - lambda_n of the curve's holonomy
     n: int
-    w_int: tuple  # the curve word as a primitive integer matrix
-    w_adj: tuple  # its adjugate, which acts as w^-1
+    w: tuple  # the curve word's canonical matrix
     rep: object  # repelling and attracting fixed points of w
     att: object
     length: float  # translation length of w
+
+
+@dataclass(frozen=True)
+class _Slot:
+    """Canonical matrices of one pants slot, keyed by its vertex letter."""
+
+    mat: tuple  # the slot word s, which fixes the slot's vertex
+    inv: tuple  # s^-1
+    conj: tuple  # delta with s = delta w^(+-1) delta^-1, w the curve word
+    partner: tuple  # (transfer, pants, letter) of the leaf partner vertex
 
 
 class PsiTracer:
@@ -251,14 +273,23 @@ class PsiTracer:
         self.decomp = surface.decomp
         self.n = n
         self.depth_cap = depth_cap
-        self._slot_mats = {}
         self._points = {}
-        self._partner = {}
         self._meshes = {}
         self._fan_pow = {}
-        for j in range(self.decomp.num_pants):
-            for s in "ABC":
-                self._slot_mats[(j, s)] = surface.slot_matrix(j, s)
+        keys = [(j, s) for j in range(self.decomp.num_pants) for s in "ABC"]
+        conj = {key: canonical(surface.matrix(surface.slot_conjugators[key])) for key in keys}
+        self._slots = {}
+        for j, s in keys:
+            ref1, ref2 = self.decomp.curves[self.decomp.slot_curve(j, s)[0]]
+            other = ref2 if (ref1.pants, ref1.slot) == (j, s) else ref1
+            mat = canonical(surface.slot_matrix(j, s))
+            transfer = canonical_mul(conj[j, s], canonical_adj(conj[other.pants, other.slot]))
+            self._slots[j, s.lower()] = _Slot(
+                mat,
+                canonical_adj(mat),
+                conj[j, s],
+                (transfer, other.pants, other.slot.lower()),
+            )
 
     # -- lift geometry -------------------------------------------------------
 
@@ -269,9 +300,6 @@ class PsiTracer:
             self._points[key] = mobius(v.gamma, base)
         return self._points[key]
 
-    def slot_mat(self, pants, letter):
-        return self._slot_mats[(pants, letter.upper())]
-
     def edge_points(self, e):
         return tuple(self.point(e.end(letter)) for letter in EDGE_ENDS[e.kind])
 
@@ -280,31 +308,25 @@ class PsiTracer:
         if e.kind == "ab":
             return TriangleLift(g, j, False), TriangleLift(g, j, True)
         if e.kind == "ac":
-            delta = mat2_mul(g, mat2_inv(self.slot_mat(j, "a")))
+            delta = canonical_mul(g, self._slots[j, "a"].inv)
             return TriangleLift(g, j, False), TriangleLift(delta, j, True)
-        delta = mat2_mul(g, self.slot_mat(j, "b"))
+        delta = canonical_mul(g, self._slots[j, "b"].mat)
         return TriangleLift(g, j, False), TriangleLift(delta, j, True)
 
     def triangle_vertices(self, tri):
         g, j = tri.gamma, tri.pants
         if not tri.prime:
             return tuple(VertexLift(g, j, l) for l in "abc")
-        ga = mat2_mul(g, self.slot_mat(j, "a"))
+        ga = canonical_mul(g, self._slots[j, "a"].mat)
         return (VertexLift(g, j, "a"), VertexLift(g, j, "b"), VertexLift(ga, j, "c"))
 
     def triangle_edges(self, tri):
         g, j = tri.gamma, tri.pants
         if not tri.prime:
             return tuple(EdgeLift(g, j, k) for k in ("ab", "ac", "cb"))
-        ga = mat2_mul(g, self.slot_mat(j, "a"))
-        gb = mat2_mul(g, mat2_inv(self.slot_mat(j, "b")))
+        ga = canonical_mul(g, self._slots[j, "a"].mat)
+        gb = canonical_mul(g, self._slots[j, "b"].inv)
         return (EdgeLift(g, j, "ab"), EdgeLift(ga, j, "ac"), EdgeLift(gb, j, "cb"))
-
-    @staticmethod
-    def same_edge(e1, e2):
-        """Equal lifts: an edge joins fixed points of two different curves,
-        so no group element but the identity fixes it."""
-        return e1.edge_class == e2.edge_class and mat2_eq_projective(e1.gamma, e2.gamma)
 
     def fan_edge(self, v, kind, k):
         """k-th fan edge of the given family at vertex v."""
@@ -312,13 +334,11 @@ class PsiTracer:
         # the cached powers run over one range of k around 0
         cache = self._fan_pow.setdefault(key, {0: v.gamma})
         if k not in cache:
-            s = self.slot_mat(v.pants, v.letter)
-            step, base = (1, max(cache)) if k > 0 else (-1, min(cache))
-            if step < 0:
-                s = mat2_inv(s)
+            slot = self._slots[v.pants, v.letter]
+            step, base, s = (1, max(cache), slot.mat) if k > 0 else (-1, min(cache), slot.inv)
             g = cache[base]
             for kk in range(base + step, k + step, step):
-                g = mat2_mul(g, s)
+                g = canonical_mul(g, s)
                 cache[kk] = g
         return EdgeLift(cache[k], v.pants, kind)
 
@@ -334,34 +354,15 @@ class PsiTracer:
 
     def partner_lift(self, v):
         """The vertex lift of the other pants sitting at the leaf partner."""
-        key = (v.pants, v.letter)
-        if key not in self._partner:
-            cid, _ = self.decomp.slot_curve(v.pants, v.letter.upper())
-            ref1, ref2 = self.decomp.curves[cid]
-            other = ref2 if (ref1.pants, ref1.slot) == (v.pants, v.letter.upper()) else ref1
-            d1 = self.surface.matrix(
-                self.surface.slot_conjugators[(v.pants, v.letter.upper())]
-            )
-            d2 = self.surface.matrix(
-                self.surface.slot_conjugators[(other.pants, other.slot)]
-            )
-            self._partner[key] = (
-                mat2_mul(d1, mat2_inv(d2)),
-                other.pants,
-                other.slot.lower(),
-            )
-        transfer, p2, l2 = self._partner[key]
-        return VertexLift(mat2_mul(v.gamma, transfer), p2, l2)
+        transfer, p2, l2 = self._slots[v.pants, v.letter].partner
+        return VertexLift(canonical_mul(v.gamma, transfer), p2, l2)
 
     def curve_of_vertex(self, v):
         return self.decomp.slot_curve(v.pants, v.letter.upper())[0]
 
     def mesh_anchor(self, v):
         """Conjugator eta with stabilizer(v leaf) = eta w eta^-1, w the curve word."""
-        delta = self.surface.matrix(
-            self.surface.slot_conjugators[(v.pants, v.letter.upper())]
-        )
-        return mat2_mul(v.gamma, delta)
+        return canonical_mul(v.gamma, self._slots[v.pants, v.letter].conj)
 
     # -- mesh ------------------------------------------------------------------
 
@@ -376,10 +377,8 @@ class PsiTracer:
         anti = ref2 if ref1.aligned else ref1
 
         def endpoint_lift(ref):
-            delta = self.surface.matrix(
-                self.surface.slot_conjugators[(ref.pants, ref.slot)]
-            )
-            return VertexLift(mat2_inv(delta), ref.pants, ref.slot.lower())
+            letter = ref.slot.lower()
+            return VertexLift(canonical_adj(self._slots[ref.pants, letter].conj), ref.pants, letter)
 
         rep_lift = endpoint_lift(aligned)  # sits at rep(w)
         att_lift = endpoint_lift(anti)  # sits at att(w)
@@ -407,7 +406,6 @@ class PsiTracer:
         if best is None:
             raise TraceError(f"no mesh candidate with g >= 1 on curve {curve_id}")
         y_point, g_val = best
-        w_int = _integer_matrix(w_mat)
         spec = MeshSpec(
             curve=curve_id,
             word=word,
@@ -416,8 +414,7 @@ class PsiTracer:
             g_value=g_val,
             width=(self.n - 1) * length,
             n=self.n,
-            w_int=w_int,
-            w_adj=_adjugate(w_int),
+            w=canonical(w_mat),
             rep=rep,
             att=att,
             length=length,
@@ -502,7 +499,7 @@ class PsiTracer:
 
         Raises ``_ClosedLeafHit`` when the axis is a closed-leaf lift.
         """
-        tri = TriangleLift(MAT2_ID, 0, False)
+        tri = TriangleLift(_IDENTITY, 0, False)
         for _ in range(4 * self.depth_cap):
             verts = self.triangle_vertices(tri)
             for v in verts:
@@ -551,9 +548,7 @@ class PsiTracer:
 
     def _other_triangle(self, edge, tri):
         t1, t2 = self.adjacent_triangles(edge)
-        if t1.gamma == tri.gamma and t1.prime == tri.prime and t1.pants == tri.pants:
-            return t2
-        return t1
+        return t2 if t1 == tri else t1
 
     def _fan_locate(self, v, xm, xp):
         """The first separating fan edge at v with |k| < FAN_LOCATE_RADIUS, in
@@ -612,14 +607,14 @@ class PsiTracer:
             if prev_pivot is not None and pivot.letter != prev_pivot.letter:
                 if stop_edge is None:
                     # first binodal edge anchors the period
-                    stop_edge = EdgeLift(mat2_mul(x_mat, edge.gamma), edge.pants, edge.kind)
+                    stop_edge = EdgeLift(canonical_mul(x_mat, edge.gamma), edge.pants, edge.kind)
                 else:
                     # a stretch closes here; the period's closing stretch
                     # belongs to its last tuple
                     events[-1] = dataclasses.replace(
                         events[-1], t=self._winding(pending, xm, xp)
                     )
-                    if self.same_edge(edge, stop_edge):
+                    if edge == stop_edge:
                         return PsiEncoding(tuples=tuple(events), lifts=tuple(lifts))
                 ztype = "Z" if in_arc(self.point(pivot), xp, xm) else "S"
                 events.append(
@@ -695,17 +690,16 @@ class PsiTracer:
         reaches k = +-depth_cap raises ``TraceError``.
         """
         spec = self.mesh(self.curve_of_vertex(pending))
-        # the Moebius action is projective, so the anchors eta w^k run as
-        # integer matrices: w^-1 is the adjugate, and no product reduces
-        eta = _integer_matrix(self.mesh_anchor(pending))
+        eta = self.mesh_anchor(pending)
+        w_inv = canonical_adj(spec.w)
 
         @functools.cache
         def anchor(k):
             if k == 0:
                 return eta
             if k > 0:
-                return mat2_mul(anchor(k - 1), spec.w_int)
-            return mat2_mul(anchor(k + 1), spec.w_adj)
+                return canonical_mul(anchor(k - 1), spec.w)
+            return canonical_mul(anchor(k + 1), w_inv)
 
         @functools.cache
         def mesh_edge(k):
@@ -731,7 +725,7 @@ class PsiTracer:
         # The coordinate is read in the curve's own frame (the cross ratio is
         # Moebius invariant): at the anchor the four points can coincide in
         # float precision.
-        eta_adj = _adjugate(eta)
+        eta_adj = canonical_adj(eta)
         guesses = []
         for z in (xm, xp):
             try:
@@ -766,14 +760,3 @@ class PsiTracer:
         forward = in_arc(u1, u0, w0) == in_arc(xp, u0, w0)
         return count if forward else -count
 
-
-def _integer_matrix(m):
-    """The primitive integer matrix projectively equal to a rational one."""
-    a, b, c, d = primitive(m[0] + m[1])
-    return ((a, b), (c, d))
-
-
-def _adjugate(m):
-    """The adjugate of a 2x2 matrix, which acts as its inverse."""
-    (a, b), (c, d) = m
-    return ((d, -b), (-c, a))

@@ -18,6 +18,7 @@ from hitchin.fuchsian import (
     genus2_surface,
     in_arc,
     is_hyperbolic,
+    mat2_inv,
     mat2_mul,
     mat2_trace,
     mobius,
@@ -322,6 +323,19 @@ class TestMoebius:
             z = mobius(m, z)
         assert abs(float(z) - float(att)) < 1e-6
 
+    def test_fixed_points_of_an_integer_upper_triangular_matrix(self):
+        # c = 0: the finite fixed point b / (a - d) - here -1/3 - is exact
+        rep, att = fixed_points(((5, 1), (0, 2)))
+        assert rep == BPoint.rational(Fraction(-1, 3))
+        assert att == INFINITY
+        assert mobius(((5, 1), (0, 2)), rep) == rep
+
+    def test_inverse_of_an_integer_matrix_is_exact(self):
+        assert mat2_inv(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+        inv = mat2_inv(((1, 1), (1, 4)))
+        assert inv == ((Fraction(4, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(1, 3)))
+        assert all(type(x) is Fraction for row in inv for x in row)
+
     def test_translation_length(self):
         m = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
         assert translation_length(m) == pytest.approx(2 * math.log(2))
@@ -365,14 +379,23 @@ class TestGenus2Surface:
         with pytest.raises(SurfaceError):
             genus2_surface(twist=Fraction(100))
 
-    def test_tracing_leaves_the_matrix_cache_alone(self):
-        """Only the words the surface names itself are memoised."""
+    def test_tracing_evaluates_only_the_traced_word(self):
+        """The tracer builds its slot and curve matrices once, so a trace
+        evaluates one word on the surface, the traced one, and the surface
+        keeps nothing per word."""
         from hitchin.tracer import PsiTracer
 
         s = genus2_surface()
         tracer = PsiTracer(s, n=2)
-        tracer.trace("ab")
-        before = len(s._matrix_cache)
+        for curve in range(s.decomp.num_curves):
+            tracer.mesh(curve)
+        evaluated = []
+        matrix = s.matrix
+
+        def counting(word):
+            evaluated.append(word)
+            return matrix(word)
+
         rng = random.Random(50)
         words = set()
         while len(words) < 50:
@@ -384,9 +407,12 @@ class TestGenus2Surface:
             word = "".join(w)
             if word[0] != word[-1].swapcase() and is_hyperbolic(s.matrix(word)):
                 words.add(word)
+        sizes = {k: len(v) for k, v in vars(s).items() if isinstance(v, dict)}
+        s.matrix = counting
         for word in sorted(words):
             tracer.trace(word)
-        assert len(s._matrix_cache) == before
+        assert evaluated == sorted(words)
+        assert {k: len(v) for k, v in vars(s).items() if isinstance(v, dict)} == sizes
 
     def test_triangulation_orbit_non_crossing(self, surface):
         # 1-ball sample of edge lifts: exact non-crossing check

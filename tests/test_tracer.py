@@ -10,11 +10,9 @@ from hitchin.fuchsian import (
     BPoint,
     boundary_cross_ratio,
     genus2_surface,
+    canonical_mul,
     in_arc,
-    mat2_eq_projective,
     mat2_inv,
-    mat2_mul,
-    MAT2_ID,
     mobius,
     points_equal,
     separates,
@@ -221,6 +219,13 @@ class TestClosedLeafDetection:
         with pytest.raises(TraceError):
             tracer2.trace("aA")
 
+    def test_leaves_of_different_curves_differ(self, tracer2):
+        leaf = {curve: PsiEncoding((), closed_leaf_curve=curve) for curve in range(3)}
+        assert not cyclic_equal(leaf[0], leaf[2])
+        assert cyclic_equal(leaf[1], PsiEncoding((), closed_leaf_curve=1))
+        assert cyclic_equal(tracer2.trace("a"), tracer2.trace("AAA"))
+        assert not cyclic_equal(tracer2.trace("a"), tracer2.trace("c"))
+
 
 class TestTrace:
     def test_transversal_crosses_once(self, tracer2):
@@ -297,6 +302,50 @@ class TestLiftCaches:
             assert len(shared._fan_pow) == len(fresh._fan_pow), word
 
 
+def _is_canonical(m):
+    entries = m[0] + m[1]
+    return (
+        all(type(x) is int for x in entries)
+        and math.gcd(*entries) == 1
+        and next(x for x in entries if x) > 0
+    )
+
+
+class TestCanonicalGamma:
+    """Every group element the tracer makes is one primitive integer matrix
+    with a positive first nonzero entry."""
+
+    @pytest.mark.parametrize("letter", sorted(FAN_ORDER))
+    def test_fan_walk_returns_to_its_start(self, tracer2, letter):
+        for pants in range(tracer2.decomp.num_pants):
+            start = tracer2.fan_edge(VertexLift(((1, 0), (0, 1)), pants, letter), "ab", 0)
+            far = tracer2.fan_edge(start.end(letter), start.kind, 7)
+            back = tracer2.fan_edge(far.end(letter), start.kind, -7)
+            assert far.gamma != start.gamma
+            assert back == start
+
+    def test_edge_lift_ignores_the_sign_of_the_deck_matrix(self, tracer2):
+        x = tracer2.surface.matrix("abc")
+        minus_x = tuple(tuple(-v for v in row) for row in x)
+        for entry in tracer2.trace("abc").lifts:
+            e = entry[1]
+            moved = EdgeLift(canonical_mul(x, e.gamma), e.pants, e.kind)
+            assert moved == EdgeLift(canonical_mul(minus_x, e.gamma), e.pants, e.kind)
+            assert moved != e
+
+    @pytest.mark.parametrize("word", ["abc", "bd", "DcBdBBddABcad"])
+    def test_trace_holds_only_integer_group_elements(self, tracer2, word):
+        psi = tracer2.trace(word)
+        gammas = [key[0] for key in tracer2._points]
+        for key, powers in tracer2._fan_pow.items():
+            gammas += [key[0], *powers.values()]
+        gammas += [lift.gamma for entry in psi.lifts for lift in entry]
+        for slot in tracer2._slots.values():
+            gammas += [slot.mat, slot.inv, slot.conj, slot.partner[0]]
+        gammas += [spec.w for spec in tracer2._meshes.values()]
+        assert gammas and all(_is_canonical(g) for g in gammas)
+
+
 def _orbit(m, point, cap):
     """{k: m^k point} for k in [-cap, cap + 1]."""
     out = {0: point}
@@ -353,7 +402,9 @@ class FullScans:
         far_letter = next(l for l in EDGE_ENDS[kind] if l != vp.letter)
         ends = (tr.surface.base_vertex(vp.pants, l) for l in (vp.letter, far_letter))
         return self._base_orbit(
-            ("fan", vp.pants, vp.letter, kind), tr.slot_mat(vp.pants, vp.letter), ends
+            ("fan", vp.pants, vp.letter, kind),
+            tr.surface.slot_matrix(vp.pants, vp.letter.upper()),
+            ends,
         )
 
     @staticmethod
@@ -430,7 +481,7 @@ class TestWindowOracles:
                 assert isinstance(got, TriangleLift)
                 calls["fan_triangle"] += 1
             else:
-                assert PsiTracer.same_edge(got, tracer.fan_edge(v, *expect))
+                assert got == tracer.fan_edge(v, *expect)
                 calls["fan_edge"] += 1
             return got
 
@@ -441,7 +492,7 @@ class TestWindowOracles:
             walk from it stays at vp."""
             pred, exit_edge, vp = leaf_jump(pivot, xm, xp)
             m_end = scans.window_end(vp, xm, xp)
-            assert PsiTracer.same_edge(exit_edge, tracer.fan_edge_at(vp, m_end))
+            assert exit_edge == tracer.fan_edge_at(vp, m_end)
             ends = [
                 tracer.point(tracer.fan_edge_at(vp, m).far_end(vp.letter))
                 for m in (m_end, m_end + 2)
@@ -479,9 +530,9 @@ class TestWindowOracles:
         def counting_mul(m1, m2):
             if inside[0]:
                 products[-1] += 1
-            return mat2_mul(m1, m2)
+            return canonical_mul(m1, m2)
 
-        monkeypatch.setattr(tracer_module, "mat2_mul", counting_mul)
+        monkeypatch.setattr(tracer_module, "canonical_mul", counting_mul)
         winding = tracer._winding
 
         def counted_winding(pending, xm, xp):
@@ -503,17 +554,12 @@ class TestFanOrder:
     def test_neighbours_share_a_triangle(self, tracer2, letter):
         """Fan edges m and m + 1 at a vertex bound one triangle."""
 
-        def same_triangle(t1, t2):
-            return (t1.pants, t1.prime) == (t2.pants, t2.prime) and mat2_eq_projective(
-                t1.gamma, t2.gamma
-            )
-
         for pants in range(tracer2.decomp.num_pants):
-            v = VertexLift(MAT2_ID, pants, letter)
+            v = VertexLift(((1, 0), (0, 1)), pants, letter)
             for m in range(-6, 6):
                 t1 = tracer2.adjacent_triangles(tracer2.fan_edge_at(v, m))
                 t2 = tracer2.adjacent_triangles(tracer2.fan_edge_at(v, m + 1))
-                assert any(same_triangle(a, b) for a in t1 for b in t2), (pants, m)
+                assert any(a == b for a in t1 for b in t2), (pants, m)
 
 
 class TestDepthCap:
@@ -599,13 +645,13 @@ class TestLiftIdentity:
         psi = tracer2.trace(word)
         x_mat = tracer2.surface.matrix(word)
         edges = [e for entry in psi.lifts for e in entry[:3]]
-        edges += [EdgeLift(mat2_mul(x_mat, e.gamma), e.pants, e.kind) for e in edges]
+        edges += [EdgeLift(canonical_mul(x_mat, e.gamma), e.pants, e.kind) for e in edges]
         for e1 in edges:
             for e2 in edges:
                 by_points = e1.edge_class == e2.edge_class and len(
                     _common_points(tracer2, e1, e2)
                 ) == 2
-                assert tracer2.same_edge(e1, e2) == by_points
+                assert (e1 == e2) == by_points
         for e in edges:
             points = tracer2.edge_points(e)
             for letter in EDGE_ENDS[e.kind]:
