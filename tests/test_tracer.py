@@ -9,8 +9,8 @@ from hitchin.flags import veronese_flag
 from hitchin.fuchsian import (
     BPoint,
     boundary_cross_ratio,
-    genus2_surface,
     canonical_mul,
+    genus2_surface,
     in_arc,
     mat2_inv,
     mobius,
