@@ -24,6 +24,11 @@ of one point often share that data (at n = 3 every edge takes all-ones
 ratios wherever tau = 0), so ``compute_K`` rebuilds each distinct flag
 once per call.
 
+In that frame, with exact flags, ``k_edge`` reads every cross ratio off
+contiguous-window minors of one flag's basis bordered by the other's line
+(Fock-Goncharov's snake minors), from one Bareiss run per flag and start
+column; any other quadruple takes the general loop, with the same values.
+
 The segment-length checks on the Fuchsian locus build no flag: the
 hyperplane Q1^(k1) + Q2^(k2) of osculating subspaces is the zero set of
 (z - Q1)^k1 (z - Q2)^k2 on the rational normal curve, so each segment
@@ -38,10 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .flags import (
-    reconstruct_triple,
-    recover_fourth_line_from_values,
-)
+from .flags import _coordinate_frame, reconstruct_triple, recover_fourth_line_from_values
 from .fuchsian import (
     boundary_cross_ratio,
     canonical_mul,
@@ -49,7 +51,7 @@ from .fuchsian import (
     in_arc,
 )
 from .invariants import INFINITY, based_lines, cross_ratios, is_infinite, triple_index_set
-from .linalg import DegenerateError, FLOAT64, Flag, Subspace
+from .linalg import FLOAT64, DegenerateError, Flag, Subspace, _bareiss_step, _integer_rows
 from .tracer import EdgeLift, shared_letter
 
 #: reindexing that brings each edge's opposite flags into the middle slot;
@@ -101,17 +103,22 @@ def k_edge(quad):
     log (b, d, a, c)_M over M_p(a, b, d) u M_(n-1-p)(b, a, c).  A base
     a^i + b^j + e^k sits at p = n-1-j in the branch that pairs M_p with e
     and at p = i in the other (see the module docstring), so one pass over
-    (e, i, j) builds each base sum once and takes both orderings of its
-    four moving lines from one reduction modulo the base.  A base with
-    i + j = n-2 has no e part: the e = d pass meets the base and lines of
-    the e = c pass again and reuses their two logs, so an edge evaluates
-    (n-1)^2 bases, not n(n-1).  Each moving line depends only on its flag
-    and multiplicity (``invariants.based_lines``): an exact flag reads it
-    and its base rows off its own basis, with no level reduced, and a
-    float flag memoises it (``invariants.transverse_line``).
+    (e, i, j) takes both orderings of each base's four moving lines at
+    once.  A base with i + j = n-2 has no e part: the e = d pass meets the
+    base and lines of the e = c pass again and reuses their two logs, so an
+    edge evaluates (n-1)^2 bases, not n(n-1).
+
+    Exact flags with A, B in the coordinate edge frame take every value
+    from window minors (:func:`_frame_cross_ratios`), with no base built.
+    Other quadruples, float ones, and a frame quadruple with a zero window
+    pivot or denominator take the general loop, which gives the same
+    rationals: each moving line and base row depends only on its flag and
+    multiplicity (``invariants.based_lines``), read off an exact flag's
+    basis or memoised on a float flag (``invariants.transverse_line``).
     """
     fa, fb, fc, fd = flags = (quad.a, quad.b, quad.c, quad.d)
     n = quad.n
+    frame = _frame_cross_ratios(quad)
     k_one = [-math.inf] * n
     k_two = [-math.inf] * n
     ab_logs = {}
@@ -120,10 +127,13 @@ def k_edge(quad):
             for j in range(n - 1 - i):
                 logs = ab_logs.get((i, j))
                 if logs is None:
-                    base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
-                    m_base, moving = based_lines(flags, base)
-                    # (d, a, c, b) for branch one, (b, d, a, c) for branch two
-                    values = cross_ratios(moving, m_base, ((3, 0, 2, 1), (1, 3, 0, 2)))
+                    if frame is not None:
+                        values = frame[e_is_c, i, j]
+                    else:
+                        base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
+                        m_base, moving = based_lines(flags, base)
+                        # (d, a, c, b) for branch one, (b, d, a, c) for branch two
+                        values = cross_ratios(moving, m_base, ((3, 0, 2, 1), (1, 3, 0, 2)))
                     logs = [_log_cross(value) for value in values]
                     if i + j == n - 2:
                         ab_logs[i, j] = logs
@@ -131,6 +141,71 @@ def k_edge(quad):
                 for k_branch, p, log in zip((k_one, k_two), (p_one, p_two), logs):
                     k_branch[p] = max(k_branch[p], log)
     return min(sum(k_one) / n, sum(k_two) / n)
+
+
+def _window_minors(rows, o):
+    """runs[s] = (pivots, bordered) of one no-pivot Bareiss run
+    (``linalg._bareiss_step``) on integer ``rows`` 0..n-s-1 over columns
+    s..n-1, with o as one more row: before step t, pivots[t] is the minor
+    of rows 0..t on columns s..s+t and bordered[t], o's entry in column
+    s+t, that of rows 0..t-1 and o.  None at a zero pivot."""
+    n = len(o)
+    runs = []
+    for s in range(n):
+        a = [row[s:] for row in rows[: n - s]] + [o[s:]]
+        pivots, bordered, prev = [], [], 1
+        for t in range(n - s):
+            if not a[t][t]:
+                return None
+            pivots.append(a[t][t])
+            bordered.append(a[-1][t])
+            _bareiss_step(a, t, t, prev, range(t + 1, n - s + 1))
+            prev = a[t][t]
+        runs.append((pivots, bordered))
+    return runs
+
+
+def _frame_cross_ratios(quad):
+    """The two values of every base, keyed (e is c, i, j), from window minors.
+
+    In the frame the base a^i + b^j + e^k leaves the window of columns
+    i..i+k+1, where A's and B's moving lines are the first and last unit
+    vectors.  With E the flag carrying e, o the other flag's first basis
+    vector (rows scaled to integers), Q(x) and P(x) the minors of
+    [E rows 0..k-1; x] on columns i..i+k and i+1..i+k+1, I that of E rows
+    0..k-1 on columns i+1..i+k and F that of [E rows 0..k-1; d; c] on the
+    window, expanding each wedge along the unit vectors gives
+
+        (d, a, c, b)_M = -F I / (P(d) Q(c)),  (b, d, a, c)_M = F I / (Q(d) P(c)),
+
+    as the general loop's rationals, since every row scale cancels.  One of
+    c, d is E's row k and the other o, so the runs from columns i and i+1
+    hold every minor.  None off the frame or at a zero pivot or denominator.
+    """
+    exact = all(f.backend.exact for f in (quad.a, quad.c, quad.d))
+    if not (exact and _coordinate_frame(quad.a, quad.b)):
+        return None
+    n = quad.n
+    c_rows, d_rows = (_integer_rows(f.compatible_basis())[0] for f in (quad.c, quad.d))
+    values = {}
+    for e_is_c, rows, o in ((True, c_rows, d_rows[0]), (False, d_rows, c_rows[0])):
+        runs = _window_minors(rows, o)
+        if runs is None:
+            return None
+        for i in range(n - 1):
+            (q_piv, q_bord), (p_piv, p_bord) = runs[i], runs[i + 1]
+            # a base with no e part (k = 0) is the same in both passes
+            for j in range(n - 1 - i if e_is_c else n - 2 - i):
+                k = n - 2 - i - j
+                # fi = F I when e = d; F swaps the last two rows when e = c,
+                # where fi = -F I and the pair is (one, two), not (two, one)
+                fi = q_bord[k + 1] * (p_piv[k - 1] if k else 1)
+                one, two = (fi, p_bord[k] * q_piv[k]), (-fi, q_bord[k] * p_piv[k])
+                if not (one[1] and two[1]):
+                    return None
+                pair = (Fraction(*one), Fraction(*two))
+                values[e_is_c, i, j] = pair if e_is_c else pair[::-1]
+    return values
 
 
 @functools.cache

@@ -273,10 +273,6 @@ def mat2_convert(rows):
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def mat2_eq_projective(m, n):
-    return m == n or m == tuple(tuple(-x for x in row) for row in n)
-
-
 # ---------------------------------------------------------------------------
 # group elements up to scale
 #
@@ -454,12 +450,13 @@ class FuchsianSurfaceData:
         for (j, s), word in self.slot_words.items():
             if not is_hyperbolic(self.matrix(word)):
                 raise SurfaceError(f"slot word {word!r} is not hyperbolic")
-        # pants relation C = A^-1 B^-1 per pants, projectively
+        # pants relation C = A^-1 B^-1 per pants, projectively: every operand here and
+        # below is a product of det-1 generators, so equal canonical forms mean x = +-y
         for j in range(self.decomp.num_pants):
             a = self.matrix(self.slot_words[(j, "A")])
             b = self.matrix(self.slot_words[(j, "B")])
             c = self.matrix(self.slot_words[(j, "C")])
-            if not mat2_eq_projective(mat2_mul(mat2_inv(a), mat2_inv(b)), c):
+            if canonical(mat2_mul(mat2_inv(a), mat2_inv(b))) != canonical(c):
                 raise SurfaceError(f"pants {j}: slot words violate C = A^-1 B^-1")
         # slot words must be the advertised conjugates of the curve words
         for (j, s), word in self.slot_words.items():
@@ -469,7 +466,7 @@ class FuchsianSurfaceData:
             if not aligned:
                 w = mat2_inv(w)
             expect = mat2_mul(mat2_mul(delta, w), mat2_inv(delta))
-            if not mat2_eq_projective(self.matrix(word), expect):
+            if canonical(self.matrix(word)) != canonical(expect):
                 raise SurfaceError(
                     f"slot ({j}, {s}): word is not the advertised conjugate"
                 )
@@ -596,7 +593,8 @@ def genus2_surface(a1=None, b1=None, twist=Fraction(0)):
             (1, "C"): "",
         },
     )
+    # a product of det-1 generators: equal canonical forms mean relation = +-identity
     relation = mat2_mul(surface.matrix("abAB"), surface.matrix("cdCD"))
-    if not mat2_eq_projective(relation, MAT2_ID):
+    if canonical(relation) != canonical(MAT2_ID):
         raise SurfaceError("genus-2 relation failed")  # pragma: no cover
     return surface

@@ -8,7 +8,8 @@ a computation never mixes them.
 * The exact backend works over ``fractions.Fraction``, where identities
   hold on the nose.  Its determinant, rank and RREF (and so its null
   spaces and subspace meets) all come from one fraction-free (Bareiss)
-  Gauss-Jordan elimination on integer rows, ``_eliminate``.
+  Gauss-Jordan elimination on integer rows, ``_eliminate``, whose step
+  (``_bareiss_step``) also gives ``degeneration.k_edge`` its window minors.
   ``reduce_modulo`` reads vectors modulo a base in integer coordinates,
   which turns wedges that share that base into small minors.  A base
   row that is a coordinate vector e_p just drops column p, so only the
@@ -166,17 +167,23 @@ def _eliminate(a, ncols, reduce_above=True):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        p, pivot_row = a[r][c], a[r]
-        for i in range(0 if reduce_above else r + 1, m):
-            if i != r:
-                f = a[i][c]
-                # every entry is a minor of the input (Sylvester's identity),
-                # so the division by the previous pivot is exact
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = p
+        lo = 0 if reduce_above else r + 1
+        _bareiss_step(a, r, c, prev, (i for i in range(lo, m) if i != r))
+        prev = a[r][c]
         piv_cols.append(c)
         r += 1
     return piv_cols, sign
+
+
+def _bareiss_step(a, r, c, prev, rows):
+    """Clear column c of ``rows`` with the pivot a[r][c], in place; ``prev``
+    is the last step's pivot (1 at first).  After t steps without swaps,
+    entry (i, j) of a row i >= t is the minor of rows 0..t-1 and i on the t
+    pivot columns and column j (Sylvester), so the division is exact."""
+    p, pivot_row = a[r][c], a[r]
+    for i in rows:
+        f = a[i][c]
+        a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
 
 
 def reduce_modulo(vectors, base):

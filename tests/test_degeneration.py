@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hitchin import degeneration, linalg
+from hitchin import degeneration, invariants, linalg
 from hitchin.degeneration import (
     EdgeQuadruple,
     binomial_growth_rate,
@@ -348,6 +348,83 @@ class TestKEdge:
         shear = {k: Fraction(-(10**400)) for k in range(1, n)}
         quad = reconstructed_quadruple(n, ones, shear, ones)
         assert math.isfinite(k_edge(quad))
+
+
+def k_edge_outcome(quad):
+    """``k_edge`` as ``float.hex``, or the message of the error it raises."""
+    try:
+        return k_edge(quad).hex()
+    except DegenerateError as exc:
+        return str(exc)
+
+
+class TestFramePath:
+    """Exact quadruples in the coordinate edge frame take their cross
+    ratios from window minors; every other one takes the general loop."""
+
+    @staticmethod
+    def general_outcome(monkeypatch, quad):
+        with monkeypatch.context() as patch:
+            patch.setattr(degeneration, "_frame_cross_ratios", lambda quad: None)
+            return k_edge_outcome(quad)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_general_loop(self, monkeypatch, n):
+        # seeded small rationals and Fraction(exp(x)) dyadics, and the
+        # +-10^400 shears of test_exact_ratio_beyond_float_range (-10^400
+        # gives a value, +10^400 an error)
+        rng = random.Random(2300 + n)
+        draws = (
+            lambda: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+            lambda: Fraction(math.exp(rng.uniform(-2.0, 2.0))),
+        )
+        quads = []
+        for value in draws:
+            tau, taup = ({idx: value() for idx in triple_index_set(n)} for _ in range(2))
+            shear = {k: -value() for k in range(1, n)}
+            quads.append(reconstructed_quadruple(n, tau, shear, taup))
+        ones = {idx: Fraction(1) for idx in triple_index_set(n)}
+        for big in (-(10**400), 10**400):
+            shear = {k: Fraction(big) for k in range(1, n)}
+            quads.append(reconstructed_quadruple(n, ones, shear, ones))
+        for quad in quads:
+            assert degeneration._frame_cross_ratios(quad) is not None
+            assert k_edge_outcome(quad) == self.general_outcome(monkeypatch, quad)
+
+    def test_no_reduction_and_no_based_lines(self, monkeypatch):
+        calls = collections.Counter()
+        reduce, based = invariants.reduce_modulo, degeneration.based_lines
+
+        def counting_reduce(vectors, base):
+            calls["reduce_modulo"] += 1
+            return reduce(vectors, base)
+
+        def counting_based_lines(flags, base):
+            calls["based_lines"] += 1
+            return based(flags, base)
+
+        monkeypatch.setattr(invariants, "reduce_modulo", counting_reduce)
+        monkeypatch.setattr(degeneration, "based_lines", counting_based_lines)
+        k_edge(small_height_quadruple(6, 106))
+        assert not calls
+        # off the frame, the same counters see the general loop
+        k_edge(off_frame_quadruple(6, 106))
+        assert calls == {"reduce_modulo": 25, "based_lines": 25}
+
+    def test_zero_window_pivot_takes_the_general_loop(self, monkeypatch):
+        # C's line has a zero last entry, so the window run from the last
+        # column meets a zero pivot
+        fa, fb = Flag.standard(3, backend=EXACT), Flag.reversed_standard(3, backend=EXACT)
+        fc = Flag([(1, 1, 0), (1, 2, 1), (0, 0, 1)], backend=EXACT)
+        fd = small_height_quadruple(3, 103).d
+        c_rows = linalg._integer_rows(fc.compatible_basis())[0]
+        d_rows = linalg._integer_rows(fd.compatible_basis())[0]
+        assert degeneration._window_minors(c_rows, d_rows[0]) is None
+        for quad in (EdgeQuadruple(fa, fb, fc, fd), EdgeQuadruple(fa, fb, fd, fc)):
+            assert degeneration._frame_cross_ratios(quad) is None
+            outcome = k_edge_outcome(quad)
+            assert outcome == self.general_outcome(monkeypatch, quad)
+            assert outcome == "crossing cross ratio not positive: INFINITY"
 
 
 class TestComputeK:

@@ -341,6 +341,49 @@ class TestMoebius:
         assert translation_length(m) == pytest.approx(2 * math.log(2))
 
 
+def seeded_matrices(count=300):
+    """Nonzero 2x2 matrices with seeded rational or integer entries, some
+    zero, of either sign and with a common factor more often than not."""
+    rng = random.Random(2305)
+
+    def entry():
+        x = rng.choice((-1, 0, 1)) * Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        return x if rng.random() < 0.5 else x.numerator * rng.randint(1, 50)
+
+    out = []
+    while len(out) < count:
+        m = ((entry(), entry()), (entry(), entry()))
+        if any(m[0] + m[1]):
+            out.append(m)
+    return out
+
+
+class TestCanonical:
+    """``canonical``: the primitive integer matrix of a projective class
+    whose first nonzero entry is positive."""
+
+    def test_primitive_integer_with_positive_lead(self):
+        for m in seeded_matrices():
+            (a, b), (c, d) = fuchsian.canonical(m)
+            entries = (a, b, c, d)
+            assert all(type(x) is int for x in entries), m
+            assert math.gcd(*entries) == 1, m
+            assert next(x for x in entries if x) > 0, m
+
+    def test_idempotent(self):
+        for m in seeded_matrices():
+            once = fuchsian.canonical(m)
+            assert fuchsian.canonical(once) == once, m
+
+    def test_projectively_equal_to_the_input(self):
+        for m in seeded_matrices():
+            (a, b), (c, d) = fuchsian.canonical(m)
+            v, w = m[0] + m[1], (a, b, c, d)
+            lead = next(i for i, x in enumerate(v) if x)
+            scale = Fraction(w[lead]) / v[lead]
+            assert scale and all(y == scale * x for x, y in zip(v, w)), m
+
+
 class TestGenus2Surface:
     def test_relation_holds_exactly(self, surface):
         rel = mat2_mul(surface.matrix("abAB"), surface.matrix("cdCD"))
