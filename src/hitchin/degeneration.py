@@ -197,8 +197,9 @@ def _frame_cross_ratios(quad):
             # a base with no e part (k = 0) is the same in both passes
             for j in range(n - 1 - i if e_is_c else n - 2 - i):
                 k = n - 2 - i - j
-                # fi = F I when e = d; F swaps the last two rows when e = c,
-                # where fi = -F I and the pair is (one, two), not (two, one)
+                # fi is F I when e = d (d = E's row k, c = o) and -F I when e = c,
+                # whose F swaps the last two rows: (one, two) are the values
+                # for e = c, (two, one) those for e = d
                 fi = q_bord[k + 1] * (p_piv[k - 1] if k else 1)
                 one, two = (fi, p_bord[k] * q_piv[k]), (-fi, q_bord[k] * p_piv[k])
                 if not (one[1] and two[1]):

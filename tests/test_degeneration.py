@@ -413,7 +413,8 @@ class TestFramePath:
 
     def test_zero_window_pivot_takes_the_general_loop(self, monkeypatch):
         # C's line has a zero last entry, so the window run from the last
-        # column meets a zero pivot
+        # column meets a zero pivot; with C and D swapped, that line is o
+        # and its bordered minor there, a denominator, is zero
         fa, fb = Flag.standard(3, backend=EXACT), Flag.reversed_standard(3, backend=EXACT)
         fc = Flag([(1, 1, 0), (1, 2, 1), (0, 0, 1)], backend=EXACT)
         fd = small_height_quadruple(3, 103).d

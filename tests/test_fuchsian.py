@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from decimal import Context
@@ -421,6 +422,19 @@ class TestGenus2Surface:
     def test_rejects_twist_outside_axis(self):
         with pytest.raises(SurfaceError):
             genus2_surface(twist=Fraction(100))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # the inverse commutator is hyperbolic but breaks C = A^-1 B^-1
+            ({"slot_words": {(0, "C"): "BAba"}}, "slot words violate"),
+            ({"slot_conjugators": {(0, "B"): ""}}, "not the advertised conjugate"),
+        ],
+    )
+    def test_rejects_broken_slot_data(self, surface, change, message):
+        changed = {name: {**getattr(surface, name), **entries} for name, entries in change.items()}
+        with pytest.raises(SurfaceError, match=message):
+            dataclasses.replace(surface, **changed)
 
     def test_tracing_evaluates_only_the_traced_word(self):
         """The tracer builds its slot and curve matrices once, so a trace
