@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .flags import _coordinate_frame, reconstruct_triple, recover_fourth_line_from_values
@@ -114,7 +115,7 @@ def k_edge(quad):
     pivot or denominator take the general loop, which gives the same
     rationals: each moving line and base row depends only on its flag and
     multiplicity (``invariants.based_lines``), read off an exact flag's
-    basis or memoised on a float flag (``invariants.transverse_line``).
+    basis or memoised on a float flag (``Flag.moving_line``).
     """
     fa, fb, fc, fd = flags = (quad.a, quad.b, quad.c, quad.d)
     n = quad.n
@@ -209,6 +210,17 @@ def _frame_cross_ratios(quad):
     return values
 
 
+def _exp(table, idx, name, kind, sign=1):
+    """exp(sign * table[idx]) in float64; an overflow names the coordinate and edge."""
+    value = sign * table[idx]
+    try:
+        return math.exp(float(value))
+    except OverflowError:
+        q, label = Fraction(value), f"{name}({','.join(map(str, idx))})"
+        shown = format(Decimal(q.numerator) / q.denominator, ".6g")
+        raise DegenerateError(f"exp({label} = {shown}) overflows float64 on edge {kind}") from None
+
+
 @functools.cache
 def _edge_frame(n):
     """The float64 standard flag, reversed flag and all-ones line of R^n."""
@@ -247,12 +259,10 @@ def edge_quadruple_from_invariants(inv, kind, rebuilt=None):
     taup_ratios = {}
     for idx in triple_index_set(n):
         moved = rules["perm"](*idx)
-        tau_ratios[idx] = math.exp(float(inv.tau[moved]))
-        taup_ratios[idx] = math.exp(-float(inv.tau_prime[moved]))
+        tau_ratios[idx] = _exp(inv.tau, moved, "tau", kind)
+        taup_ratios[idx] = _exp(inv.tau_prime, moved, "-tau'", kind, -1)
     fc = once(("c", tuple(tau_ratios.values())), reconstruct_triple, fa, fb, ones, tau_ratios)
-    shear_values = {
-        k: -math.exp(float(inv.sigma[rules["shear"](n, k)])) for k in range(1, n)
-    }
+    shear_values = {k: -_exp(inv.sigma, rules["shear"](n, k), "sigma", kind) for k in range(1, n)}
     shear_key = tuple(shear_values.values())
     d_line = once(("line", shear_key), recover_fourth_line_from_values, fa, fb, ones, shear_values)
     taup_key = tuple(taup_ratios.values())

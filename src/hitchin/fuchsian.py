@@ -11,8 +11,12 @@ The default genus-2 group doubles a one-holed torus group <a, b> with
 tr[a, b] < -2 across its boundary axis: the half-turn psi about a rational
 point of the axis conjugates [a, b] to its inverse, so (a, b, c, d) with
 c = psi a psi^-1, d = psi b psi^-1 satisfies the genus-2 relation
-[a, b][c, d] = 1 exactly in SL(2, Q).  The three pants curves are the two
+[a, b][c, d] = 1 exactly in PSL(2, Q).  The three pants curves are the two
 handle curves and the waist [a, b].
+
+Each group element is stored as its canonical integer matrix
+(``canonical``); ``fixed_points`` and ``translation_length`` read one
+through its det-1 representative, as SL(2,Q) would.
 """
 
 from __future__ import annotations
@@ -248,14 +252,10 @@ def mat2_mul(m, n):
     )
 
 
-def mat2_inv(m):
-    a, b = m[0]
-    c, d = m[1]
-    det = a * d - b * c
-    if det == 0:
-        raise SurfaceError("singular 2x2 matrix")
-    inv = 1 / Fraction(det)
-    return ((d * inv, -b * inv), (-c * inv, a * inv))
+def mat2_adj(m):
+    """The adjugate, det(m) m^-1: the inverse of a det-1 matrix."""
+    (a, b), (c, d) = m
+    return ((d, -b), (-c, a))
 
 
 def mat2_det(m):
@@ -266,19 +266,26 @@ def mat2_trace(m):
     return m[0][0] + m[1][1]
 
 
-MAT2_ID = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+def _det_root(m):
+    """The rational r > 0 with det m = r^2, or None."""
+    det = Fraction(mat2_det(m))
+    r = Fraction(math.isqrt(det.numerator), math.isqrt(det.denominator)) if det > 0 else 0
+    return r if r and r * r == det else None
 
 
-def mat2_convert(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+def _unit_det(m):
+    """m / r when det m = r^2, else m: a scaled m would carry r^2 into its fixed
+    points' radicand, which ``_reduce_square`` strips only over small primes."""
+    r = _det_root(m)
+    return m if r in (None, 1) else tuple(tuple(Fraction(x) / r for x in row) for row in m)
 
 
 # ---------------------------------------------------------------------------
 # group elements up to scale
 #
-# The Moebius action is projective, so the tracer keeps each group element as
-# the one primitive integer matrix on its projective line whose first nonzero
-# entry is positive: the same element is always the same tuple of ints.
+# The Moebius action is projective, so each group element is stored as the one
+# primitive integer matrix on its projective line whose first nonzero entry is
+# positive: the same element is always the same tuple of ints.
 
 
 def canonical(m):
@@ -300,8 +307,7 @@ def canonical_mul(m, n):
 
 def canonical_adj(m):
     """The canonical matrix of the adjugate of m, which acts as m^-1."""
-    (a, b), (c, d) = m
-    return canonical(((d, -b), (-c, a)))
+    return canonical(mat2_adj(m))
 
 
 def is_hyperbolic(m):
@@ -331,6 +337,7 @@ def fixed_points(m):
     """(repelling, attracting) fixed points of a hyperbolic matrix."""
     if not is_hyperbolic(m):
         raise SurfaceError("fixed points of a non-hyperbolic matrix")
+    m = _unit_det(m)
     (a, b), (c, d) = m
     det = mat2_det(m)
     if c == 0:
@@ -361,20 +368,9 @@ def fixed_points(m):
     raise SurfaceError("could not orient fixed points")  # pragma: no cover
 
 
-def axis_center_radius2(m):
-    """Center and squared radius of the axis semicircle (c != 0 case)."""
-    (a, b), (c, d) = m
-    if c == 0:
-        raise SurfaceError("axis through infinity has no finite center")
-    center = Fraction(a - d, 2 * c)
-    radius2 = center * center + Fraction(b, c)
-    if radius2 <= 0:
-        raise SurfaceError("matrix has no real axis")
-    return center, radius2
-
-
 def translation_length(m):
-    """Hyperbolic translation length 2 arccosh(|tr|/2) for det-1 input."""
+    """Hyperbolic translation length 2 arccosh(|tr| / (2 sqrt(det)))."""
+    m = _unit_det(m)
     det = mat2_det(m)
     tr = abs(float(mat2_trace(m))) / math.sqrt(float(det))
     if tr <= 2:
@@ -390,8 +386,10 @@ def translation_length(m):
 class FuchsianSurfaceData:
     """A Fuchsian genus-g group with pants words and slot bookkeeping.
 
-    ``generators`` maps lowercase letters to det-1 rational matrices;
-    capital letters act as inverses in words.  ``slot_words[(j, s)]`` is the
+    ``generators`` maps lowercase letters to rational multiples of SL(2,Q)
+    elements (positive square determinant), kept as canonical matrices;
+    capital letters act as inverses in words, whose matrices are canonical
+    too.  ``slot_words[(j, s)]`` is the
     boundary word of pants j at slot s, equal as a matrix to
     delta * w^(+-1) * delta^(-1) where w is the curve word of the attached
     curve and delta = ``slot_conjugators[(j, s)]``.
@@ -411,13 +409,10 @@ class FuchsianSurfaceData:
     # -- word evaluation ----------------------------------------------------
 
     def matrix(self, word):
-        m = MAT2_ID
+        m = ((1, 0), (0, 1))
         for ch in word:
-            if ch.islower():
-                g = self.generators[ch]
-            else:
-                g = mat2_inv(self.generators[ch.lower()])
-            m = mat2_mul(m, g)
+            g = self.generators[ch.lower()]
+            m = canonical_mul(m, g if ch.islower() else canonical_adj(g))
         return m
 
     def slot_matrix(self, pants, slot):
@@ -444,19 +439,20 @@ class FuchsianSurfaceData:
 
     def _validate(self):
         for letter, m in self.generators.items():
-            self.generators[letter] = mat2_convert(m)
-            if mat2_det(self.generators[letter]) != 1:
-                raise SurfaceError(f"generator {letter!r} must have determinant 1")
+            m = [[Fraction(x) for x in row] for row in m]
+            if _det_root(m) is None:
+                raise SurfaceError(f"generator {letter!r} needs a positive square determinant")
+            self.generators[letter] = canonical(m)
         for (j, s), word in self.slot_words.items():
             if not is_hyperbolic(self.matrix(word)):
                 raise SurfaceError(f"slot word {word!r} is not hyperbolic")
-        # pants relation C = A^-1 B^-1 per pants, projectively: every operand here and
-        # below is a product of det-1 generators, so equal canonical forms mean x = +-y
+        # pants relation C = A^-1 B^-1 per pants, in PSL(2,Q): every operand here
+        # and below is canonical, so projectively equal elements are equal tuples
         for j in range(self.decomp.num_pants):
             a = self.matrix(self.slot_words[(j, "A")])
             b = self.matrix(self.slot_words[(j, "B")])
             c = self.matrix(self.slot_words[(j, "C")])
-            if canonical(mat2_mul(mat2_inv(a), mat2_inv(b))) != canonical(c):
+            if canonical_mul(canonical_adj(a), canonical_adj(b)) != c:
                 raise SurfaceError(f"pants {j}: slot words violate C = A^-1 B^-1")
         # slot words must be the advertised conjugates of the curve words
         for (j, s), word in self.slot_words.items():
@@ -464,9 +460,9 @@ class FuchsianSurfaceData:
             delta = self.matrix(self.slot_conjugators[(j, s)])
             w = self.matrix(self.curve_words[cid])
             if not aligned:
-                w = mat2_inv(w)
-            expect = mat2_mul(mat2_mul(delta, w), mat2_inv(delta))
-            if canonical(self.matrix(word)) != canonical(expect):
+                w = canonical_adj(w)
+            expect = canonical_mul(canonical_mul(delta, w), canonical_adj(delta))
+            if self.matrix(word) != expect:
                 raise SurfaceError(
                     f"slot ({j}, {s}): word is not the advertised conjugate"
                 )
@@ -542,35 +538,36 @@ def genus2_surface(a1=None, b1=None, twist=Fraction(0)):
     ``a1``, ``b1`` generate a one-holed torus group (tr[a1,b1] < -2 is
     required); the second handle is the conjugate of the first by the
     half-turn about the axis point of [a1,b1] at horizontal offset
-    ``twist`` from the axis center.  All four generators are exact
-    rational determinant-1 matrices and the genus-2 relation holds on the
-    nose.
+    ``twist`` from the axis center.  ``a1`` and ``b1`` must have
+    determinant 1, and the genus-2 relator's canonical matrix is the
+    identity: the relation holds on the nose in PSL(2,Q).
     """
-    a1 = mat2_convert(a1 if a1 is not None else ((2, 1), (1, 1)))
-    b1 = mat2_convert(b1 if b1 is not None else ((1, 2), (1, 3)))
+    a1 = [[Fraction(x) for x in row] for row in (((2, 1), (1, 1)) if a1 is None else a1)]
+    b1 = [[Fraction(x) for x in row] for row in (((1, 2), (1, 3)) if b1 is None else b1)]
     for name, m in (("a1", a1), ("b1", b1)):
         if mat2_det(m) != 1:
             raise SurfaceError(f"{name} must have determinant 1")
-    comm = mat2_mul(
-        mat2_mul(a1, b1), mat2_mul(mat2_inv(a1), mat2_inv(b1))
-    )
+    comm = mat2_mul(mat2_mul(a1, b1), mat2_mul(mat2_adj(a1), mat2_adj(b1)))
     if mat2_trace(comm) >= -2:
         raise SurfaceError(
             f"tr[a1,b1] = {mat2_trace(comm)} >= -2: not a one-holed torus group"
         )
-    center, radius2 = axis_center_radius2(comm)
+    # the waist axis, a semicircle: real, since comm is hyperbolic
+    (p, q), (r, s) = comm
+    if r == 0:
+        raise SurfaceError("axis through infinity has no finite center")
+    center = Fraction(p - s, 2 * r)
+    radius2 = center * center + Fraction(q, r)
     u = center + Fraction(twist)
     v2 = radius2 - (u - center) ** 2
     if v2 <= 0:
         raise SurfaceError("twist offset leaves the waist axis")
-    psi = ((u, -(u * u + v2)), (Fraction(1), -u))
-    psi_inv = mat2_inv(psi)
+    psi = ((u, -(u * u + v2)), (1, -u))
 
     def conj(m):
-        return mat2_mul(mat2_mul(psi, m), psi_inv)
+        return canonical_mul(canonical_mul(psi, m), canonical_adj(psi))
 
-    a2, b2 = conj(a1), conj(b1)
-    gens = {"a": a1, "b": b1, "c": a2, "d": b2}
+    gens = {"a": canonical(a1), "b": canonical(b1), "c": conj(a1), "d": conj(b1)}
     surface = FuchsianSurfaceData(
         genus=2,
         generators=gens,
@@ -593,8 +590,6 @@ def genus2_surface(a1=None, b1=None, twist=Fraction(0)):
             (1, "C"): "",
         },
     )
-    # a product of det-1 generators: equal canonical forms mean relation = +-identity
-    relation = mat2_mul(surface.matrix("abAB"), surface.matrix("cdCD"))
-    if canonical(relation) != canonical(MAT2_ID):
+    if surface.matrix("abABcdCD") != ((1, 0), (0, 1)):
         raise SurfaceError("genus-2 relation failed")  # pragma: no cover
     return surface

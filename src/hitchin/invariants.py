@@ -162,27 +162,6 @@ def _plane_cross_ratio(p1, p2, p3, p4):
     return Fraction(num, den)
 
 
-def transverse_line(flag, mult):
-    """Line in F^(mult+1) transverse to F^(mult).
-
-    This is the moving-subspace representative for a point carrying base
-    multiplicity ``mult``: the first reduced-basis vector of F^(mult+1)
-    outside F^(mult), built once per flag and multiplicity and memoised on
-    the flag.  Float cross ratios (:func:`based_lines`) use it; exact
-    cross ratios take the flag's own basis vector instead.
-    """
-    if mult not in flag._transverse:
-        if mult == 0:
-            vec = flag.subspace(1).line_vector()
-        else:
-            lower = flag.subspace(mult)
-            vec = next((v for v in flag.subspace(mult + 1).basis if not lower.contains(v)), None)
-            if vec is None:
-                raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
-        flag._transverse[mult] = vec
-    return flag._transverse[mult]
-
-
 def based_lines(flags, base):
     """The base M and one moving line per flag.
 
@@ -192,12 +171,11 @@ def based_lines(flags, base):
     carrying base multiplicity m (0 if none) may be represented by any
     vector of its level m+1 outside its level m.  Exact flags read both
     off their own basis: the summand (F, m) gives the rows v_1..v_m of
-    ``F.compatible_basis()``, and each flag's moving line is its v_(m+1);
-    :func:`cross_ratio` reduces the stacked rows by itself (a sum that is
-    not direct shows there as a rank-deficient base), and no level is
-    reduced.  Float flags keep the sum Subspace, whose RREF rows the LU
-    wedges use, and the moving lines of :func:`transverse_line`, since a
-    different representative rounds differently.  The sum starts from the
+    ``F.compatible_basis()``; :func:`cross_ratio` reduces the stacked rows
+    by itself (a sum that is not direct shows there as a rank-deficient
+    base), and no level is reduced.  Float flags keep the sum Subspace,
+    whose RREF rows the LU wedges use.  Every moving line is the flag's
+    ``Flag.moving_line(m)``, on both backends.  The sum starts from the
     first summand's level: reducing an RREF basis again returns it bit for
     bit, so adding it to the zero space first would only repeat that work.
     """
@@ -211,14 +189,14 @@ def based_lines(flags, base):
     backend = flags[0].backend
     if backend.exact:
         m_space = [row for bflag, mult in base for row in bflag.compatible_basis()[:mult]]
-        return m_space, [flag.compatible_basis()[m] for flag, m in zip(flags, mults)]
-    levels = [bflag.subspace(mult) for bflag, mult in base if mult]
-    m_space = levels[0] if levels else Subspace.zero(n, backend)
-    for level in levels[1:]:
-        m_space = m_space | level
-    if m_space.dim != n - 2:
-        raise DegenerateError("degenerate configuration: base sum is not direct")
-    return m_space, [transverse_line(flag, m) for flag, m in zip(flags, mults)]
+    else:
+        levels = [bflag.subspace(mult) for bflag, mult in base if mult]
+        m_space = levels[0] if levels else Subspace.zero(n, backend)
+        for level in levels[1:]:
+            m_space = m_space | level
+        if m_space.dim != n - 2:
+            raise DegenerateError("degenerate configuration: base sum is not direct")
+    return m_space, [flag.moving_line(m) for flag, m in zip(flags, mults)]
 
 
 def cross_ratio_flags(a, b, c, d, base):

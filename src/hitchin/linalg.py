@@ -508,8 +508,7 @@ class Flag:
     independent; ``subspace(k)`` reduces level k the first time it is
     asked for and keeps it in ``_levels``.  ``subspace(0)`` is the zero
     space and ``subspace(n)`` all of R^n, so indexing by 0..n always works.
-    ``_transverse`` memoises ``invariants.transverse_line`` by multiplicity;
-    only float cross ratios fill it.
+    ``_transverse`` memoises a float flag's ``moving_line`` by multiplicity.
     """
 
     __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse")
@@ -557,6 +556,23 @@ class Flag:
     def compatible_basis(self):
         """The basis v_1..v_n with F^(k) = span(v_1..v_k) for every k."""
         return self._basis
+
+    def moving_line(self, mult):
+        """The flag's line in a cross ratio based at a sum holding F^(mult): an
+        exact flag's v_(mult+1); on a float flag the first reduced-basis vector
+        of F^(mult+1) outside F^(mult), which rounds as the LU wedges expect."""
+        if self.backend.exact:
+            return self._basis[mult]
+        if mult not in self._transverse:
+            if mult == 0:
+                vec = self.subspace(1).line_vector()
+            else:
+                lower = self.subspace(mult)
+                vec = next((v for v in self.subspace(mult + 1).basis if not lower.contains(v)), None)
+                if vec is None:
+                    raise DegenerateError(f"flag level {mult + 1} does not extend level {mult}")
+            self._transverse[mult] = vec
+        return self._transverse[mult]
 
     def __eq__(self, other):
         if not isinstance(other, Flag):

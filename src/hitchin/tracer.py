@@ -23,7 +23,8 @@ edge 0 to restart the dual walk from.
 
 Every group element the tracer makes or compares is one canonical
 matrix: the primitive integer matrix on its projective line whose first
-nonzero entry is positive (``fuchsian.canonical``).  The Moebius action
+nonzero entry is positive (``fuchsian.canonical``), the form in which the
+surface keeps its generators and evaluates its words.  The Moebius action
 is projective, so each boundary point is the same exact rational as from
 the det-1 matrix, equal lifts are equal tuples of ints, and a lift cache
 hashes ints.  The slot matrices, their inverses, the slot conjugators and
@@ -52,7 +53,6 @@ from dataclasses import dataclass
 
 from .fuchsian import (
     boundary_cross_ratio,
-    canonical,
     canonical_adj,
     canonical_mul,
     cyclic_order,
@@ -277,12 +277,12 @@ class PsiTracer:
         self._meshes = {}
         self._fan_pow = {}
         keys = [(j, s) for j in range(self.decomp.num_pants) for s in "ABC"]
-        conj = {key: canonical(surface.matrix(surface.slot_conjugators[key])) for key in keys}
+        conj = {key: surface.matrix(surface.slot_conjugators[key]) for key in keys}
         self._slots = {}
         for j, s in keys:
             ref1, ref2 = self.decomp.curves[self.decomp.slot_curve(j, s)[0]]
             other = ref2 if (ref1.pants, ref1.slot) == (j, s) else ref1
-            mat = canonical(surface.slot_matrix(j, s))
+            mat = surface.slot_matrix(j, s)
             transfer = canonical_mul(conj[j, s], canonical_adj(conj[other.pants, other.slot]))
             self._slots[j, s.lower()] = _Slot(
                 mat,
@@ -414,7 +414,7 @@ class PsiTracer:
             g_value=g_val,
             width=(self.n - 1) * length,
             n=self.n,
-            w=canonical(w_mat),
+            w=w_mat,
             rep=rep,
             att=att,
             length=length,

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -46,6 +47,29 @@ SURFACES = {
 @functools.lru_cache(maxsize=None)
 def named_surface(name):
     return genus2_surface(**SURFACES[name])
+
+
+#: wall-clock seconds a test may take, more than ten times the slowest
+#: one: a defect that stops a computation from shrinking its numbers (a
+#: tracer group element whose entries are never reduced, say) then fails
+#: the test instead of hanging the suite
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail the running test once it passes ``TEST_TIME_LIMIT_S``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"test ran past its {TEST_TIME_LIMIT_S} s time limit", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -442,6 +442,24 @@ class TestCommands:
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error: word 'aA' is not hyperbolic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "backend, value, shown", [("float64", 800, "800"), ("exact", "1e400", "1.00000e+400")]
+    )
+    def test_kbound_overflow_is_a_relation_failure(self, tmp_path, capsys, backend, value, shown):
+        # exp of a coordinate past float64's range names the coordinate and
+        # the edge instead of ending in a traceback
+        gen = tmp_path / "gen.json"
+        assert run_cli(["fuchsian-gen", "--config", str(CONFIG_DIR / "scan_n3_g2.json"), "--out", str(gen)]) == 0
+        data = json.loads(gen.read_text())
+        data["backend"] = backend
+        data["parameters"]["internal"][0]["tau:1,1,1"] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert run_cli(["kbound", "--config", str(path), "--out", str(tmp_path / "k.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"relation failure: exp(tau(1,1,1) = {shown}) overflows float64 on edge ab\n"
+
     def test_psi_trace_exhausted_depth(self, tmp_path, capsys):
         # a^k b needs a depth cap above k, so it fails at cap 2
         cfg = tmp_path / "shallow.json"

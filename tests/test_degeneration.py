@@ -769,6 +769,18 @@ class TestScan:
         ls = [r.L for r in rows]
         assert max(ls) - min(ls) < 1e-12  # boundary held fixed
 
+    def test_overflow_row_names_the_coordinate_and_edge(self, surface):
+        # a row whose exp(tau) leaves float64's range is a failure row that
+        # says where it failed, and the scan goes on past it
+        invs = fuchsian_invariants(surface, 3)
+        base = xi_forward(surface.decomp, invs, {c: (0.0, 0.0) for c in range(3)})
+        rows = internal_sequence_scan(base, {("tau", (1, 1, 1)): 400.0}, 3)
+        assert len(rows) == 4 and rows[0].flags_ok
+        assert [(r.flags_ok, r.error) for r in rows[2:]] == [
+            (False, f"exp(tau(1,1,1) = {value}) overflows float64 on edge ab")
+            for value in (800, 1200)
+        ]
+
     @pytest.mark.parametrize("sign, last", [(1.0, 16), (-1.0, 27)])
     def test_shear_ray_matches_exact_frame(self, surface, sign, last):
         # the float fourth line is the edge-frame closed form, so the shear

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from decimal import Context
@@ -12,6 +13,8 @@ from hitchin import fuchsian
 from hitchin.fuchsian import (
     BPoint,
     SurfaceError,
+    canonical,
+    canonical_mul,
     cmp_points,
     cyclic_order,
     fixed_points,
@@ -19,7 +22,8 @@ from hitchin.fuchsian import (
     genus2_surface,
     in_arc,
     is_hyperbolic,
-    mat2_inv,
+    mat2_adj,
+    mat2_det,
     mat2_mul,
     mat2_trace,
     mobius,
@@ -331,12 +335,6 @@ class TestMoebius:
         assert att == INFINITY
         assert mobius(((5, 1), (0, 2)), rep) == rep
 
-    def test_inverse_of_an_integer_matrix_is_exact(self):
-        assert mat2_inv(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
-        inv = mat2_inv(((1, 1), (1, 4)))
-        assert inv == ((Fraction(4, 3), Fraction(-1, 3)), (Fraction(-1, 3), Fraction(1, 3)))
-        assert all(type(x) is Fraction for row in inv for x in row)
-
     def test_translation_length(self):
         m = ((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1, 2)))
         assert translation_length(m) == pytest.approx(2 * math.log(2))
@@ -385,24 +383,83 @@ class TestCanonical:
             assert scale and all(y == scale * x for x, y in zip(v, w)), m
 
 
+def det1_matrices(count=200):
+    """Seeded hyperbolic SL(2,Q) matrices with entries of height up to 10^4."""
+    rng = random.Random(2406)
+    out = []
+    while len(out) < count:
+        a, b, c = (Fraction(rng.randint(-(10**4), 10**4), rng.randint(1, 10**4)) for _ in range(3))
+        if a:
+            m = ((a, b), (c, (1 + b * c) / a))
+            if is_hyperbolic(m):
+                out.append(m)
+    return out
+
+
+def det1_words(surface):
+    """word -> its det-1 matrix: the product of the generators scaled to
+    determinant 1, with adjugates for capital letters, each word extending
+    the product of its prefix."""
+    gens = {}
+    for letter, g in surface.generators.items():
+        root = math.isqrt(int(mat2_det(g)))
+        gens[letter] = tuple(tuple(Fraction(x) / root for x in row) for row in g)
+        gens[letter.upper()] = mat2_adj(gens[letter])
+    products = {"": ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))}
+
+    def product(word):
+        if word not in products:
+            products[word] = mat2_mul(product(word[:-1]), gens[word[-1]])
+        return products[word]
+
+    return product
+
+
+class TestDet1Representative:
+    """A canonical matrix gives the fixed points and translation length of
+    its det-1 representative, bit for bit."""
+
+    @staticmethod
+    def assert_same_reading(m):
+        g = canonical(m)
+        assert fixed_points(g) == fixed_points(m), m
+        assert translation_length(g).hex() == translation_length(m).hex(), m
+
+    def test_seeded_det1_matrices(self):
+        for m in det1_matrices():
+            self.assert_same_reading(m)
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_surface_words(self, name):
+        surface = genus2_surface(**SURFACES[name])
+        words = {*surface.slot_words.values(), *surface.curve_words.values()}
+        words |= {"".join(w) for k in range(1, 7) for w in itertools.product("abcd", repeat=k)}
+        det1 = det1_words(surface)
+        for word in sorted(words):
+            m = det1(word)
+            assert surface.matrix(word) == canonical(m), word
+            self.assert_same_reading(m)
+
+
 class TestGenus2Surface:
     def test_relation_holds_exactly(self, surface):
-        rel = mat2_mul(surface.matrix("abAB"), surface.matrix("cdCD"))
-        assert rel == ((1, 0), (0, 1)) or rel == ((-1, 0), (0, -1))
+        # the relator is the identity of PSL(2,Q), whose canonical matrix is I
+        rel = canonical_mul(surface.matrix("abAB"), surface.matrix("cdCD"))
+        assert rel == ((1, 0), (0, 1))
 
     def test_pants_words_hyperbolic(self, surface):
         for (j, s), word in surface.slot_words.items():
             m = surface.matrix(word)
+            root = math.isqrt(mat2_det(m))
             assert is_hyperbolic(m)
-            assert abs(mat2_trace(m)) > 2
+            assert root * root == mat2_det(m) and abs(mat2_trace(m)) > 2 * root
 
     def test_pants_relation(self, surface):
         for j in (0, 1):
             a = surface.matrix(surface.slot_words[(j, "A")])
             b = surface.matrix(surface.slot_words[(j, "B")])
             c = surface.matrix(surface.slot_words[(j, "C")])
-            prod = mat2_mul(mat2_mul(b, a), c)
-            assert prod in (((1, 0), (0, 1)), ((-1, 0), (0, -1)))
+            assert canonical_mul(canonical_mul(b, a), c) == ((1, 0), (0, 1))
 
     def test_handle_curves_have_equal_length(self, surface):
         lens = length_spectrum(surface)
@@ -435,6 +492,24 @@ class TestGenus2Surface:
         changed = {name: {**getattr(surface, name), **entries} for name, entries in change.items()}
         with pytest.raises(SurfaceError, match=message):
             dataclasses.replace(surface, **changed)
+
+    @pytest.mark.parametrize(
+        "generator",
+        [((2, 0), (0, 1)), ((-1, 0), (0, 4)), ((1, 1), (1, 1)), ((Fraction(1, 2), 1), (1, 3))],
+    )
+    def test_rejects_generator_of_non_square_determinant(self, surface, generator):
+        # determinants 2, -4, 0 and 1/2: only a positive rational square
+        # makes a rational multiple of an SL(2,Q) element
+        generators = {**surface.generators, "a": generator}
+        with pytest.raises(SurfaceError, match="positive square determinant"):
+            dataclasses.replace(surface, generators=generators)
+
+    def test_rational_multiples_give_the_same_surface(self, surface):
+        scaled = {
+            letter: [[Fraction(-2, 3) * x for x in row] for row in g]
+            for letter, g in surface.generators.items()
+        }
+        assert dataclasses.replace(surface, generators=scaled).generators == surface.generators
 
     def test_tracing_evaluates_only_the_traced_word(self):
         """The tracer builds its slot and curve matrices once, so a trace

@@ -9,10 +9,10 @@ from hitchin.flags import veronese_flag
 from hitchin.fuchsian import (
     BPoint,
     boundary_cross_ratio,
+    canonical_adj,
     canonical_mul,
     genus2_surface,
     in_arc,
-    mat2_inv,
     mobius,
     points_equal,
     separates,
@@ -349,7 +349,7 @@ class TestCanonicalGamma:
 def _orbit(m, point, cap):
     """{k: m^k point} for k in [-cap, cap + 1]."""
     out = {0: point}
-    m_inv = mat2_inv(m)
+    m_inv = canonical_adj(m)
     for k in range(1, cap + 2):
         out[k] = mobius(m, out[k - 1])
         out[-k] = mobius(m_inv, out[1 - k])
@@ -384,7 +384,7 @@ class FullScans:
         spec = tr.mesh(cid)
         w = tr.surface.matrix(spec.word)
         edges = self._base_orbit(("mesh", cid), w, (spec.x_point, spec.y_point))
-        eta_inv = mat2_inv(tr.mesh_anchor(pending))
+        eta_inv = canonical_adj(tr.mesh_anchor(pending))
         xm, xp = mobius(eta_inv, xm), mobius(eta_inv, xp)
         ks = [k for k in range(-self.cap, self.cap + 1) if separates(*edges[k], xm, xp)]
         if not ks:
@@ -409,7 +409,7 @@ class FullScans:
 
     @staticmethod
     def _in_frame(gamma, xm, xp):
-        g_inv = mat2_inv(gamma)
+        g_inv = canonical_adj(gamma)
         return mobius(g_inv, xm), mobius(g_inv, xp)
 
     def window_end(self, vp, xm, xp):
