@@ -390,7 +390,7 @@ class FuchsianSurfaceData:
     elements (positive square determinant), kept as canonical matrices;
     capital letters act as inverses in words, whose matrices are canonical
     too.  ``slot_words[(j, s)]`` is the
-    boundary word of pants j at slot s, equal as a matrix to
+    boundary word of pants j at slot s, equal in PSL(2,Q) to
     delta * w^(+-1) * delta^(-1) where w is the curve word of the attached
     curve and delta = ``slot_conjugators[(j, s)]``.
     """

@@ -559,8 +559,8 @@ class Flag:
 
     def moving_line(self, mult):
         """The flag's line in a cross ratio based at a sum holding F^(mult): an
-        exact flag's v_(mult+1); on a float flag the first reduced-basis vector
-        of F^(mult+1) outside F^(mult), which rounds as the LU wedges expect."""
+        exact flag's v_(mult+1); on a float flag the first reduced-basis vector of
+        F^(mult+1) outside F^(mult), memoised (another one would round differently)."""
         if self.backend.exact:
             return self._basis[mult]
         if mult not in self._transverse:
