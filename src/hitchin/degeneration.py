@@ -110,10 +110,11 @@ def k_edge(quad):
     edge evaluates (n-1)^2 bases, not n(n-1).
 
     Exact flags with A, B in the coordinate edge frame take every value
-    from window minors (:func:`_frame_cross_ratios`), with no base built.
-    Other quadruples, float ones, and a frame quadruple with a zero window
-    pivot or denominator take the general loop, which gives the same
-    rationals: each moving line and base row depends only on its flag and
+    from window minors (:func:`_frame_cross_ratios`), with no base built,
+    each run made when a value first needs it.  Other quadruples, float
+    ones, and a frame base whose runs meet a zero pivot or denominator take
+    the general loop, which gives the same rationals in the same order:
+    each moving line and base row depends only on its flag and
     multiplicity (``invariants.based_lines``), read off an exact flag's
     basis or memoised on a float flag (``Flag.moving_line``).
     """
@@ -128,9 +129,8 @@ def k_edge(quad):
             for j in range(n - 1 - i):
                 logs = ab_logs.get((i, j))
                 if logs is None:
-                    if frame is not None:
-                        values = frame[e_is_c, i, j]
-                    else:
+                    values = frame and frame(e_is_c, i, j)
+                    if values is None:
                         base = [(f, m) for f, m in ((fa, i), (fb, j), (fe, n - 2 - i - j)) if m]
                         m_base, moving = based_lines(flags, base)
                         # (d, a, c, b) for branch one, (b, d, a, c) for branch two
@@ -144,30 +144,30 @@ def k_edge(quad):
     return min(sum(k_one) / n, sum(k_two) / n)
 
 
-def _window_minors(rows, o):
-    """runs[s] = (pivots, bordered) of one no-pivot Bareiss run
+def _window_minors(rows, o, s):
+    """(pivots, bordered) of one no-pivot Bareiss run
     (``linalg._bareiss_step``) on integer ``rows`` 0..n-s-1 over columns
     s..n-1, with o as one more row: before step t, pivots[t] is the minor
     of rows 0..t on columns s..s+t and bordered[t], o's entry in column
-    s+t, that of rows 0..t-1 and o.  None at a zero pivot."""
-    n = len(o)
-    runs = []
-    for s in range(n):
-        a = [row[s:] for row in rows[: n - s]] + [o[s:]]
-        pivots, bordered, prev = [], [], 1
-        for t in range(n - s):
-            if not a[t][t]:
-                return None
-            pivots.append(a[t][t])
-            bordered.append(a[-1][t])
-            _bareiss_step(a, t, t, prev, range(t + 1, n - s + 1))
-            prev = a[t][t]
-        runs.append((pivots, bordered))
-    return runs
+    s+t, that of rows 0..t-1 and o.  Those two are read before the step
+    and never again, so step t updates only the columns after s+t.  None
+    at a zero pivot."""
+    width = len(o) - s
+    a = [list(row[s:]) for row in rows[:width]] + [list(o[s:])]
+    pivots, bordered, prev = [], [], 1
+    for t in range(width):
+        if not a[t][t]:
+            return None
+        pivots.append(a[t][t])
+        bordered.append(a[-1][t])
+        _bareiss_step(a, t, t, prev, range(t + 1, width + 1), t + 1)
+        prev = a[t][t]
+    return pivots, bordered
 
 
 def _frame_cross_ratios(quad):
-    """The two values of every base, keyed (e is c, i, j), from window minors.
+    """The two values of a base from window minors, as a function of the
+    base's key (e is c, i, j); None off the frame.
 
     In the frame the base a^i + b^j + e^k leaves the window of columns
     i..i+k+1, where A's and B's moving lines are the first and last unit
@@ -181,33 +181,52 @@ def _frame_cross_ratios(quad):
 
     as the general loop's rationals, since every row scale cancels.  One of
     c, d is E's row k and the other o, so the runs from columns i and i+1
-    hold every minor.  None off the frame or at a zero pivot or denominator.
+    hold every minor.  Each run is made when a base first needs it, so an
+    edge that fails at its first value pays for two runs.  The function
+    gives None at a zero pivot or denominator, where ``k_edge`` takes the
+    general loop for that base.  A zero entry in either line is a zero
+    first pivot or o entry of some run, so such a quadruple takes the
+    general loop throughout.
     """
     exact = all(f.backend.exact for f in (quad.a, quad.c, quad.d))
     if not (exact and _coordinate_frame(quad.a, quad.b)):
         return None
-    n = quad.n
-    c_rows, d_rows = (_integer_rows(f.compatible_basis())[0] for f in (quad.c, quad.d))
-    values = {}
-    for e_is_c, rows, o in ((True, c_rows, d_rows[0]), (False, d_rows, c_rows[0])):
-        runs = _window_minors(rows, o)
-        if runs is None:
+    c_rows, d_rows = (_integer_basis(f) for f in (quad.c, quad.d))
+    if not (all(c_rows[0]) and all(d_rows[0])):
+        return None
+    runs = {}
+
+    def run(e_is_c, s):
+        if (e_is_c, s) not in runs:
+            rows, o = (c_rows, d_rows[0]) if e_is_c else (d_rows, c_rows[0])
+            runs[e_is_c, s] = _window_minors(rows, o, s)
+        return runs[e_is_c, s]
+
+    def values(e_is_c, i, j):
+        q_run, p_run = run(e_is_c, i), run(e_is_c, i + 1)
+        if q_run is None or p_run is None:
             return None
-        for i in range(n - 1):
-            (q_piv, q_bord), (p_piv, p_bord) = runs[i], runs[i + 1]
-            # a base with no e part (k = 0) is the same in both passes
-            for j in range(n - 1 - i if e_is_c else n - 2 - i):
-                k = n - 2 - i - j
-                # fi is F I when e = d (d = E's row k, c = o) and -F I when e = c,
-                # whose F swaps the last two rows: (one, two) are the values
-                # for e = c, (two, one) those for e = d
-                fi = q_bord[k + 1] * (p_piv[k - 1] if k else 1)
-                one, two = (fi, p_bord[k] * q_piv[k]), (-fi, q_bord[k] * p_piv[k])
-                if not (one[1] and two[1]):
-                    return None
-                pair = (Fraction(*one), Fraction(*two))
-                values[e_is_c, i, j] = pair if e_is_c else pair[::-1]
+        (q_piv, q_bord), (p_piv, p_bord) = q_run, p_run
+        k = quad.n - 2 - i - j
+        # fi is F I when e = d (d = E's row k, c = o) and -F I when e = c,
+        # whose F swaps the last two rows: (one, two) are the values for
+        # e = c, (two, one) those for e = d
+        fi = q_bord[k + 1] * (p_piv[k - 1] if k else 1)
+        one, two = (fi, p_bord[k] * q_piv[k]), (-fi, q_bord[k] * p_piv[k])
+        if not (one[1] and two[1]):
+            return None
+        pair = (Fraction(*one), Fraction(*two))
+        return pair if e_is_c else pair[::-1]
+
     return values
+
+
+def _integer_basis(flag):
+    """An exact flag's basis rows, scaled to integers unless they are."""
+    rows = flag.compatible_basis()
+    if all(type(x) is int for row in rows for x in row):
+        return rows
+    return _integer_rows(rows)[0]
 
 
 def _exp(table, idx, name, kind, sign=1):

@@ -24,7 +24,10 @@ snakes, Lusztig's parametrisation).  a(k, 0) = 1 and, for
 T_(x,y,z)(F, u H, H) = a(x+y, y) / a(x+y-1, y-1).  D = diag(l_i /
 (u e_n)_i) fixes F, H and every triple ratio and moves G^(1) onto the
 line l, so g_j = D u e_(n+1-j).  Positivity makes the triple generic,
-so the exact closed form never fails.  The fourth line of an edge is
+so the exact closed form never fails.  It is built on primitive integer
+rows: a basis vector's scale is free, D's coordinate scales are not (see
+:func:`_snake_flag`), and the rows are triangular up to order, so
+``Flag`` needs no rank check on them.  The fourth line of an edge is
 d_i = c_i values[1] ... values[i-1] on either backend; that is its only
 construction, and input it cannot take raises (see
 :func:`recover_fourth_line_from_values`).
@@ -42,6 +45,7 @@ coordinate flag.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -218,17 +222,13 @@ def reconstruct_triple(f, h, g_line, ratios):
 def _coordinate_frame(f, h):
     """Whether F is the coordinate flag e_1, ..., e_n and H the reversed
     one e_n, ..., e_1, on one backend, each basis vector up to a nonzero
-    scale."""
+    scale.  Each flag reads its axes once (``Flag.coordinate_axes``), so the
+    frame pair an edge's rebuilds and ``k_edge`` all ask about is scanned once."""
     n = f.ambient
     if h.ambient != n or h.backend is not f.backend:
         return False
-
-    def on_axis(v, p):
-        return v[p] and not any(v[:p]) and not any(v[p + 1 :])
-
-    return all(
-        on_axis(fv, i) and on_axis(hv, n - 1 - i)
-        for i, (fv, hv) in enumerate(zip(f.compatible_basis(), h.compatible_basis()))
+    return f.coordinate_axes() == tuple(range(n)) and h.coordinate_axes() == tuple(
+        range(n - 1, -1, -1)
     )
 
 
@@ -243,23 +243,45 @@ def _exact_values(values, keys):
 
 def _snake_flag(line, ratios):
     """The flag G = D u H of positive ``ratios`` in the coordinate frame,
-    u and D as in the module docstring.  Its levels are left to
-    ``Flag.subspace``, which reduces each one when first asked."""
+    u and D as in the module docstring, on primitive integer rows.
+
+    Any nonzero scale of a basis vector leaves the flag alone, but D's
+    coordinate scales do not.  So each column of u carries integer entries
+    over a denominator of its own through the product, and the rows of G
+    drop it; D's entries l_i / (u e_n)_i go over their one lcm, which
+    scales every row alike; and each row is divided by the gcd of its
+    entries.  Row j ends in coordinate n + 1 - j, so ``Flag`` finds the
+    basis triangular up to order and skips its rank check; its levels are
+    left to ``Flag.subspace``, which reduces each one when first asked.
+    """
     n = len(line)
+    # column j of u is cols[j] / dens[j]
     cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    dens = [1] * n
     a = []
     for k in range(1, n):
         # a(k, 0..k-1) from a(k-1, 0..k-2)
         a = [1] + [ratios[(k - y, y, n - k)] * a[y - 1] for y in range(1, k)]
         for p, c in enumerate(a):
             s = k - p
-            # right multiplication by I + c E_(s, s+1) adds c col_s to col_(s+1);
-            # col_s of the product so far is zero below row s
-            cols[s] = [x + c * y for x, y in zip(cols[s], cols[s - 1][:s])] + cols[s][s:]
-    scale = [x / y for x, y in zip(line, cols[-1])]
+            # right multiplication by I + c E_(s, s+1) adds c col_s to col_(s+1),
+            # cols[s - 1] and cols[s] here, over the lcm of their denominators
+            c_den = c.denominator * dens[s - 1]
+            m = math.lcm(dens[s], c_den)
+            x_scale, y_scale = m // dens[s], c.numerator * (m // c_den)
+            cols[s] = [x_scale * x + y_scale * y for x, y in zip(cols[s], cols[s - 1])]
+            dens[s] = m
+    # D up to the positive factor dens[n - 1]; (u e_n)_i > 0 for positive ratios
+    d_dens = [x.denominator * y for x, y in zip(line, cols[-1])]
+    lcm = math.lcm(*d_dens)
+    scale = [x.numerator * (lcm // y) for x, y in zip(line, d_dens)]
+    basis = []
     # g_j = D u e_(n+1-j); col_j is zero below row j
-    basis = [[d * x for d, x in zip(scale, col[:j])] + col[j:] for j, col in enumerate(cols, 1)]
-    return Flag(basis[::-1], backend=EXACT)
+    for col in reversed(cols):
+        row = [d * x for d, x in zip(scale, col)]
+        g = math.gcd(*row)
+        basis.append(tuple(x // g for x in row))
+    return Flag(basis, backend=EXACT)
 
 
 def _coordinates(basis, vectors, backend):

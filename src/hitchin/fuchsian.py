@@ -52,7 +52,13 @@ def _reduce_square(n):
 
 @dataclass(frozen=True)
 class BPoint:
-    """Boundary point a + b sqrt(d) with a, b rational and d a non-square."""
+    """Boundary point a + b sqrt(d) with a, b rational and d a non-square.
+
+    ``make`` strips square factors from d only over ``_SMALL_PRIMES``, so
+    one point can be stored with radicands that differ by a square.  Equality
+    and hashing read the point as (a, sign b, b^2 d), which is the same for
+    every such form.
+    """
 
     a: Fraction
     b: Fraction
@@ -84,6 +90,18 @@ class BPoint:
             return _sgn(a)
         s = _sgn(a * a - b * b * self.d)
         return s if a > 0 else -s
+
+    def _key(self):
+        b = self.b
+        return self.a, _sgn(b * self.d), b * b * self.d
+
+    def __eq__(self, other):
+        if not isinstance(other, BPoint):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -153,9 +171,16 @@ def cmp_points(p, q):
 
 
 def _cmp_exact(p, q):
-    """Exact sign of p - q in rational arithmetic: the filter's fallback."""
+    """Exact sign of p - q in rational arithmetic: the filter's fallback.
+
+    Two radicands whose product is a square r^2 give one field:
+    sqrt(d_p) = (r / d_q) sqrt(d_q), so p is rewritten over d_q."""
     global exact_fallbacks
     exact_fallbacks += 1
+    if p.d != q.d and p.d and q.d:
+        r = math.isqrt(p.d * q.d)
+        if r * r == p.d * q.d:
+            p = BPoint(p.a, p.b * Fraction(r, q.d), q.d)
     if p.d == q.d:
         return BPoint(p.a - q.a, p.b - q.b, p.d).sign() if p.d else _sgn(p.a - q.a)
     # u single-radical, w pure radical in the other field

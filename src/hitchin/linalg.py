@@ -9,7 +9,9 @@ a computation never mixes them.
   hold on the nose.  Its determinant, rank and RREF (and so its null
   spaces and subspace meets) all come from one fraction-free (Bareiss)
   Gauss-Jordan elimination on integer rows, ``_eliminate``, whose step
-  (``_bareiss_step``) also gives ``degeneration.k_edge`` its window minors.
+  (``_bareiss_step``) also gives ``degeneration.k_edge`` its window minors;
+  a window run updates only the columns after its pivot (the step's start
+  column), since it reads no finished column again.
   ``reduce_modulo`` reads vectors modulo a base in integer coordinates,
   which turns wedges that share that base into small minors.  A base
   row that is a coordinate vector e_p just drops column p, so only the
@@ -23,7 +25,11 @@ a computation never mixes them.
 Subspaces are stored with a canonical reduced-row-echelon basis, so two
 subspaces are equal iff their representations are equal.  A flag is
 stored as a compatible basis; it reduces a level to that canonical form
-the first time the level is asked for and memoises it.
+the first time the level is asked for and memoises it.  An exact basis
+that is triangular up to order (each vector's last nonzero entry in a
+coordinate of its own) is independent by its zero pattern, so ``Flag``
+runs no rank elimination on it; any other basis, and every float one,
+is checked by ``matrix_rank``.
 """
 
 from __future__ import annotations
@@ -175,15 +181,21 @@ def _eliminate(a, ncols, reduce_above=True):
     return piv_cols, sign
 
 
-def _bareiss_step(a, r, c, prev, rows):
+def _bareiss_step(a, r, c, prev, rows, start=0):
     """Clear column c of ``rows`` with the pivot a[r][c], in place; ``prev``
     is the last step's pivot (1 at first).  After t steps without swaps,
     entry (i, j) of a row i >= t is the minor of rows 0..t-1 and i on the t
-    pivot columns and column j (Sylvester), so the division is exact."""
-    p, pivot_row = a[r][c], a[r]
+    pivot columns and column j (Sylvester), so the division is exact.
+
+    Only the columns from ``start`` on are updated.  An entry's update
+    reads only its own column and column c, so a caller that never reads
+    an earlier column again, as a window-minor run (start c + 1) does not,
+    may leave those columns stale; ``_eliminate`` keeps whole rows."""
+    p, pivot_row = a[r][c], a[r][start:]
     for i in rows:
-        f = a[i][c]
-        a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        row = a[i]
+        f = row[c]
+        row[start:] = [(p * x - f * y) // prev for x, y in zip(row[start:], pivot_row)]
 
 
 def reduce_modulo(vectors, base):
@@ -508,10 +520,22 @@ class Flag:
     independent; ``subspace(k)`` reduces level k the first time it is
     asked for and keeps it in ``_levels``.  ``subspace(0)`` is the zero
     space and ``subspace(n)`` all of R^n, so indexing by 0..n always works.
-    ``_transverse`` memoises a float flag's ``moving_line`` by multiplicity.
+    ``_transverse`` memoises a float flag's ``moving_line`` by multiplicity,
+    and ``_axes`` the answer of ``coordinate_axes``.
+
+    An exact basis keeps its int entries as given (the others become
+    ``Fraction``s), so integer rows reach the window minors of
+    ``degeneration.k_edge`` as they are.  It skips the rank elimination
+    when it is triangular up to order, each vector's last nonzero entry in
+    a coordinate of its own: ordered by that coordinate the vectors form a
+    triangular matrix with a nonzero diagonal, so they are independent.
+    The standard, reversed and snake flags (``flags._snake_flag``) all
+    are.  Every other exact basis, and every float basis, takes
+    ``matrix_rank`` and raises on a rank below n: a float rank
+    decision depends on the pivot threshold, not only on the zero pattern.
     """
 
-    __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse")
+    __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse", "_axes")
 
     def __init__(self, vectors, backend=None):
         vectors = [tuple(v) for v in vectors]
@@ -523,14 +547,22 @@ class Flag:
         for v in vectors:
             if len(v) != n:
                 raise BackendError(f"flag basis of {n} vectors needs dimension {n}, got {len(v)}")
-        basis = convert_matrix(vectors, backend)
-        if matrix_rank(basis, backend) != n:
+        if backend.exact:
+            basis = tuple(
+                tuple(x if type(x) is int else backend.convert(x) for x in v) for v in vectors
+            )
+            independent = _triangular(basis) or matrix_rank(basis, backend) == n
+        else:
+            basis = convert_matrix(vectors, backend)
+            independent = matrix_rank(basis, backend) == n
+        if not independent:
             raise DegenerateError("flag basis is not linearly independent")
         self.ambient = n
         self.backend = backend
         self._basis = basis
         self._levels = {}
         self._transverse = {}
+        self._axes = None
 
     @classmethod
     def standard(cls, n, backend=EXACT):
@@ -556,6 +588,14 @@ class Flag:
     def compatible_basis(self):
         """The basis v_1..v_n with F^(k) = span(v_1..v_k) for every k."""
         return self._basis
+
+    def coordinate_axes(self):
+        """Per basis vector v_k, the coordinate p with v_k a nonzero multiple
+        of e_p, or -1 when v_k has two nonzero entries; worked out once."""
+        if self._axes is None:
+            supports = ([j for j, x in enumerate(v) if x] for v in self._basis)
+            self._axes = tuple(s[0] if len(s) == 1 else -1 for s in supports)
+        return self._axes
 
     def moving_line(self, mult):
         """The flag's line in a cross ratio based at a sum holding F^(mult): an
@@ -583,6 +623,14 @@ class Flag:
 
     def __repr__(self):
         return f"Flag(ambient={self.ambient}, backend={self.backend.name})"
+
+
+def _triangular(rows):
+    """Whether the last nonzero entries of the n rows of length n sit in n
+    different columns (a zero row has none)."""
+    n = len(rows)
+    lasts = {next((j for j in range(n - 1, -1, -1) if row[j]), -1) for row in rows}
+    return len(lasts) == n and -1 not in lasts
 
 
 def mat_vec(m, v):

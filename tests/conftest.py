@@ -342,6 +342,26 @@ def reconstruct_triple_hyperplanes(f, h, g_line, ratios):
     return Flag(g_basis, backend=backend)
 
 
+def snake_flag_fractions(line, ratios):
+    """Oracle for ``flags._snake_flag``: G = D u H in ``Fraction`` arithmetic.
+
+    u is the product of I + a(k, p) E_(s, s+1) taken column by column, D
+    = diag(l_i / (u e_n)_i), and the basis g_j = D u e_(n+1-j) keeps every
+    scale the product gives it.
+    """
+    n = len(line)
+    cols = [[Fraction(int(i == j)) for i in range(n)] for j in range(n)]
+    a = []
+    for k in range(1, n):
+        a = [Fraction(1)] + [ratios[(k - y, y, n - k)] * a[y - 1] for y in range(1, k)]
+        for p, c in enumerate(a):
+            s = k - p
+            cols[s] = [x + c * y for x, y in zip(cols[s], cols[s - 1][:s])] + cols[s][s:]
+    scale = [Fraction(x) / y for x, y in zip(line, cols[-1])]
+    basis = [[d * x for d, x in zip(scale, col[:j])] + col[j:] for j, col in enumerate(cols, 1)]
+    return Flag(basis[::-1], backend=EXACT)
+
+
 def jordan_projection(matrix):
     """Sorted log-moduli of a matrix's eigenvalues, shifted to sum zero.
 

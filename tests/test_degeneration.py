@@ -420,12 +420,85 @@ class TestFramePath:
         fd = small_height_quadruple(3, 103).d
         c_rows = linalg._integer_rows(fc.compatible_basis())[0]
         d_rows = linalg._integer_rows(fd.compatible_basis())[0]
-        assert degeneration._window_minors(c_rows, d_rows[0]) is None
+        assert degeneration._window_minors(c_rows, d_rows[0], 2) is None
         for quad in (EdgeQuadruple(fa, fb, fc, fd), EdgeQuadruple(fa, fb, fd, fc)):
             assert degeneration._frame_cross_ratios(quad) is None
             outcome = k_edge_outcome(quad)
             assert outcome == self.general_outcome(monkeypatch, quad)
             assert outcome == "crossing cross ratio not positive: INFINITY"
+
+    def test_zero_pivot_inside_a_run_takes_the_general_loop_for_its_bases(self, monkeypatch):
+        # both lines have no zero entry, but C's first two rows agree on
+        # columns 0 and 1, so the run from column 0 stops at its second
+        # pivot: the bases i = 0 take the general loop, the bases i = 1 the
+        # window minors, and K is the general loop's
+        fa, fb = Flag.standard(3, backend=EXACT), Flag.reversed_standard(3, backend=EXACT)
+        fc = Flag([(1, 1, 1), (1, 1, 2), (1, 0, 0)], backend=EXACT)
+        fd = small_height_quadruple(3, 103).d
+        quad = EdgeQuadruple(fa, fb, fc, fd)
+        frame = degeneration._frame_cross_ratios(quad)
+        assert frame(True, 0, 0) is None and frame(True, 0, 1) is None
+        assert frame(True, 1, 0) is not None
+        assert k_edge_outcome(quad) == self.general_outcome(monkeypatch, quad)
+
+    def test_first_failing_value_stops_after_its_two_runs(self, monkeypatch):
+        # the n = 8 all-ones quadruple with +10^400 shears fails at its first
+        # value, which needs the runs of C from columns 0 and 1 only
+        n = 8
+        ones = {idx: Fraction(1) for idx in triple_index_set(n)}
+        shear = {k: Fraction(10**400) for k in range(1, n)}
+        quad = reconstructed_quadruple(n, ones, shear, ones)
+        runs = []
+        window_minors = degeneration._window_minors
+
+        def counting(rows, o, s):
+            runs.append(s)
+            return window_minors(rows, o, s)
+
+        monkeypatch.setattr(degeneration, "_window_minors", counting)
+        outcome = k_edge_outcome(quad)
+        assert runs == [0, 1]
+        assert outcome.startswith("crossing cross ratio not positive: -")
+        assert outcome == self.general_outcome(monkeypatch, quad)
+
+
+class TestWindowMinors:
+    """One run of ``_window_minors`` against ``det`` of every window."""
+
+    @staticmethod
+    def expected(rows, o, s):
+        width = len(o) - s
+        pivots, bordered = [], []
+        for t in range(width):
+            cols = range(s, s + t + 1)
+            pivot = linalg.det([[rows[r][c] for c in cols] for r in range(t + 1)])
+            if not pivot:
+                return None
+            pivots.append(pivot)
+            bordered.append(linalg.det([[rows[r][c] for c in cols] for r in range(t)] + [[o[c] for c in cols]]))
+        return pivots, bordered
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_det_of_every_window(self, n):
+        # entries in -2..2 make zero pivots at every depth; the 10^50-height
+        # rows do not
+        rng = random.Random(2520 + n)
+        nones = 0
+        for height in [2] * 30 + [10**50] * 3:
+            rows = tuple(tuple(rng.randint(-height, height) for _ in range(n)) for _ in range(n))
+            o = tuple(rng.randint(-height, height) for _ in range(n))
+            for s in range(n):
+                got = degeneration._window_minors(rows, o, s)
+                assert got == self.expected(rows, o, s)
+                nones += got is None
+        assert nones
+
+    def test_zero_pivot_returns_none(self):
+        rows = ((1, 2, 3), (2, 4, 5), (7, 1, 1))
+        o = (1, 1, 1)
+        assert degeneration._window_minors(rows, o, 0) is None
+        assert degeneration._window_minors(rows, o, 1) == ([2, -2], [1, -1])
+        assert degeneration._window_minors(((0, 1), (1, 0)), (1, 1), 0) is None
 
 
 class TestComputeK:

@@ -36,6 +36,7 @@ from conftest import (
     height_vectors,
     random_flag,
     reconstruct_triple_hyperplanes,
+    snake_flag_fractions,
 )
 
 
@@ -374,6 +375,51 @@ class TestCoordinateFrameClosedForm:
         assert {"coordinates", "meet"} <= set(calls)
         # one row reduction per index (x, y, z), for both coefficient ratios
         assert calls.count("coordinates") == len(triple_index_set(n)) == 6
+
+
+class TestSnakeFlagRows:
+    """The closed form's primitive integer rows against the ``Fraction``
+    product they replace."""
+
+    DRAWS = {
+        "small": lambda rng: Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+        "dyadic": lambda rng: Fraction(math.exp(rng.uniform(-2.0, 2.0))),
+        "height50": lambda rng: Fraction(rng.randint(1, 10**50), rng.randint(1, 10**50)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(DRAWS))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_fraction_oracle(self, n, kind):
+        rng = random.Random(f"snake {n} {kind}")
+        draw = self.DRAWS[kind]
+        f, h = Flag.standard(n), Flag.reversed_standard(n)
+        ones = Subspace.span([tuple(Fraction(1) for _ in range(n))])
+        d_line = recover_fourth_line_from_values(f, h, ones, {x: -draw(rng) for x in range(1, n)})
+        for line in (ones, d_line):
+            ratios = {idx: draw(rng) for idx in triple_index_set(n)}
+            got = reconstruct_triple(f, h, line, ratios)
+            assert got == snake_flag_fractions(line.line_vector(), ratios)
+            for row in got.compatible_basis():
+                assert all(type(x) is int for x in row)
+                assert math.gcd(*row) == 1
+
+    def test_no_float_entry_in_an_exact_basis(self):
+        n = 5
+        f, h = Flag.standard(n), Flag.reversed_standard(n)
+        line = (Fraction(1), Fraction(-2), Fraction(3, 4), Fraction(-1, 5), Fraction(7))
+        ratios = {idx: Fraction(k + 1, 3) for k, idx in enumerate(triple_index_set(n))}
+        flags = [
+            f,
+            h,
+            veronese_flag((Fraction(2), Fraction(3)), n),
+            Flag([tuple(float(x) for x in v) for v in f.compatible_basis()], backend=EXACT),
+            reconstruct_triple(f, h, line, ratios),
+        ]
+        ratios[(1, 1, 3)] = Fraction(-1)
+        flags.append(reconstruct_triple(f, h, line, ratios))
+        for flag in flags:
+            assert flag.backend is EXACT
+            assert all(isinstance(x, (int, Fraction)) for v in flag.compatible_basis() for x in v)
 
 
 class TestRatioEscape:

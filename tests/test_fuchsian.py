@@ -68,6 +68,20 @@ class TestBPoint:
         # 1 + sqrt(2) vs sqrt(6): 2.414 vs 2.449
         assert cmp_points(BPoint.make(1, 1, 2), BPoint.make(0, 1, 6)) == -1
 
+    def test_one_point_under_radicands_that_differ_by_a_square(self):
+        # make strips squares only over small primes: a fixed point of ac on
+        # the twist-1/5 surface keeps a factor 769^2 in its radicand
+        p = next(x for x in fixed_points(genus2_surface(twist=Fraction(1, 5)).matrix("ac")) if x.d)
+        assert p.d == 769**2 * 534659
+        q = BPoint(p.a, p.b * 769, 534659)
+        assert p == q and hash(p) == hash(q)
+        assert p != BPoint(p.a, -p.b, p.d) and p != BPoint(p.a, p.b * 769, 2)
+        assert points_equal(p, q) and points_equal(q, p)
+        # the exact comparison reads both in one field
+        r = BPoint(p.a + Fraction(1, 10**40), p.b * 769, 534659)
+        assert fuchsian._cmp_exact(p, q) == fuchsian._cmp_exact(q, p) == 0
+        assert fuchsian._cmp_exact(p, r) == -1 and fuchsian._cmp_exact(r, p) == 1
+
     def test_cyclic_order_with_infinity(self):
         a, b = BPoint.rational(0), BPoint.rational(1)
         assert cyclic_order(a, b, INFINITY) == 1

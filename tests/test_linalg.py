@@ -378,6 +378,71 @@ class TestFlags:
         assert image.subspace(2).dim == 2
 
 
+@st.composite
+def patterned_bases(draw):
+    """n rows of length n, each given the column of its last nonzero entry
+    (-1 for a zero row): a permutation (triangular up to order) or free
+    draws, which repeat a column or leave a zero row."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        lasts = draw(st.permutations(range(n)))
+    else:
+        lasts = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    nonzero = entry.filter(bool)
+    return [
+        [draw(entry) for _ in range(last)] + [draw(nonzero)] * (last >= 0) + [0] * (n - 1 - last)
+        for last in lasts
+    ]
+
+
+class TestTriangularShortcut:
+    """An exact basis triangular up to order skips the rank elimination;
+    every other exact basis and every float basis takes it, with its error."""
+
+    @staticmethod
+    def build(rows, backend):
+        """(flag or error message, number of matrix_rank calls)."""
+        from hitchin import linalg
+
+        calls = []
+        rank = linalg.matrix_rank
+
+        def counting(rows, backend):
+            calls.append(backend)
+            return rank(rows, backend)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "matrix_rank", counting)
+            try:
+                return Flag(rows, backend=backend), len(calls)
+            except DegenerateError as exc:
+                return str(exc), len(calls)
+
+    @given(patterned_bases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_matrix_rank(self, rows):
+        n = len(rows)
+        independent = matrix_rank(rows, EXACT) == n
+        lasts = [max((j for j, x in enumerate(row) if x), default=-1) for row in rows]
+        triangular = sorted(lasts) == list(range(n))
+        got, calls = self.build(rows, EXACT)
+        assert calls == (0 if triangular else 1)
+        if independent:
+            assert isinstance(got, Flag)
+            # int entries kept as ints, the others exact
+            for row, kept in zip(rows, got.compatible_basis()):
+                assert list(kept) == row
+                assert all(type(x) is int for x, y in zip(kept, row) if type(y) is int)
+        else:
+            assert not triangular
+            assert got == "flag basis is not linearly independent"
+        floats = [[float(x) for x in row] for row in rows]
+        got, calls = self.build(floats, FLOAT64)
+        assert calls == 1
+        assert isinstance(got, Flag) if independent else got == "flag basis is not linearly independent"
+
+
 class TestGenericTriple:
     def test_equal_flags_degenerate(self):
         f = Flag.standard(3)
