@@ -460,6 +460,11 @@ class TestFramePath:
         assert runs == [0, 1]
         assert outcome.startswith("crossing cross ratio not positive: -")
         assert outcome == self.general_outcome(monkeypatch, quad)
+        # an edge that succeeds makes each run once: C's from every column,
+        # D's from columns 0..n-2 (its bases with no e part are C's)
+        runs.clear()
+        k_edge(small_height_quadruple(n, 108))
+        assert runs == list(range(n)) + list(range(n - 1))
 
 
 class TestWindowMinors:
@@ -499,6 +504,14 @@ class TestWindowMinors:
         assert degeneration._window_minors(rows, o, 0) is None
         assert degeneration._window_minors(rows, o, 1) == ([2, -2], [1, -1])
         assert degeneration._window_minors(((0, 1), (1, 0)), (1, 1), 0) is None
+
+    def test_step_updates_only_from_its_start_column(self):
+        # a run passes start c + 1: the pivot column and those before it
+        # keep their stale entries, the later ones are the 2 x 2 minors
+        for start, cleared in ((0, [0, 2, 2]), (1, [4, 2, 2]), (2, [4, 7, 2])):
+            a = [[2, 3, 5], [4, 7, 11]]
+            linalg._bareiss_step(a, 0, 0, 1, [1], start)
+            assert a == [[2, 3, 5], cleared]
 
 
 class TestComputeK:
