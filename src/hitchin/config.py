@@ -278,7 +278,9 @@ class RunConfig:
             from .fuchsian import fuchsian_invariants
             from .pants import xi_forward
 
-            invs = fuchsian_invariants(self.surface(), self.n)
+            # an invariant set, or the Fuchsian point when no point is given
+            given = "invariants" in params
+            invs = self.invariants(decomp) if given else fuchsian_invariants(self.surface(), self.n)
             return xi_forward(decomp, invs, self.gluing(decomp))
         boundary = {
             _curve_id(k, "boundary"): tuple(

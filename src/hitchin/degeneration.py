@@ -52,7 +52,7 @@ from .fuchsian import (
     in_arc,
 )
 from .invariants import INFINITY, based_lines, cross_ratios, is_infinite, triple_index_set
-from .linalg import FLOAT64, DegenerateError, Flag, Subspace, _bareiss_step, _integer_rows
+from .linalg import FLOAT64, DegenerateError, Flag, Subspace, _bareiss_step
 from .tracer import EdgeLift, shared_letter
 
 #: reindexing that brings each edge's opposite flags into the middle slot;
@@ -172,7 +172,7 @@ def _frame_cross_ratios(quad):
     In the frame the base a^i + b^j + e^k leaves the window of columns
     i..i+k+1, where A's and B's moving lines are the first and last unit
     vectors.  With E the flag carrying e, o the other flag's first basis
-    vector (rows scaled to integers), Q(x) and P(x) the minors of
+    vector (the flags' integer rows), Q(x) and P(x) the minors of
     [E rows 0..k-1; x] on columns i..i+k and i+1..i+k+1, I that of E rows
     0..k-1 on columns i+1..i+k and F that of [E rows 0..k-1; d; c] on the
     window, expanding each wedge along the unit vectors gives
@@ -191,7 +191,7 @@ def _frame_cross_ratios(quad):
     exact = all(f.backend.exact for f in (quad.a, quad.c, quad.d))
     if not (exact and _coordinate_frame(quad.a, quad.b)):
         return None
-    c_rows, d_rows = (_integer_basis(f) for f in (quad.c, quad.d))
+    c_rows, d_rows = quad.c.compatible_basis(), quad.d.compatible_basis()
     if not (all(c_rows[0]) and all(d_rows[0])):
         return None
     runs = {}
@@ -219,14 +219,6 @@ def _frame_cross_ratios(quad):
         return pair if e_is_c else pair[::-1]
 
     return values
-
-
-def _integer_basis(flag):
-    """An exact flag's basis rows, scaled to integers unless they are."""
-    rows = flag.compatible_basis()
-    if all(type(x) is int for row in rows for x in row):
-        return rows
-    return _integer_rows(rows)[0]
 
 
 def _exp(table, idx, name, kind, sign=1):

@@ -24,10 +24,11 @@ snakes, Lusztig's parametrisation).  a(k, 0) = 1 and, for
 T_(x,y,z)(F, u H, H) = a(x+y, y) / a(x+y-1, y-1).  D = diag(l_i /
 (u e_n)_i) fixes F, H and every triple ratio and moves G^(1) onto the
 line l, so g_j = D u e_(n+1-j).  Positivity makes the triple generic,
-so the exact closed form never fails.  It is built on primitive integer
-rows: a basis vector's scale is free, D's coordinate scales are not (see
-:func:`_snake_flag`), and the rows are triangular up to order, so
-``Flag`` needs no rank check on them.  The fourth line of an edge is
+so the exact closed form never fails.  It is built on integer rows: a
+basis vector's scale is free, D's coordinate scales are not (see
+:func:`_snake_flag`), ``Flag`` makes each row primitive, as it does
+every exact basis, and the rows are triangular up to order, so it needs
+no rank check on them.  The fourth line of an edge is
 d_i = c_i values[1] ... values[i-1] on either backend; that is its only
 construction, and input it cannot take raises (see
 :func:`recover_fourth_line_from_values`).
@@ -111,7 +112,6 @@ def veronese_flag(point, n, backend=EXACT):
     rows = sym_power(frame, n)
     # columns of sym_power(frame) = images of the standard basis vectors
     cols = [tuple(rows[i][j] for i in range(n)) for j in range(n)]
-    cols = [tuple(backend.convert(x) for x in col) for col in cols]
     return Flag(cols, backend=backend)
 
 
@@ -243,13 +243,13 @@ def _exact_values(values, keys):
 
 def _snake_flag(line, ratios):
     """The flag G = D u H of positive ``ratios`` in the coordinate frame,
-    u and D as in the module docstring, on primitive integer rows.
+    u and D as in the module docstring, on integer rows.
 
     Any nonzero scale of a basis vector leaves the flag alone, but D's
     coordinate scales do not.  So each column of u carries integer entries
     over a denominator of its own through the product, and the rows of G
     drop it; D's entries l_i / (u e_n)_i go over their one lcm, which
-    scales every row alike; and each row is divided by the gcd of its
+    scales every row alike.  ``Flag`` divides each row by the gcd of its
     entries.  Row j ends in coordinate n + 1 - j, so ``Flag`` finds the
     basis triangular up to order and skips its rank check; its levels are
     left to ``Flag.subspace``, which reduces each one when first asked.
@@ -275,13 +275,8 @@ def _snake_flag(line, ratios):
     d_dens = [x.denominator * y for x, y in zip(line, cols[-1])]
     lcm = math.lcm(*d_dens)
     scale = [x.numerator * (lcm // y) for x, y in zip(line, d_dens)]
-    basis = []
     # g_j = D u e_(n+1-j); col_j is zero below row j
-    for col in reversed(cols):
-        row = [d * x for d, x in zip(scale, col)]
-        g = math.gcd(*row)
-        basis.append(tuple(x // g for x in row))
-    return Flag(basis, backend=EXACT)
+    return Flag([[d * x for d, x in zip(scale, col)] for col in reversed(cols)], backend=EXACT)
 
 
 def _coordinates(basis, vectors, backend):

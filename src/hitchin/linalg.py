@@ -14,9 +14,9 @@ a computation never mixes them.
   column), since it reads no finished column again.
   ``reduce_modulo`` reads vectors modulo a base in integer coordinates,
   which turns wedges that share that base into small minors.  A base
-  row that is a coordinate vector e_p just drops column p, so only the
-  other rows are eliminated, over the columns left, and the common factor
-  of the coordinates is the last pivot of that rest.
+  row that is a coordinate vector e_p just drops column p; the vectors
+  ride below the other rows through one such elimination, which pivots
+  on base rows only, and end holding their coordinates.
 * The float64 backend takes determinants from ``numpy.linalg.det``
   (several of one size from one stacked call, ``dets``) and row-reduces
   with partial pivoting, deciding rank with the relative pivot threshold
@@ -25,7 +25,8 @@ a computation never mixes them.
 Subspaces are stored with a canonical reduced-row-echelon basis, so two
 subspaces are equal iff their representations are equal.  A flag is
 stored as a compatible basis; it reduces a level to that canonical form
-the first time the level is asked for and memoises it.  An exact basis
+the first time the level is asked for and memoises it; an exact flag
+stores each basis vector as a primitive integer row.  An exact basis
 that is triangular up to order (each vector's last nonzero entry in a
 coordinate of its own) is independent by its zero pattern, so ``Flag``
 runs no rank elimination on it; any other basis, and every float one,
@@ -141,12 +142,12 @@ def _integer_rows(rows):
     scale = 1
     for row in rows:
         m = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
+        out.append([x.numerator * (m // x.denominator) for x in row] if m > 1 else [*map(int, row)])
         scale *= m
     return out, scale
 
 
-def _eliminate(a, ncols, reduce_above=True):
+def _eliminate(a, ncols, reduce_above=True, pivot_rows=None):
     """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
 
     Works in place on the list of integer rows ``a``, looking for pivots
@@ -158,8 +159,13 @@ def _eliminate(a, ncols, reduce_above=True):
     nonsingular square input.  A determinant needs only the echelon form:
     ``reduce_above=False`` leaves the rows above each pivot alone, which
     still ends on d and saves about two thirds of the work.
+
+    Pivots come only from the first ``pivot_rows`` rows (default all);
+    the rows below are carried, never swapped, and by Sylvester's identity
+    each ends holding in column j the minor of the pivot rows and itself on
+    the pivot columns and j (``reduce_modulo``'s coordinates).
     """
-    m = len(a)
+    m = len(a) if pivot_rows is None else pivot_rows
     piv_cols = []
     sign = 1
     prev = 1
@@ -174,7 +180,7 @@ def _eliminate(a, ncols, reduce_above=True):
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         lo = 0 if reduce_above else r + 1
-        _bareiss_step(a, r, c, prev, (i for i in range(lo, m) if i != r))
+        _bareiss_step(a, r, c, prev, (i for i in range(lo, len(a)) if i != r))
         prev = a[r][c]
         piv_cols.append(c)
         r += 1
@@ -216,14 +222,18 @@ def reduce_modulo(vectors, base):
     The unit rows are set aside first: a row with one nonzero entry, in
     a column p no earlier such row took, spans the coordinate line e_p.
     Then p is a pivot and e_p its RREF row, which is 0 in every free
-    column, so reducing modulo it just drops column p.  The other rows go
-    through ``_eliminate`` over the columns left (c is its last pivot, or
-    1 when no row is left); in a frame where two flags are coordinate
-    flags, that is the third flag's rows in the middle columns.  Raises
-    DegenerateError naming the rank of the whole base when its rows are
-    dependent.
+    column, so reducing modulo it just drops column p.  The vectors ride
+    below the other rows through one echelon run of ``_eliminate`` over
+    the columns left, pivoting on base rows only, and end holding their
+    coordinates (c is the run's last pivot, or 1 when no row is left); in
+    a frame where two flags are coordinate flags, that is the third
+    flag's rows in the middle columns.  Raises DegenerateError naming the
+    rank of the whole base when its rows are dependent.
     """
     ncols = len(vectors[0])
+    for v in vectors:
+        if len(v) != ncols:
+            raise BackendError(f"vector of dimension {len(v)} modulo a base in R^{ncols}")
     units = set()
     rest = []
     for row in base:
@@ -233,25 +243,15 @@ def reduce_modulo(vectors, base):
         else:
             rest.append(row)
     cols = [j for j in range(ncols) if j not in units]
-    rows, _ = _integer_rows([[row[j] for j in cols] for row in rest])
-    piv = _eliminate(rows, len(cols))[0]
-    if len(piv) < len(rows):
+    # every row is scaled to integers over its whole length
+    a = [[row[j] for j in cols] for row in _integer_rows([*rest, *vectors])[0]]
+    piv = _eliminate(a, len(cols), reduce_above=False, pivot_rows=len(rest))[0]
+    if len(piv) < len(rest):
         raise DegenerateError(
             f"base of {len(base)} rows is rank-deficient: rank {len(units) + len(piv)}"
         )
-    c = rows[-1][piv[-1]] if rows else 1
-    # positions in ``cols`` of the free columns
     free = [j for j in range(len(cols)) if j not in piv]
-    out = []
-    for v in vectors:
-        if len(v) != ncols:
-            raise BackendError(f"vector of dimension {len(v)} modulo a base in R^{ncols}")
-        s = math.lcm(*(x.denominator for x in v))
-        v = [v[j].numerator * (s // v[j].denominator) for j in cols]
-        # clear v at each pivot; the base rows carry c there and 0 at the others
-        coeffs = [(v[p], row) for p, row in zip(piv, rows) if v[p]]
-        out.append(tuple(c * v[j] - sum(f * row[j] for f, row in coeffs) for j in free))
-    return out
+    return [tuple(row[j] for j in free) for row in a[len(rest):]]
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +454,7 @@ class Subspace:
         if not self.backend.exact:
             red, _ = rref(list(self.basis) + [v], self.backend, ncols=self.ambient)
             return len(red) == self.dim
-        # clear v at each row's leading 1, where the other RREF rows vanish
-        for row in self.basis:
-            f = v[next(i for i, x in enumerate(row) if x)]
-            if f:
-                v = tuple(x - f * y if y else x for x, y in zip(v, row))
-        return not any(v)
+        return not any(reduce_modulo([v], self.basis)[0])
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis)
@@ -523,16 +518,17 @@ class Flag:
     ``_transverse`` memoises a float flag's ``moving_line`` by multiplicity,
     and ``_axes`` the answer of ``coordinate_axes``.
 
-    An exact basis keeps its int entries as given (the others become
-    ``Fraction``s), so integer rows reach the window minors of
-    ``degeneration.k_edge`` as they are.  It skips the rank elimination
-    when it is triangular up to order, each vector's last nonzero entry in
-    a coordinate of its own: ordered by that coordinate the vectors form a
+    An exact basis is stored as primitive integer rows, each a positive
+    multiple of its vector (a vector's scale does not change the flag), and
+    every exact kernel, down to the window minors of ``degeneration.k_edge``,
+    reads those rows as they are.  It skips the rank elimination when it is
+    triangular up to order, each vector's last nonzero entry in a
+    coordinate of its own: ordered by that coordinate the vectors form a
     triangular matrix with a nonzero diagonal, so they are independent.
-    The standard, reversed and snake flags (``flags._snake_flag``) all
-    are.  Every other exact basis, and every float basis, takes
-    ``matrix_rank`` and raises on a rank below n: a float rank
-    decision depends on the pivot threshold, not only on the zero pattern.
+    The standard, reversed and snake flags (``flags._snake_flag``) all are.
+    Every other exact basis, and every float basis, takes ``matrix_rank``
+    and raises on a rank below n: a float rank decision depends on the
+    pivot threshold, not only on the zero pattern.
     """
 
     __slots__ = ("ambient", "backend", "_basis", "_levels", "_transverse", "_axes")
@@ -548,9 +544,7 @@ class Flag:
             if len(v) != n:
                 raise BackendError(f"flag basis of {n} vectors needs dimension {n}, got {len(v)}")
         if backend.exact:
-            basis = tuple(
-                tuple(x if type(x) is int else backend.convert(x) for x in v) for v in vectors
-            )
+            basis = tuple(_primitive_row(v) for v in vectors)
             independent = _triangular(basis) or matrix_rank(basis, backend) == n
         else:
             basis = convert_matrix(vectors, backend)
@@ -566,13 +560,11 @@ class Flag:
 
     @classmethod
     def standard(cls, n, backend=EXACT):
-        eye = [[backend.one() if i == j else backend.zero() for j in range(n)] for i in range(n)]
-        return cls(eye, backend=backend)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)], backend=backend)
 
     @classmethod
     def reversed_standard(cls, n, backend=EXACT):
-        eye = [[backend.one() if i == j else backend.zero() for j in range(n)] for i in range(n)]
-        return cls(eye[::-1], backend=backend)
+        return cls([[int(i == j) for j in range(n)] for i in reversed(range(n))], backend=backend)
 
     def subspace(self, k):
         if k not in self._levels:
@@ -623,6 +615,14 @@ class Flag:
 
     def __repr__(self):
         return f"Flag(ambient={self.ambient}, backend={self.backend.name})"
+
+
+def _primitive_row(v):
+    """The primitive integer row on the line of the exact vector v."""
+    if not all(type(x) is int for x in v):
+        v = _integer_rows([[x if type(x) is int else EXACT.convert(x) for x in v]])[0][0]
+    g = math.gcd(*v)
+    return tuple(x // g for x in v) if g > 1 else tuple(v)
 
 
 def _triangular(rows):

@@ -539,3 +539,98 @@ class TestCommands:
         )
         assert proc.returncode == 0
         assert "hitchin" in proc.stdout
+
+
+def csv_body(path):
+    """A CSV output without its comment header, which names the config."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+class TestPointForms:
+    """The three ways ``[parameters]`` gives a point: ``fuchsian: true``,
+    ``invariants`` + ``gluing`` and ``boundary`` + ``internal`` + ``gluing``."""
+
+    @staticmethod
+    def write(tmp_path, name, data):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    def test_one_point_three_forms_one_output(self, tmp_path):
+        base = json.loads((CONFIG_DIR / "scan_n3_g2.json").read_text())
+        gen = tmp_path / "gen.json"
+        assert run_cli(["fuchsian-gen", "--config", str(CONFIG_DIR / "scan_n3_g2.json"), "--out", str(gen)]) == 0
+        params = json.loads(gen.read_text())["parameters"]
+        forms = {
+            "fuchsian": base,
+            "invariants": {**base, "parameters": {k: params[k] for k in ("invariants", "gluing")}},
+            "modified": {
+                **base,
+                "parameters": {k: params[k] for k in ("boundary", "internal", "gluing")},
+            },
+        }
+        for command in ("kbound", "entropy-scan"):
+            bodies = set()
+            for name, data in forms.items():
+                out = tmp_path / f"{name}.{command}.csv"
+                argv = [command, "--config", str(self.write(tmp_path, name, data)), "--out", str(out)]
+                assert run_cli(argv) == 0, (command, name)
+                bodies.add(tuple(csv_body(out)))
+            assert len(bodies) == 1, command
+
+    def test_kbound_reads_the_given_invariants(self, tmp_path):
+        # the Fuchsian point moved 5 along +tau(1,1,1), given by its invariants
+        from hitchin.config import format_scalar, invariants_to_dict
+        from hitchin.degeneration import compute_K, shifted_params
+        from hitchin.pants import xi_inverse
+
+        base = json.loads((CONFIG_DIR / "scan_n3_g2.json").read_text())
+        point = shifted_params(RunConfig.from_dict(base).hitchin_params(), {("tau", (1, 1, 1)): 1}, 5)
+        invariants, gluing = xi_inverse(point)
+        data = {
+            **base,
+            "parameters": {
+                "invariants": invariants_to_dict(invariants),
+                "gluing": {str(c): [format_scalar(v) for v in vals] for c, vals in gluing.items()},
+            },
+        }
+        path = self.write(tmp_path, "moved", data)
+        k_val, _ = compute_K(point.decomp, RunConfig.from_dict(data).invariants())
+        out = tmp_path / "k.csv"
+        assert run_cli(["kbound", "--config", str(path), "--out", str(out)]) == 0
+        rows = dict((r.split(",")[1], r.split(",")[2]) for r in csv_body(out) if r.startswith("min,"))
+        # the CSV carries 12 significant digits; the Fuchsian K is 0.1066
+        assert float(rows["K"]) == pytest.approx(k_val, rel=1e-11)
+        assert k_val == pytest.approx(1.02892219218, rel=1e-11)
+        inv_out = tmp_path / "inv.json"
+        argv = ["reparam", "--direction", "inverse", "--config", str(path), "--out", str(inv_out)]
+        assert run_cli(argv) == 0
+        for block in json.loads(inv_out.read_text())["parameters"]["invariants"]:
+            assert block["tau"]["1,1,1"] == pytest.approx(5, rel=1e-12)
+
+    def test_invariants_at_genus_3(self, tmp_path):
+        # an exact genus-3 point given by its modified coordinates and by the
+        # invariants reparam writes for it; no Fuchsian surface is involved
+        half = [{"tau:1,1,1": "1/2", "sigma:2,1,0": "0"}, {"tau:1,1,1": "0", "sigma:2,1,0": "7/3"}]
+        data = {
+            "n": 3,
+            "genus": 3,
+            "backend": "exact",
+            "parameters": {
+                "boundary": {str(c): [str(c + 1), "3/2"] for c in range(6)},
+                "internal": half + half[::-1],
+                "gluing": {str(c): [str(c), "-1/3"] for c in range(6)},
+            },
+        }
+        modified = self.write(tmp_path, "modified", data)
+        inv_out = tmp_path / "inv.json"
+        argv = ["reparam", "--direction", "inverse", "--config", str(modified), "--out", str(inv_out)]
+        assert run_cli(argv) == 0
+        data["parameters"] = json.loads(inv_out.read_text())["parameters"]
+        given = self.write(tmp_path, "invariants", data)
+        bodies = []
+        for path in (modified, given):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run_cli(["kbound", "--config", str(path), "--out", str(out)]) == 0
+            bodies.append(csv_body(out))
+        assert bodies[0] == bodies[1] and len(bodies[0]) == 1 + 4 * 3 + 2

@@ -418,8 +418,7 @@ class TestFramePath:
         fa, fb = Flag.standard(3, backend=EXACT), Flag.reversed_standard(3, backend=EXACT)
         fc = Flag([(1, 1, 0), (1, 2, 1), (0, 0, 1)], backend=EXACT)
         fd = small_height_quadruple(3, 103).d
-        c_rows = linalg._integer_rows(fc.compatible_basis())[0]
-        d_rows = linalg._integer_rows(fd.compatible_basis())[0]
+        c_rows, d_rows = fc.compatible_basis(), fd.compatible_basis()
         assert degeneration._window_minors(c_rows, d_rows[0], 2) is None
         for quad in (EdgeQuadruple(fa, fb, fc, fd), EdgeQuadruple(fa, fb, fd, fc)):
             assert degeneration._frame_cross_ratios(quad) is None

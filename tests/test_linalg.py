@@ -324,6 +324,19 @@ class TestReduceModulo:
             with pytest.raises(DegenerateError, match=f"rank {rank}$"):
                 reduce_modulo([(0, 0, 1, 0)], rows)
 
+    def test_vectors_never_pivot(self):
+        # columns 2 and 3 are nonzero only in the vectors, which ride below
+        # the base rows; a pivot from a vector would hide the rank deficit
+        cases = [
+            ([(1, 2, 0, 0), (2, 4, 0, 0)], 1),
+            ([(0, 0, 0, 0), (Fraction(1, 3), 1, 0, 0)], 1),
+            ([(1, 0, 0, 0), (3, 0, 0, 0), (0, 1, 0, 0)], 2),
+        ]
+        vectors = [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
+        for rows, rank in cases:
+            with pytest.raises(DegenerateError, match=f"rank {rank}$"):
+                reduce_modulo(vectors, rows)
+
 
 class TestFlags:
     def test_nesting_enforced(self):
@@ -430,10 +443,12 @@ class TestTriangularShortcut:
         assert calls == (0 if triangular else 1)
         if independent:
             assert isinstance(got, Flag)
-            # int entries kept as ints, the others exact
-            for row, kept in zip(rows, got.compatible_basis()):
-                assert list(kept) == row
-                assert all(type(x) is int for x, y in zip(kept, row) if type(y) is int)
+            # each row stored as the primitive integer row on its line, a
+            # positive multiple of the row given
+            for row, kept, last in zip(rows, got.compatible_basis(), lasts):
+                assert all(type(x) is int for x in kept) and math.gcd(*kept) == 1
+                scale = kept[last] / Fraction(row[last])
+                assert scale > 0 and [scale * x for x in row] == list(kept)
         else:
             assert not triangular
             assert got == "flag basis is not linearly independent"
@@ -441,6 +456,66 @@ class TestTriangularShortcut:
         got, calls = self.build(floats, FLOAT64)
         assert calls == 1
         assert isinstance(got, Flag) if independent else got == "flag basis is not linearly independent"
+
+
+class TestExactFlagRows:
+    """An exact flag stores each basis vector as the primitive integer row
+    on its line, whatever exact scalars the vector was given in."""
+
+    @staticmethod
+    def assert_primitive_rows(flag, vectors):
+        for v, row in zip(vectors, flag.compatible_basis()):
+            assert all(type(x) is int for x in row) and math.gcd(*row) == 1
+            j = next(i for i, x in enumerate(row) if x)
+            scale = row[j] / Fraction(v[j])
+            assert scale > 0 and [scale * Fraction(x) for x in v] == list(row)
+
+    def test_int_fraction_and_integral_float_input(self):
+        ints = [(4, 6, 0), (0, -3, 9), (5, 0, 10)]
+        fractions = [(Fraction(1, 2), Fraction(-3, 4), 0), (0, Fraction(2, 3), 1), (7, 0, 0)]
+        floats = [(2.0, 4.0, 6.0), (0.0, -8.0, 0.0), (1.0, 1.0, 2.0)]
+        for vectors in (ints, fractions, floats):
+            flag = Flag(vectors, backend=EXACT)
+            self.assert_primitive_rows(flag, vectors)
+        assert Flag(ints).compatible_basis() == ((2, 3, 0), (0, -1, 3), (1, 0, 2))
+        for n in range(2, 9):
+            eye = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            assert Flag.standard(n).compatible_basis() == tuple(eye)
+            assert Flag.reversed_standard(n).compatible_basis() == tuple(eye[::-1])
+
+    def test_veronese_input(self):
+        from hitchin.flags import sym_power, veronese_flag
+
+        for n in range(2, 9):
+            for point in ((Fraction(2, 3), Fraction(1)), (Fraction(-5), Fraction(7, 2)), (0, 1)):
+                flag = veronese_flag(point, n)
+                s, t = map(Fraction, point)
+                frame = ((s, 0), (t, 1 / s)) if s else ((0, -1 / t), (t, 0))
+                cols = list(zip(*sym_power(frame, n)))
+                self.assert_primitive_rows(flag, cols)
+
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_rescaled_bases_give_one_flag(self, data):
+        n = data.draw(st.integers(2, 6))
+        r = random.Random(data.draw(st.integers(0, 2**32)))
+        basis = draw_generic(
+            lambda: Flag(
+                [[Fraction(r.randint(-9, 9), r.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+            ),
+            "independent basis",
+        ).compatible_basis()
+        nonzero = st.fractions(-50, 50, max_denominator=50).filter(bool)
+        scales = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+        flag = Flag(basis)
+        scaled = Flag([[c * x for x in v] for c, v in zip(scales, basis)])
+        assert scaled == flag
+        for c, row, kept in zip(scales, flag.compatible_basis(), scaled.compatible_basis()):
+            assert kept == (row if c > 0 else tuple(-x for x in row))
+
+    def test_non_integral_float_is_refused(self):
+        with pytest.raises(BackendError, match="non-integral float 0.5"):
+            Flag([(1, 0, 0), (0.5, 1, 0), (0, 0, 1)], backend=EXACT)
 
 
 class TestGenericTriple:
