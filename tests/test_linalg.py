@@ -484,15 +484,13 @@ class TestExactFlagRows:
             assert Flag.reversed_standard(n).compatible_basis() == tuple(eye[::-1])
 
     def test_veronese_input(self):
-        from hitchin.flags import sym_power, veronese_flag
+        from hitchin.flags import _sl2_moving_frame, sym_power, veronese_flag
 
         for n in range(2, 9):
             for point in ((Fraction(2, 3), Fraction(1)), (Fraction(-5), Fraction(7, 2)), (0, 1)):
-                flag = veronese_flag(point, n)
-                s, t = map(Fraction, point)
-                frame = ((s, 0), (t, 1 / s)) if s else ((0, -1 / t), (t, 0))
-                cols = list(zip(*sym_power(frame, n)))
-                self.assert_primitive_rows(flag, cols)
+                # the flag's basis: the columns of sym_power of the frame
+                cols = list(zip(*sym_power(_sl2_moving_frame(point), n)))
+                self.assert_primitive_rows(veronese_flag(point, n), cols)
 
     @given(st.data())
     @settings(max_examples=50, deadline=None)
