@@ -204,7 +204,7 @@ def points_equal(p, q):
     pi, qi = is_infinite(p), is_infinite(q)
     if pi or qi:
         return pi and qi
-    if p.a == q.a and p.b == q.b and p.d == q.d:
+    if p == q:
         return True
     return cmp_points(p, q) == 0
 

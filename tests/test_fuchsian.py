@@ -303,7 +303,12 @@ class TestFilteredComparison:
         assert cmp_points(separated[0], separated[1]) == -1
         assert cyclic_order(*separated) == 1
         assert fuchsian.exact_fallbacks == before
+        # one point under radicands that differ by a square: equal as BPoints
         assert points_equal(BPoint(Fraction(0), Fraction(1), 8), BPoint.make(0, 2, 2))
+        assert fuchsian.exact_fallbacks == before
+        # sqrt(53^2) keeps its square (make strips only small primes), so
+        # only the exact comparison finds it rational
+        assert points_equal(BPoint(Fraction(0), Fraction(1), 53**2), BPoint.rational(53))
         assert fuchsian.exact_fallbacks == before + 1
 
 

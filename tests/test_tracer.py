@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from fractions import Fraction
@@ -301,6 +302,19 @@ class TestLiftCaches:
             assert len(shared._points) == len(fresh._points), word
             assert len(shared._fan_pow) == len(fresh._fan_pow), word
 
+    def test_trace_leaves_no_reference_cycles(self, surface):
+        """Tracing frees everything it makes by reference counting: with the
+        cyclic collector off, nothing is left for it to find."""
+        tracer = PsiTracer(surface, n=2)
+        gc.collect()
+        gc.disable()
+        try:
+            for word in GOLDEN:
+                tracer.trace(word)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 def _is_canonical(m):
     entries = m[0] + m[1]
@@ -547,6 +561,74 @@ class TestWindowOracles:
         for word in GOLDEN:
             tracer.trace(word)
         assert products and max(products) <= 16
+
+
+class TestCrossingWalk:
+    """When the ends of the leaf at the pending vertex lie on different sides
+    of the axis, ``_winding`` walks to the crossing run and along it; when
+    they lie on one side, it scans the guessed window."""
+
+    #: the most mesh edges a walked call reads on the golden words (measured:
+    #: 6); a window scan reads at least 7, its guess widened by 3 each way
+    WALK_READS = 6
+
+    @staticmethod
+    def _count_reads(tracer, monkeypatch):
+        """Wrap ``tracer._winding``; returns the per-call mesh edge reads of
+        walked and of scanned calls, filled as the tracer runs."""
+        import hitchin.tracer as tracer_module
+
+        specs = [tracer.mesh(curve) for curve in range(tracer.decomp.num_curves)]
+        x_points = {id(spec.x_point) for spec in specs}
+        reads = [0]
+
+        def counting_mobius(m, p):
+            reads[0] += id(p) in x_points
+            return mobius(m, p)
+
+        monkeypatch.setattr(tracer_module, "mobius", counting_mobius)
+        winding = tracer._winding
+        walked, scanned = [], []
+
+        def counted_winding(pending, xm, xp):
+            spec = tracer.mesh(tracer.curve_of_vertex(pending))
+            eta = tracer.mesh_anchor(pending)
+            sides = {in_arc(mobius(eta, z), xm, xp) for z in (spec.rep, spec.att)}
+            reads[0] = 0
+            t = winding(pending, xm, xp)
+            (walked if len(sides) == 2 else scanned).append(reads[0])
+            return t
+
+        tracer._winding = counted_winding
+        return walked, scanned
+
+    def test_walk_reads_the_run_and_its_ends(self, surface, monkeypatch):
+        tracer = PsiTracer(surface, n=2)
+        walked, scanned = self._count_reads(tracer, monkeypatch)
+        wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
+        assert wrong == []
+        assert walked and scanned
+        assert max(walked) <= self.WALK_READS < min(scanned)
+
+    def test_walk_without_a_guess_starts_at_zero(self, surface, monkeypatch):
+        """With no float coordinate a scan reads all 2 cap + 1 edges, while a
+        walked call starts at k = 0; the leaf anchors of the golden words
+        lie near their runs, so it reads no more than with the guess, and
+        the counts stay."""
+        import hitchin.tracer as tracer_module
+
+        cap = 16
+        tracer = PsiTracer(surface, n=2, depth_cap=cap)
+        walked, scanned = self._count_reads(tracer, monkeypatch)
+
+        def coincident(*points):
+            raise DegenerateError("cross ratio of coincident boundary points")
+
+        monkeypatch.setattr(tracer_module, "boundary_cross_ratio", coincident)
+        wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
+        assert wrong == []
+        assert scanned and set(scanned) == {2 * cap + 1}
+        assert walked and max(walked) <= self.WALK_READS
 
 
 class TestFanOrder:
