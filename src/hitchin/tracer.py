@@ -18,9 +18,10 @@ one run, whose far sides are the sides of the leaf's two ends.  When the
 ends lie on different sides the run is walked exactly from a float
 coordinate; when they lie on one side a window is guessed from that
 coordinate, widened until each end reads its far side, and scanned
-exactly.  Both read curve constants built once with the mesh.  Locating the axis from a fan is one pass that returns the
-first separating fan edge near k = 0, or else the first triangle on fan
-edge 0 to restart the dual walk from.
+exactly.  Both read curve constants built once with the mesh.  Locating
+the axis from a fan is one pass that returns the first separating fan
+edge near k = 0, or else the first triangle on fan edge 0 to restart the
+dual walk from.
 
 Every group element the tracer makes or compares is one canonical
 matrix: the primitive integer matrix on its projective line whose first

@@ -610,25 +610,71 @@ class TestCrossingWalk:
         assert walked and scanned
         assert max(walked) <= self.WALK_READS < min(scanned)
 
-    def test_walk_without_a_guess_starts_at_zero(self, surface, monkeypatch):
-        """With no float coordinate a scan reads all 2 cap + 1 edges, while a
-        walked call starts at k = 0; the leaf anchors of the golden words
-        lie near their runs, so it reads no more than with the guess, and
-        the counts stay."""
+    @staticmethod
+    def _drop_coordinate(tracer, monkeypatch):
+        """Make every float coordinate of ``_winding`` degenerate, once the
+        meshes (which read the same cross ratio) are built."""
         import hitchin.tracer as tracer_module
 
-        cap = 16
-        tracer = PsiTracer(surface, n=2, depth_cap=cap)
-        walked, scanned = self._count_reads(tracer, monkeypatch)
+        for curve in range(tracer.decomp.num_curves):
+            tracer.mesh(curve)
 
         def coincident(*points):
             raise DegenerateError("cross ratio of coincident boundary points")
 
         monkeypatch.setattr(tracer_module, "boundary_cross_ratio", coincident)
+
+    def test_walk_without_a_guess_starts_at_zero(self, surface, monkeypatch):
+        """With no float coordinate a scan reads all 2 cap + 1 edges, while a
+        walked call starts at k = 0; the leaf anchors of the golden words
+        lie near their runs, so it reads no more than with the guess, and
+        the counts stay."""
+        cap = 16
+        tracer = PsiTracer(surface, n=2, depth_cap=cap)
+        walked, scanned = self._count_reads(tracer, monkeypatch)
+        self._drop_coordinate(tracer, monkeypatch)
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
         assert scanned and set(scanned) == {2 * cap + 1}
         assert walked and max(walked) <= self.WALK_READS
+
+    #: words whose walked runs sit at k = 0..9 (a^k b, a^k B) and at
+    #: k = -7..0 (A^k B, A^k b) of their anchors
+    CAP_WORDS = [x * k + y for x, y in ("ab", "aB", "AB", "Ab") for k in range(1, 8)]
+
+    @pytest.mark.parametrize("coordinate", (True, False))
+    def test_runs_at_the_depth_cap_match_full_scans(self, surface, monkeypatch, coordinate):
+        """The winding calls of ``CAP_WORDS``, replayed at caps 1 to 4, meet
+        runs that reach k = +-cap from either side, walked toward from the
+        float coordinate or from k = 0; each count, or its ``TraceError``,
+        matches the full scan."""
+        recorder = PsiTracer(surface, n=2)
+        calls = []
+        winding = recorder._winding
+
+        def recorded_winding(pending, xm, xp):
+            calls.append((pending, xm, xp))
+            return winding(pending, xm, xp)
+
+        recorder._winding = recorded_winding
+        for word in self.CAP_WORDS:
+            recorder.trace(word)
+        outcomes = set()
+        for cap in (1, 2, 3, 4):
+            tracer = PsiTracer(surface, n=2, depth_cap=cap)
+            tracer._meshes = recorder._meshes
+            if not coordinate:
+                self._drop_coordinate(tracer, monkeypatch)
+            scans = FullScans(tracer)
+            for args in calls:
+                expect = scans.winding(*args)
+                try:
+                    got = tracer._winding(*args)
+                except TraceError:
+                    got = None
+                assert got == expect, (cap, args)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestFanOrder:
