@@ -10,6 +10,7 @@ line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -26,45 +27,40 @@ EXIT_RELATION = 1
 EXIT_SCHEMA = 2
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The file at ``path``, or stdout when ``path`` is empty or "-"."""
     if not path or path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="") as fh:
+            yield fh
 
 
 def _write_csv(path, header, rows, cfg):
-    fh, owned = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(f"# tool: hitchin {__version__}\n")
         fh.write(f"# config_hash: {cfg.config_hash()}\n")
         fh.write(f"# generated: {time.strftime('%Y-%m-%dT%H:%M:%S')}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if owned:
-            fh.close()
 
 
 def _write_json(path, payload):
-    fh, owned = _open_out(path)
-    try:
+    with _output(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
 
 
-def cmd_invariants(cfg, out_path):
-    decomp = cfg.decomposition()
-    invariants = cfg.invariants(decomp)
-    report = check_closed_leaf(decomp, invariants)
+def cmd_invariants(cfg, args, out):
+    invariants = cfg.invariants()
+    report = check_closed_leaf(cfg.decomposition(), invariants)
     rows = [
         (kind, ident, relation, k, format(float(v), ".12g"))
         for kind, ident, relation, k, v in report.rows()
     ]
-    _write_csv(out_path, ("kind", "id", "relation", "k", "value"), rows, cfg)
+    _write_csv(out, ("kind", "id", "relation", "k", "value"), rows, cfg)
     tol = closed_leaf_tol(invariants)
     for (cid, k), r in sorted(report.equality_residuals.items()):
         if r > tol:
@@ -83,15 +79,12 @@ def cmd_invariants(cfg, out_path):
     return EXIT_OK
 
 
-def cmd_reparam(cfg, direction, out_path):
-    decomp = cfg.decomposition()
-    if direction == "forward":
-        invariants = cfg.invariants(decomp)
-        params = xi_forward(decomp, invariants, cfg.gluing(decomp))
+def cmd_reparam(cfg, args, out):
+    if args.direction == "forward":
+        params = xi_forward(cfg.decomposition(), cfg.invariants(), cfg.gluing())
         payload = {"n": cfg.n, "genus": cfg.genus, "parameters": params_to_dict(params)}
     else:
-        params = cfg.hitchin_params(decomp)
-        invariants, gluing = xi_inverse(params)
+        invariants, gluing = xi_inverse(cfg.hitchin_params())
         payload = {
             "n": cfg.n,
             "genus": cfg.genus,
@@ -100,34 +93,31 @@ def cmd_reparam(cfg, direction, out_path):
                 "gluing": {str(c): [str(v) for v in vals] for c, vals in sorted(gluing.items())},
             },
         }
-    _write_json(out_path, payload)
+    _write_json(out, payload)
     return EXIT_OK
 
 
-def cmd_kbound(cfg, out_path):
+def cmd_kbound(cfg, args, out):
     from .degeneration import compute_K, compute_L
 
-    decomp = cfg.decomposition()
-    params = cfg.hitchin_params(decomp)
+    params = cfg.hitchin_params()
     invariants, _ = xi_inverse(params)
-    k_val, per_edge = compute_K(decomp, invariants)
+    k_val, per_edge = compute_K(params.decomp, invariants)
     l_val = compute_L(params.boundary, cfg.n)
     rows = [
         (j, kind, format(v, ".12g")) for (j, kind), v in sorted(per_edge.items())
     ]
     rows.append(("min", "K", format(k_val, ".12g")))
     rows.append(("min", "L", format(l_val, ".12g")))
-    _write_csv(out_path, ("pants", "edge", "value"), rows, cfg)
+    _write_csv(out, ("pants", "edge", "value"), rows, cfg)
     return EXIT_OK
 
 
-def cmd_entropy_scan(cfg, out_path):
+def cmd_entropy_scan(cfg, args, out):
     from .degeneration import CSV_COLUMNS, internal_sequence_scan
 
-    decomp = cfg.decomposition()
-    params = cfg.hitchin_params(decomp)
-    rows = internal_sequence_scan(params, cfg.direction, cfg.steps)
-    _write_csv(out_path, CSV_COLUMNS, [r.csv_row() for r in rows], cfg)
+    rows = internal_sequence_scan(cfg.hitchin_params(), cfg.direction, cfg.steps)
+    _write_csv(out, CSV_COLUMNS, [r.csv_row() for r in rows], cfg)
     ok = sum(1 for r in rows if r.flags_ok)
     if ok < 0.9 * len(rows):
         print(f"scan failed on {len(rows) - ok} of {len(rows)} rows", file=sys.stderr)
@@ -135,73 +125,62 @@ def cmd_entropy_scan(cfg, out_path):
     return EXIT_OK
 
 
-def cmd_psi_trace(cfg, word, out_path):
+def cmd_psi_trace(cfg, args, out):
     from .degeneration import compute_K, compute_L, length_lower_bound
-    from .fuchsian import fuchsian_invariants, is_hyperbolic
+    from .fuchsian import is_hyperbolic
     from .tracer import PsiTracer, r_and_s, validate_psi
 
     surface = cfg.surface()
     tracer = PsiTracer(surface, n=cfg.n, depth_cap=cfg.depth_cap)
-    word = word or cfg.word
+    word = args.word or cfg.word
     if not word:
         raise ConfigError("psi-trace needs a word ([tracer].word or --word)")
     if not is_hyperbolic(surface.matrix(word)):
         raise ConfigError(f"word {word!r} is not hyperbolic")
     psi = tracer.trace(word)
+    header = ("index", "pred", "edge", "succ", "type", "t")
     if psi.is_closed_leaf:
-        _write_csv(
-            out_path,
-            ("index", "pred", "edge", "succ", "type", "t"),
-            [("closed-leaf", psi.closed_leaf_curve, "", "", "", "")],
-            cfg,
-        )
+        _write_csv(out, header, [("closed-leaf", psi.closed_leaf_curve, "", "", "", "")], cfg)
         print(f"word {word!r} is a closed-leaf power (curve {psi.closed_leaf_curve})")
         return EXIT_OK
-    violations = validate_psi(psi, surface.decomp)
+    decomp = cfg.decomposition()
+    violations = validate_psi(psi, decomp)
     if violations:
         for v in violations:
             print(f"encoding violation: {v}", file=sys.stderr)
         return EXIT_RELATION
     counts = r_and_s(psi)
-    invariants = fuchsian_invariants(surface, cfg.n)
-    k_val, _ = compute_K(surface.decomp, invariants)
-    params = xi_forward(surface.decomp, invariants, cfg.gluing(surface.decomp))
-    l_val = compute_L(params.boundary, cfg.n)
-    bound = length_lower_bound(counts, k_val, l_val)
+    # the Fuchsian K does not depend on n, so it is taken where no
+    # n-dimensional flag has to be built; L is the n-dimensional one
+    k_val, _ = compute_K(decomp, cfg.fuchsian_point(2))
+    params = xi_forward(decomp, cfg.fuchsian_point(), cfg.gluing())
+    bound = length_lower_bound(counts, k_val, compute_L(params.boundary, cfg.n))
     rows = [
         (i, f"{tp.pred[0]}:{tp.pred[1]}", f"{tp.edge[0]}:{tp.edge[1]}",
          f"{tp.succ[0]}:{tp.succ[1]}", tp.type, tp.t)
         for i, tp in enumerate(psi.tuples)
     ]
-    _write_csv(out_path, ("index", "pred", "edge", "succ", "type", "t"), rows, cfg)
+    _write_csv(out, header, rows, cfg)
     print(f"r = {counts.r}, s = {counts.s}, length bound = {bound:.9g}")
     return EXIT_OK
 
 
-def cmd_fuchsian_gen(cfg, out_path):
-    from .fuchsian import fuchsian_invariants
-
-    surface = cfg.surface()
-    invariants = fuchsian_invariants(surface, cfg.n)
-    params = xi_forward(surface.decomp, invariants, cfg.gluing(surface.decomp))
+def cmd_fuchsian_gen(cfg, args, out):
+    invariants = cfg.fuchsian_point()
+    params = xi_forward(cfg.decomposition(), invariants, cfg.gluing())
     payload = {
         "n": cfg.n,
         "genus": 2,
         "backend": "float64",
         "decomposition": {"standard_genus": 2},
         "surface": cfg.raw.get("surface", {}),
-        "parameters": {
-            "invariants": invariants_to_dict(invariants),
-            "boundary": params_to_dict(params)["boundary"],
-            "internal": params_to_dict(params)["internal"],
-            "gluing": params_to_dict(params)["gluing"],
-        },
+        "parameters": {"invariants": invariants_to_dict(invariants), **params_to_dict(params)},
     }
-    _write_json(out_path, payload)
+    _write_json(out, payload)
     return EXIT_OK
 
 
-def cmd_selftest(cfg):
+def cmd_selftest(cfg, args, out):
     failures = []
     for name, fn in _selftest_bank():
         try:
@@ -410,6 +389,17 @@ def _selftest_bank():
     ]
 
 
+COMMANDS = {
+    "invariants": cmd_invariants,
+    "reparam": cmd_reparam,
+    "kbound": cmd_kbound,
+    "entropy-scan": cmd_entropy_scan,
+    "psi-trace": cmd_psi_trace,
+    "fuchsian-gen": cmd_fuchsian_gen,
+    "selftest": cmd_selftest,
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="hitchin",
@@ -417,15 +407,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"hitchin {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "invariants",
-        "reparam",
-        "kbound",
-        "entropy-scan",
-        "psi-trace",
-        "fuchsian-gen",
-        "selftest",
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default="", help="path to the JSON config")
         p.add_argument("--backend", choices=("exact", "float64"), default=None)
@@ -442,28 +424,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.config:
-            cfg = RunConfig.load(args.config)
-        else:
-            cfg = RunConfig.from_dict({})
+        cfg = RunConfig.load(args.config) if args.config else RunConfig.from_dict({})
         if args.backend:
             cfg.backend = args.backend
-        out = args.out or cfg.output_path
-        if args.command == "invariants":
-            return cmd_invariants(cfg, out)
-        if args.command == "reparam":
-            return cmd_reparam(cfg, args.direction, out)
-        if args.command == "kbound":
-            return cmd_kbound(cfg, out)
-        if args.command == "entropy-scan":
-            return cmd_entropy_scan(cfg, out)
-        if args.command == "psi-trace":
-            return cmd_psi_trace(cfg, args.word, out)
-        if args.command == "fuchsian-gen":
-            return cmd_fuchsian_gen(cfg, out)
-        if args.command == "selftest":
-            return cmd_selftest(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](cfg, args, args.out or cfg.output_path)
     except (ConfigError, PantsDataError, FileNotFoundError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

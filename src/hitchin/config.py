@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .fuchsian import SurfaceError, genus2_surface
-from .pants import HitchinParams, PantsInvariants, chain_decomposition, internal_labels
+from .fuchsian import SurfaceError, fuchsian_invariants, genus2_surface
+from .pants import HitchinParams, PantsInvariants, chain_decomposition, internal_labels, xi_forward
 
 
 class ConfigError(ValueError):
@@ -32,6 +32,7 @@ _TOP_KEYS = {
     "tracer",
     "output",
 }
+_KINDS = ("tau", "tau_prime", "sigma")
 _SECTION_KEYS = {
     "surface": {"a1", "b1", "twist"},
     "decomposition": {"standard_genus"},
@@ -70,26 +71,36 @@ def _integer(value, what):
     return value
 
 
+def _string(value, what):
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def format_scalar(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     return float(value)
 
 
-def _label_to_str(label):
-    kind, idx = label
-    return f"{kind}:{idx[0]},{idx[1]},{idx[2]}"
+def _label_str(kind, idx):
+    """``"kind:x,y,z"``, or the index ``"x,y,z"`` alone when ``kind`` is None."""
+    text = f"{idx[0]},{idx[1]},{idx[2]}"
+    return f"{kind}:{text}" if kind else text
 
 
-def _str_to_label(text):
+def _parse_label(text, kind=None):
+    """The inverse of :func:`_label_str`: ``(kind, (x, y, z))``.  Given
+    ``kind``, ``text`` is an invariant index ``"x,y,z"`` of that kind."""
     try:
-        kind, idx = text.split(":")
+        head, idx = (kind, text) if kind else text.split(":")
         parts = tuple(int(p) for p in idx.split(","))
-        if kind not in ("tau", "tau_prime", "sigma") or len(parts) != 3:
+        if head not in _KINDS or len(parts) != 3:
             raise ValueError
     except ValueError as exc:
-        raise ConfigError(f"bad coordinate label {text!r}") from exc
-    return (kind, parts)
+        what = "invariant index" if kind else "coordinate label"
+        raise ConfigError(f"bad {what} {text!r}") from exc
+    return head, parts
 
 
 def _curve_id(key, section):
@@ -180,28 +191,26 @@ class RunConfig:
         cfg.depth_cap = _integer(tracer.get("depth_cap", 64), "[tracer].depth_cap")
         if cfg.depth_cap < 1:
             raise ConfigError(f"[tracer].depth_cap must be at least 1, got {cfg.depth_cap}")
-        cfg.word = tracer.get("word", "")
-        if not isinstance(cfg.word, str):
-            raise ConfigError(f"[tracer].word must be a string, got {cfg.word!r}")
+        cfg.word = _string(tracer.get("word", ""), "[tracer].word")
         scan = data.get("scan", {})
         cfg.steps = _integer(scan.get("steps", 10), "[scan].steps")
         if cfg.steps < 0:
             raise ConfigError(f"[scan].steps must be non-negative, got {cfg.steps}")
         cfg.direction = {
-            _str_to_label(k): parse_scalar(v, exact=False)
+            _parse_label(k): parse_scalar(v, exact=False)
             for k, v in _json(scan.get("direction", {}), dict, "[scan].direction").items()
         }
         labels = set(internal_labels(cfg.n))
         for label in cfg.direction:
             if label not in labels:
                 raise ConfigError(
-                    f"[scan].direction label {_label_to_str(label)!r} is not an "
+                    f"[scan].direction label {_label_str(*label)!r} is not an "
                     f"internal coordinate at n={cfg.n}"
                 )
         fuchsian = data.get("parameters", {}).get("fuchsian", False)
         if not isinstance(fuchsian, bool):
             raise ConfigError(f"[parameters].fuchsian must be true or false, got {fuchsian!r}")
-        cfg.output_path = data.get("output", {}).get("path", "")
+        cfg.output_path = _string(data.get("output", {}).get("path", ""), "[output].path")
         return cfg
 
     # -- derived objects ------------------------------------------------------
@@ -224,64 +233,57 @@ class RunConfig:
         except SurfaceError as exc:
             raise ConfigError(f"bad [surface]: {exc}") from exc
 
-    def invariants(self, decomp=None):
+    def fuchsian_point(self, n=None):
+        """The configured surface's Fuchsian point as invariants in dimension
+        ``n`` (the run's by default)."""
+        return fuchsian_invariants(self.surface(), n or self.n)
+
+    def invariants(self):
         """PantsInvariants list from [parameters].invariants or the surface."""
-        decomp = decomp or self.decomposition()
         params = self.raw.get("parameters", {})
         if params.get("fuchsian"):
-            from .fuchsian import fuchsian_invariants
-
-            return fuchsian_invariants(self.surface(), self.n)
+            return self.fuchsian_point()
         blocks = params.get("invariants")
         if blocks is None:
             raise ConfigError("[parameters].invariants is missing")
-        if len(_json(blocks, list, "[parameters].invariants")) != decomp.num_pants:
-            raise ConfigError(
-                f"expected {decomp.num_pants} invariant blocks, got {len(blocks)}"
-            )
+        num_pants = self.decomposition().num_pants
+        if len(_json(blocks, list, "[parameters].invariants")) != num_pants:
+            raise ConfigError(f"expected {num_pants} invariant blocks, got {len(blocks)}")
         out = []
         for j, block in enumerate(blocks):
             where = f"[parameters].invariants[{j}]"
-            _check_keys(
-                f"invariants[{j}]", _json(block, dict, where), {"tau", "tau_prime", "sigma"}
-            )
+            _check_keys(f"invariants[{j}]", _json(block, dict, where), set(_KINDS))
             try:
-                tau, taup, sigma = (
-                    {
-                        self._idx(k): parse_scalar(v, self.exact)
+                values = {
+                    kind: {
+                        _parse_label(k, kind)[1]: parse_scalar(v, self.exact)
                         for k, v in _json(block[kind], dict, f"{where}.{kind}").items()
                     }
-                    for kind in ("tau", "tau_prime", "sigma")
-                )
+                    for kind in _KINDS
+                }
             except KeyError as exc:
                 raise ConfigError(f"invariant block {j} missing {exc}") from exc
-            out.append(PantsInvariants(n=self.n, tau=tau, tau_prime=taup, sigma=sigma))
+            out.append(PantsInvariants(n=self.n, **values))
         return out
 
-    def gluing(self, decomp=None):
-        decomp = decomp or self.decomposition()
+    def gluing(self):
         params = self.raw.get("parameters", {})
         raw = params.get("gluing")
         if raw is None:
             zero = parse_scalar(0, self.exact)
-            return {c: (zero,) * (self.n - 1) for c in range(decomp.num_curves)}
+            return {c: (zero,) * (self.n - 1) for c in range(self.decomposition().num_curves)}
         out = {}
         for key, vals in _json(raw, dict, "[parameters].gluing").items():
             vals = _json(vals, list, f"[parameters].gluing[{key!r}]")
             out[_curve_id(key, "gluing")] = tuple(parse_scalar(v, self.exact) for v in vals)
         return out
 
-    def hitchin_params(self, decomp=None):
-        decomp = decomp or self.decomposition()
+    def hitchin_params(self):
         params = self.raw.get("parameters", {})
         if params.get("fuchsian") or "boundary" not in params:
-            from .fuchsian import fuchsian_invariants
-            from .pants import xi_forward
-
             # an invariant set, or the Fuchsian point when no point is given
-            given = "invariants" in params
-            invs = self.invariants(decomp) if given else fuchsian_invariants(self.surface(), self.n)
-            return xi_forward(decomp, invs, self.gluing(decomp))
+            invs = self.invariants() if "invariants" in params else self.fuchsian_point()
+            return xi_forward(self.decomposition(), invs, self.gluing())
         boundary = {
             _curve_id(k, "boundary"): tuple(
                 parse_scalar(v, self.exact)
@@ -296,45 +298,31 @@ class RunConfig:
         for j, block in enumerate(_json(internal_raw, list, "[parameters].internal")):
             block = _json(block, dict, f"[parameters].internal[{j}]")
             internal.append(
-                {_str_to_label(k): parse_scalar(v, self.exact) for k, v in block.items()}
+                {_parse_label(k): parse_scalar(v, self.exact) for k, v in block.items()}
             )
         return HitchinParams(
             n=self.n,
-            decomp=decomp,
+            decomp=self.decomposition(),
             boundary=boundary,
             internal=tuple(internal),
-            gluing=self.gluing(decomp),
+            gluing=self.gluing(),
         )
-
-    @staticmethod
-    def _idx(text):
-        try:
-            parts = tuple(int(p) for p in text.split(","))
-            if len(parts) != 3:
-                raise ValueError
-        except ValueError as exc:
-            raise ConfigError(f"bad invariant index {text!r}") from exc
-        return parts
 
 
 # -- serialization helpers -----------------------------------------------------
 
 
 def invariants_to_dict(invariants):
-    out = []
-    for inv in invariants:
-        out.append(
-            {
-                "tau": {_idx_str(k): format_scalar(v) for k, v in sorted(inv.tau.items())},
-                "tau_prime": {
-                    _idx_str(k): format_scalar(v) for k, v in sorted(inv.tau_prime.items())
-                },
-                "sigma": {
-                    _idx_str(k): format_scalar(v) for k, v in sorted(inv.sigma.items())
-                },
+    return [
+        {
+            kind: {
+                _label_str(None, k): format_scalar(v)
+                for k, v in sorted(getattr(inv, kind).items())
             }
-        )
-    return out
+            for kind in _KINDS
+        }
+        for inv in invariants
+    ]
 
 
 def params_to_dict(params):
@@ -344,7 +332,7 @@ def params_to_dict(params):
             for c, gaps in sorted(params.boundary.items())
         },
         "internal": [
-            {_label_to_str(k): format_scalar(v) for k, v in sorted(block.items())}
+            {_label_str(*k): format_scalar(v) for k, v in sorted(block.items())}
             for block in params.internal
         ],
         "gluing": {
@@ -352,7 +340,3 @@ def params_to_dict(params):
             for c, vals in sorted(params.gluing.items())
         },
     }
-
-
-def _idx_str(idx):
-    return f"{idx[0]},{idx[1]},{idx[2]}"

@@ -193,10 +193,6 @@ def lambda_gaps_from_invariants(inv):
     return gaps_a, gaps_b, gaps_c
 
 
-def slot_gaps(inv, slot):
-    return lambda_gaps_from_invariants(inv)[SLOTS.index(slot)]
-
-
 @dataclass
 class ClosedLeafReport:
     """Residuals of the closed leaf equalities and inequality margins."""
@@ -335,28 +331,21 @@ def xi_forward(decomp, invariants, gluing):
     boundary = {}
     for cid, (ref1, ref2) in enumerate(decomp.curves):
         ref = ref1 if ref1.aligned else ref2
-        gaps = slot_gaps(invariants[ref.pants], ref.slot)
+        gaps = [report.gap_values[(ref.pants, ref.slot, k)] for k in range(1, n)]
         if any(g_ <= 0 for g_ in gaps):
             raise DegenerateError(
                 f"curve {cid}: boundary gaps not strictly positive: {gaps}"
             )
         boundary[cid] = tuple(gaps)
-    internal = []
-    for inv in invariants:
-        block = {}
-        for kind, idx in internal_labels(n):
-            if kind == "tau":
-                block[("tau", idx)] = inv.tau[idx]
-            elif kind == "tau_prime":
-                block[("tau_prime", idx)] = inv.tau_prime[idx]
-            else:
-                block[("sigma", idx)] = inv.sigma[idx]
-        internal.append(block)
+    internal = tuple(
+        {(kind, idx): getattr(inv, kind)[idx] for kind, idx in internal_labels(n)}
+        for inv in invariants
+    )
     return HitchinParams(
         n=n,
         decomp=decomp,
         boundary=boundary,
-        internal=tuple(internal),
+        internal=internal,
         gluing={cid: tuple(vals) for cid, vals in gluing.items()},
     )
 

@@ -120,6 +120,10 @@ class TestConfig:
             ),
             ({"scan": {"steps": "3.5"}}, ["entropy-scan"], "[scan].steps must be an integer, got '3.5'"),
             ({"tracer": {"word": 5}}, ["psi-trace"], "[tracer].word must be a string, got 5"),
+            # open() would take 7 and true as file descriptors
+            ({"output": {"path": 7}}, ["kbound"], "[output].path must be a string, got 7"),
+            ({"output": {"path": True}}, ["kbound"], "[output].path must be a string, got True"),
+            ({"output": {"path": ["a"]}}, ["kbound"], "[output].path must be a string, got ['a']"),
         ],
     )
     def test_field_types_checked(self, tmp_path, capsys, data, command, message):
@@ -218,6 +222,13 @@ class TestConfig:
                 {"n": 3, "scan": {"direction": {"tau:1,1,1": math.nan}}},
                 "entropy-scan",
                 "number must be finite, got nan",
+            ),
+            ({"n": 3, "scan": {"direction": {"tau:1,1": 1}}}, "entropy-scan", "bad coordinate label 'tau:1,1'"),
+            ({"n": 3, "scan": {"direction": {"foo:1,1,1": 1}}}, "entropy-scan", "bad coordinate label 'foo:1,1,1'"),
+            (
+                {"n": 3, "parameters": {"boundary": {str(c): [1, 1] for c in range(3)}, "internal": [{"tau:x": 0}, {}]}},
+                "kbound",
+                "bad coordinate label 'tau:x'",
             ),
         ],
     )
@@ -481,10 +492,11 @@ class TestCommands:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_fuchsian_locus_domain(self, n, tmp_path):
         cfg = {"n": n, "parameters": {"fuchsian": True}}
-        commands = ["fuchsian-gen", "invariants"]
+        # psi-trace takes the Fuchsian K at n = 2, so it runs at every n
+        commands = ["fuchsian-gen", "invariants", "psi-trace"]
         if n in (5, 6):
             cfg["scan"] = {"direction": {f"tau:1,1,{n - 2}": 1}, "steps": 3}
-            commands += ["kbound", "entropy-scan", "psi-trace"]
+            commands += ["kbound", "entropy-scan"]
         path = tmp_path / "fuchsian.json"
         path.write_text(json.dumps(cfg))
         for command in commands:
