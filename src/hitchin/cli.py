@@ -150,10 +150,12 @@ def cmd_psi_trace(cfg, args, out):
             print(f"encoding violation: {v}", file=sys.stderr)
         return EXIT_RELATION
     counts = r_and_s(psi)
-    # the Fuchsian K does not depend on n, so it is taken where no
-    # n-dimensional flag has to be built; L is the n-dimensional one
-    k_val, _ = compute_K(decomp, cfg.fuchsian_point(2))
-    params = xi_forward(decomp, cfg.fuchsian_point(), cfg.gluing())
+    # r and s depend on the curve's homotopy class only, so the bound at the
+    # run's point takes K and L there, as kbound does.  The Fuchsian K does
+    # not depend on n, so it is taken where no n-dimensional flag is built.
+    params = cfg.hitchin_params()
+    invariants = cfg.fuchsian_point(2) if cfg.is_fuchsian else xi_inverse(params)[0]
+    k_val, _ = compute_K(decomp, invariants)
     bound = length_lower_bound(counts, k_val, compute_L(params.boundary, cfg.n))
     rows = [
         (i, f"{tp.pred[0]}:{tp.pred[1]}", f"{tp.edge[0]}:{tp.edge[1]}",

@@ -233,6 +233,13 @@ class RunConfig:
         except SurfaceError as exc:
             raise ConfigError(f"bad [surface]: {exc}") from exc
 
+    @property
+    def is_fuchsian(self):
+        """The run's point is the surface's Fuchsian point: ``fuchsian: true``,
+        or no point given."""
+        params = self.raw.get("parameters", {})
+        return params.get("fuchsian", False) or not {"boundary", "invariants"} & params.keys()
+
     def fuchsian_point(self, n=None):
         """The configured surface's Fuchsian point as invariants in dimension
         ``n`` (the run's by default)."""
@@ -280,9 +287,8 @@ class RunConfig:
 
     def hitchin_params(self):
         params = self.raw.get("parameters", {})
-        if params.get("fuchsian") or "boundary" not in params:
-            # an invariant set, or the Fuchsian point when no point is given
-            invs = self.invariants() if "invariants" in params else self.fuchsian_point()
+        if self.is_fuchsian or "boundary" not in params:
+            invs = self.fuchsian_point() if self.is_fuchsian else self.invariants()
             return xi_forward(self.decomposition(), invs, self.gluing())
         boundary = {
             _curve_id(k, "boundary"): tuple(

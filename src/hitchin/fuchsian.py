@@ -15,8 +15,10 @@ c = psi a psi^-1, d = psi b psi^-1 satisfies the genus-2 relation
 handle curves and the waist [a, b].
 
 Each group element is stored as its canonical integer matrix
-(``canonical``); ``fixed_points`` and ``translation_length`` read one
-through its det-1 representative, as SL(2,Q) would.
+(``canonical``), and ``fixed_points`` reads its points off that matrix.
+A point's identity is its canonical key (a, sign b, b^2 d): ``make`` folds
+a perfect-square radicand into a and reduces no other radicand, so equal
+points are equal ``BPoint``s whatever their radicands.
 """
 
 from __future__ import annotations
@@ -29,35 +31,19 @@ from .invariants import INFINITY, is_infinite, shear_index_set, triple_index_set
 from .linalg import DegenerateError
 from .pants import PantsDecomposition, PantsInvariants, standard_genus2
 
-_SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
 
 class SurfaceError(ValueError):
     """Invalid surface-group input (non-hyperbolic words, broken relation)."""
-
-
-def _reduce_square(n):
-    """n = s^2 * d with d square-reduced over small primes; returns (s, d)."""
-    s = 1
-    for p in _SMALL_PRIMES:
-        p2 = p * p
-        while n % p2 == 0:
-            n //= p2
-            s *= p
-    r = math.isqrt(n)
-    if r * r == n:
-        return s * r, 1
-    return s, n
 
 
 @dataclass(frozen=True)
 class BPoint:
     """Boundary point a + b sqrt(d) with a, b rational and d a non-square.
 
-    ``make`` strips square factors from d only over ``_SMALL_PRIMES``, so
-    one point can be stored with radicands that differ by a square.  Equality
-    and hashing read the point as (a, sign b, b^2 d), which is the same for
-    every such form.
+    One point has many forms, (b s, d) and (b, d s^2) alike; equality and
+    hashing read the key (a, sign b, b^2 d), which every form shares.
+    ``make`` folds a square d into a, so it never returns a rational point
+    with b != 0.
     """
 
     a: Fraction
@@ -71,10 +57,10 @@ class BPoint:
             return cls(a, Fraction(0), 0)
         if d < 0:
             raise SurfaceError("boundary points are real")
-        s, d = _reduce_square(d)
-        if d == 1:
-            return cls(a + b * s, Fraction(0), 0)
-        return cls(a, b * s, d)
+        r = math.isqrt(d)
+        if r * r == d:
+            return cls(a + b * r, Fraction(0), 0)
+        return cls(a, b, d)
 
     @classmethod
     def rational(cls, x):
@@ -173,17 +159,12 @@ def cmp_points(p, q):
 def _cmp_exact(p, q):
     """Exact sign of p - q in rational arithmetic: the filter's fallback.
 
-    Two radicands whose product is a square r^2 give one field:
-    sqrt(d_p) = (r / d_q) sqrt(d_q), so p is rewritten over d_q."""
+    p - q = u + w with u = (a_p - a_q) + b_p sqrt(d_p) and w = -b_q sqrt(d_q).
+    When u and w differ in sign, u + w has the sign of u exactly when
+    u^2 - w^2, a point over d_p, has a positive sign.  This holds for any
+    two radicands, equal ones included."""
     global exact_fallbacks
     exact_fallbacks += 1
-    if p.d != q.d and p.d and q.d:
-        r = math.isqrt(p.d * q.d)
-        if r * r == p.d * q.d:
-            p = BPoint(p.a, p.b * Fraction(r, q.d), q.d)
-    if p.d == q.d:
-        return BPoint(p.a - q.a, p.b - q.b, p.d).sign() if p.d else _sgn(p.a - q.a)
-    # u single-radical, w pure radical in the other field
     u = BPoint(p.a - q.a, p.b, p.d)
     su, sw = u.sign(), _sgn(-q.b)
     if su == 0:
@@ -201,12 +182,9 @@ def _cmp_exact(p, q):
 
 
 def points_equal(p, q):
-    pi, qi = is_infinite(p), is_infinite(q)
-    if pi or qi:
-        return pi and qi
-    if p == q:
-        return True
-    return cmp_points(p, q) == 0
+    """p and q are the same boundary point, the point at infinity included:
+    two points are equal exactly when their canonical keys are."""
+    return p == q
 
 
 def _cmp_circle(p, q):
@@ -298,13 +276,6 @@ def _det_root(m):
     return r if r and r * r == det else None
 
 
-def _unit_det(m):
-    """m / r when det m = r^2, else m: a scaled m would carry r^2 into its fixed
-    points' radicand, which ``_reduce_square`` strips only over small primes."""
-    r = _det_root(m)
-    return m if r in (None, 1) else tuple(tuple(Fraction(x) / r for x in row) for row in m)
-
-
 # ---------------------------------------------------------------------------
 # group elements up to scale
 #
@@ -359,12 +330,17 @@ def mobius(m, p):
 
 
 def fixed_points(m):
-    """(repelling, attracting) fixed points of a hyperbolic matrix."""
+    """(repelling, attracting) fixed points of a hyperbolic matrix.
+
+    At a fixed point p, c p + d is the eigenvalue (tr +- sqrt(disc)) / 2 of
+    m, and the derivative there is det / (c p + d)^2.  So the attracting
+    point is the one whose eigenvalue is the larger in modulus: the root
+    whose sqrt(disc) carries the sign of the trace.  Any rational multiple
+    of m gives the same points.
+    """
     if not is_hyperbolic(m):
         raise SurfaceError("fixed points of a non-hyperbolic matrix")
-    m = _unit_det(m)
     (a, b), (c, d) = m
-    det = mat2_det(m)
     if c == 0:
         finite = BPoint.rational(Fraction(b) / (d - a))
         # infinity is attracting iff |a| > |d|
@@ -373,31 +349,19 @@ def fixed_points(m):
         return INFINITY, finite
     disc = (a - d) ** 2 + 4 * b * c
     q = disc.denominator
-    d_int = disc.numerator * q
-    coeff = Fraction(1, q)
     half = Fraction(a - d, 2 * c)
-    rad = coeff / (2 * c)
-    p1 = BPoint.make(half, rad, d_int)
-    p2 = BPoint.make(half, -rad, d_int)
-
-    def attracting(p):
-        # |c p + d| > sqrt(det) at the attracting fixed point
-        t = BPoint.make(c * p.a + d, c * p.b, p.d)
-        t2 = BPoint.make(t.a * t.a + t.b * t.b * t.d, 2 * t.a * t.b, t.d)
-        return BPoint.make(t2.a - det, t2.b, t2.d).sign() > 0
-
-    if attracting(p1):
-        return p2, p1
-    if attracting(p2):
-        return p1, p2
-    raise SurfaceError("could not orient fixed points")  # pragma: no cover
+    rad = Fraction(1, 2 * c * q)
+    if a + d < 0:
+        rad = -rad
+    d_int = disc.numerator * q
+    return BPoint.make(half, -rad, d_int), BPoint.make(half, rad, d_int)
 
 
 def translation_length(m):
     """Hyperbolic translation length 2 arccosh(|tr| / (2 sqrt(det)))."""
-    m = _unit_det(m)
-    det = mat2_det(m)
-    tr = abs(float(mat2_trace(m))) / math.sqrt(float(det))
+    # an exact root of det keeps the quotient exact until it is rounded once
+    r = _det_root(m) or math.sqrt(float(mat2_det(m)))
+    tr = abs(float(mat2_trace(m) / r))
     if tr <= 2:
         raise SurfaceError("translation length of a non-hyperbolic matrix")
     return 2.0 * math.acosh(tr / 2.0)

@@ -44,30 +44,18 @@ from .linalg import (
 
 
 class Infinity:
-    """The point at infinity of the extended cross-ratio line."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The point at infinity of the extended cross-ratio line; ``INFINITY``
+    is its only instance, so identity is equality."""
 
     def __repr__(self):
         return "INFINITY"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash("hitchin.INFINITY")
 
 
 INFINITY = Infinity()
 
 
 def is_infinite(value):
-    return isinstance(value, Infinity)
+    return value is INFINITY
 
 
 def cross_ratio(lines, base):

@@ -442,9 +442,12 @@ class Subspace:
             return False
         if self.backend.exact and other.backend.exact:
             return self.basis == other.basis
-        a = np.array(self.basis, dtype=float).reshape(self.dim, self.ambient)
-        b = np.array(other.basis, dtype=float).reshape(self.dim, self.ambient)
-        return bool(np.allclose(a, b, atol=1e-9))
+        # absolute tolerance only: the RREF rows are compared entry by entry
+        return all(
+            abs(float(x) - float(y)) <= 1e-9
+            for u, v in zip(self.basis, other.basis)
+            for x, y in zip(u, v)
+        )
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"

@@ -448,6 +448,26 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
 
+    def test_psi_trace_bounds_at_the_run_point(self, tmp_path, capsys):
+        # the scan_n3_g2 point moved 5 along +tau(1,1,1), given as boundary +
+        # internal + gluing: the bound takes that point's K, 1.02892219218,
+        # not the Fuchsian one (r = 5 for abc, 4 for abcD, s = 0)
+        gen = tmp_path / "gen.json"
+        assert run_cli(["fuchsian-gen", "--config", str(CONFIG_DIR / "scan_n3_g2.json"), "--out", str(gen)]) == 0
+        data = json.loads(gen.read_text())
+        del data["parameters"]["invariants"]
+        for block in data["parameters"]["internal"]:
+            block["tau:1,1,1"] += 5
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(data))
+        assert run_cli(["kbound", "--config", str(path), "--out", str(tmp_path / "k.csv")]) == 0
+        assert "min,K,1.02892219218" in (tmp_path / "k.csv").read_text()
+        capsys.readouterr()
+        for word, bound in (("abc", "0.467691906"), ("abcD", "0.374153524")):
+            argv = ["psi-trace", "--config", str(path), "--word", word, "--out", str(tmp_path / "x.csv")]
+            assert run_cli(argv) == 0
+            assert capsys.readouterr().out.endswith(f"length bound = {bound}\n")
+
     def test_psi_trace_non_hyperbolic_word(self, surface_config, tmp_path, capsys):
         argv = ["psi-trace", "--config", str(surface_config), "--word", "aA"]
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2

@@ -51,8 +51,10 @@ class TestBPoint:
         assert p.d == 0 and p.a == 7
 
     def test_square_factor_reduction(self):
-        p = BPoint.make(0, 1, 8)  # sqrt(8) = 2 sqrt(2)
-        assert p.d == 2 and p.b == 2
+        # make keeps the square factor of 8; the key reads sqrt(8) as 2 sqrt(2)
+        p = BPoint.make(0, 1, 8)
+        assert p.d == 8 and p.b == 1
+        assert p == BPoint.make(0, 2, 2) and hash(p) == hash(BPoint.make(0, 2, 2))
 
     def test_sign(self):
         assert BPoint.make(-1, 1, 2).sign() == 1  # sqrt(2) > 1
@@ -69,16 +71,15 @@ class TestBPoint:
         assert cmp_points(BPoint.make(1, 1, 2), BPoint.make(0, 1, 6)) == -1
 
     def test_one_point_under_radicands_that_differ_by_a_square(self):
-        # make strips squares only over small primes: a fixed point of ac on
-        # the twist-1/5 surface keeps a factor 769^2 in its radicand
+        # a fixed point of ac on the twist-1/5 surface, and the same point
+        # with a factor 769^2 moved into its radicand
         p = next(x for x in fixed_points(genus2_surface(twist=Fraction(1, 5)).matrix("ac")) if x.d)
-        assert p.d == 769**2 * 534659
-        q = BPoint(p.a, p.b * 769, 534659)
+        q = BPoint(p.a, p.b / 769, p.d * 769**2)
         assert p == q and hash(p) == hash(q)
-        assert p != BPoint(p.a, -p.b, p.d) and p != BPoint(p.a, p.b * 769, 2)
+        assert p != BPoint(p.a, -p.b, p.d) and p != BPoint(p.a, p.b / 769, 2)
         assert points_equal(p, q) and points_equal(q, p)
-        # the exact comparison reads both in one field
-        r = BPoint(p.a + Fraction(1, 10**40), p.b * 769, 534659)
+        # the exact comparison reads both radicands
+        r = BPoint(p.a + Fraction(1, 10**40), p.b / 769, p.d * 769**2)
         assert fuchsian._cmp_exact(p, q) == fuchsian._cmp_exact(q, p) == 0
         assert fuchsian._cmp_exact(p, r) == -1 and fuchsian._cmp_exact(r, p) == 1
 
@@ -306,10 +307,9 @@ class TestFilteredComparison:
         # one point under radicands that differ by a square: equal as BPoints
         assert points_equal(BPoint(Fraction(0), Fraction(1), 8), BPoint.make(0, 2, 2))
         assert fuchsian.exact_fallbacks == before
-        # sqrt(53^2) keeps its square (make strips only small primes), so
-        # only the exact comparison finds it rational
-        assert points_equal(BPoint(Fraction(0), Fraction(1), 53**2), BPoint.rational(53))
-        assert fuchsian.exact_fallbacks == before + 1
+        # make folds a square radicand, so sqrt(53^2) is the rational 53
+        assert BPoint.make(0, 1, 53**2) == BPoint.rational(53)
+        assert fuchsian.exact_fallbacks == before
 
 
 class TestMoebius:
@@ -458,6 +458,65 @@ class TestDet1Representative:
             m = det1(word)
             assert surface.matrix(word) == canonical(m), word
             self.assert_same_reading(m)
+
+
+def contracts(m, p):
+    """det m / (c p + d)^2 < 1 exactly: the map m, with det m > 0, contracts
+    a neighbourhood of its finite fixed point p."""
+    (a, b), (c, d) = m
+    t = BPoint(c * p.a + d, c * p.b, p.d)
+    return BPoint.make(t.a**2 + t.b**2 * t.d - mat2_det(m), 2 * t.a * t.b, t.d).sign() > 0
+
+
+class TestCanonicalPoint:
+    """A point's identity is its key (a, sign b, b^2 d): ``make`` folds a
+    square radicand and reduces no other, and ``fixed_points`` reads the
+    attracting point off the sign of the trace."""
+
+    @given(
+        rationals(),
+        rationals(),
+        st.one_of(st.integers(1, 10**6), st.integers(1, 10**3).map(lambda r: r * r)),
+        st.integers(1, 10**4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_make_leaves_no_square_radicand(self, a, b, d, s):
+        p = BPoint.make(a, b, d)
+        assert p.d == 0 or math.isqrt(p.d) ** 2 != p.d
+        if math.isqrt(d) ** 2 == d:
+            assert p == BPoint.rational(a + b * math.isqrt(d))
+        # one point under radicands that differ by a square
+        q, w = BPoint.make(a, b * s, d), BPoint.make(a, b, d * s * s)
+        assert q == w and hash(q) == hash(w)
+
+    @pytest.mark.parametrize("k", [-7, -1, 2, 3, 10**12 + 39])
+    def test_fixed_points_ignore_scale(self, k):
+        surface = genus2_surface(twist=Fraction(1, 5))
+        words = ("".join(w) for n in (1, 2, 3) for w in itertools.product("abcdABCD", repeat=n))
+        mats = [m for m in map(surface.matrix, words) if is_hyperbolic(m)]
+        mats += det1_matrices(50) + [((5, 1), (0, 2)), ((2, 1), (0, 5))]
+        for m in mats:
+            km = tuple(tuple(k * x for x in row) for row in m)
+            assert fixed_points(km) == fixed_points(m), (m, k)
+
+    @pytest.mark.parametrize(
+        "m",
+        [((2, 1), (1, 1)), ((1, 3), (-2, -5)), ((-2, -1), (-1, -1)), ((5, 1), (0, 2)), ((2, 1), (0, 5))],
+        ids=["tr>2", "tr<-2", "tr<-2-negated", "c=0-infinity-attracting", "c=0-finite-attracting"],
+    )
+    def test_attracting_point_contracts(self, m):
+        rep, att = fixed_points(m)
+        inv = mat2_adj(m)
+        for target, g, g_inv in ((att, m, inv), (rep, inv, m)):
+            if not is_infinite(target):
+                assert contracts(g, target) and not contracts(g_inv, target)
+            z = BPoint.rational(Fraction(1, 7))
+            for _ in range(40):
+                z = mobius(g, z)
+            if is_infinite(target):
+                assert abs(float(z)) > 1e12
+            else:
+                assert abs(float(z) - float(target)) < 1e-12
 
 
 class TestGenus2Surface:

@@ -122,6 +122,14 @@ class TestSubspaces:
         assert a == b
         assert a.basis == b.basis
 
+    def test_float_equality_is_absolute(self):
+        # a relative tolerance of 1e-5 would read 1000 and 1000.005 as one entry
+        a = Subspace.span([(1.0, 1000.0)])
+        assert a != Subspace.span([(1.0, 1000.005)])
+        assert a == Subspace.span([(1.0, 1000.0 + 1e-10)])
+        flag = lambda v: Flag([v, (0.0, 1.0)], backend=FLOAT64)  # noqa: E731
+        assert flag((1.0, 1000.0)) != flag((1.0, 1000.005))
+
 
 #: rationals with small denominators, and the dyadic values Fraction(float)
 #: gives, whose denominators run up to 2**1074
