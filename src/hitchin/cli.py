@@ -135,6 +135,11 @@ def cmd_psi_trace(cfg, args, out):
     word = args.word or cfg.word
     if not word:
         raise ConfigError("psi-trace needs a word ([tracer].word or --word)")
+    letters = "".join(surface.generators)
+    letters += letters.upper()
+    bad = next((ch for ch in word if ch not in letters), None)
+    if bad is not None:
+        raise ConfigError(f"word {word!r} has the letter {bad!r}, not one of {letters!r}")
     if not is_hyperbolic(surface.matrix(word)):
         raise ConfigError(f"word {word!r} is not hyperbolic")
     psi = tracer.trace(word)

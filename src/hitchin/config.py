@@ -236,9 +236,10 @@ class RunConfig:
     @property
     def is_fuchsian(self):
         """The run's point is the surface's Fuchsian point: ``fuchsian: true``,
-        or no point given."""
+        or no point given, not even a part of one."""
         params = self.raw.get("parameters", {})
-        return params.get("fuchsian", False) or not {"boundary", "invariants"} & params.keys()
+        given = {"boundary", "internal", "invariants"} & params.keys()
+        return params.get("fuchsian", False) or not given
 
     def fuchsian_point(self, n=None):
         """The configured surface's Fuchsian point as invariants in dimension
@@ -287,9 +288,12 @@ class RunConfig:
 
     def hitchin_params(self):
         params = self.raw.get("parameters", {})
-        if self.is_fuchsian or "boundary" not in params:
+        if self.is_fuchsian or not {"boundary", "internal"} & params.keys():
             invs = self.fuchsian_point() if self.is_fuchsian else self.invariants()
             return xi_forward(self.decomposition(), invs, self.gluing())
+        for key in ("boundary", "internal"):
+            if key not in params:
+                raise ConfigError(f"[parameters].{key} is missing")
         boundary = {
             _curve_id(k, "boundary"): tuple(
                 parse_scalar(v, self.exact)
@@ -297,11 +301,8 @@ class RunConfig:
             )
             for k, vals in _json(params["boundary"], dict, "[parameters].boundary").items()
         }
-        internal_raw = params.get("internal")
-        if internal_raw is None:
-            raise ConfigError("[parameters].internal is missing")
         internal = []
-        for j, block in enumerate(_json(internal_raw, list, "[parameters].internal")):
+        for j, block in enumerate(_json(params["internal"], list, "[parameters].internal")):
             block = _json(block, dict, f"[parameters].internal[{j}]")
             internal.append(
                 {_parse_label(k): parse_scalar(v, self.exact) for k, v in block.items()}

@@ -12,7 +12,9 @@ tr[a, b] < -2 across its boundary axis: the half-turn psi about a rational
 point of the axis conjugates [a, b] to its inverse, so (a, b, c, d) with
 c = psi a psi^-1, d = psi b psi^-1 satisfies the genus-2 relation
 [a, b][c, d] = 1 exactly in PSL(2, Q).  The three pants curves are the two
-handle curves and the waist [a, b].
+handle curves and the waist [a, b].  The surface evaluates each pants slot
+once, for itself and the curve tracer: ``FuchsianSurfaceData.slots`` holds
+its matrices, its fixed points and the transfer to its leaf partner.
 
 Each group element is stored as its canonical integer matrix
 (``canonical``), and ``fixed_points`` reads its points off that matrix.
@@ -24,7 +26,7 @@ points are equal ``BPoint``s whatever their radicands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .invariants import INFINITY, is_infinite, shear_index_set, triple_index_set
@@ -371,6 +373,20 @@ def translation_length(m):
 # the surface
 
 
+@dataclass(frozen=True)
+class Slot:
+    """One pants slot: its slot word s, which fixes the slot's vertex, and
+    the closed leaf of its curve, whose other side is the partner slot."""
+
+    mat: tuple  # the canonical matrix of s
+    inv: tuple  # its adjugate, s^-1
+    conj: tuple  # delta with s = delta w^(+-1) delta^-1, w the curve word
+    rep: object  # repelling fixed point of s: the vertex a_j^-, b_j^- or c_j^-
+    att: object  # attracting fixed point of s: a_j^+, b_j^+ or c_j^+
+    transfer: tuple  # delta delta'^-1, taking the partner's s' to s^-1
+    partner: tuple  # (pants, letter) of the partner slot
+
+
 @dataclass
 class FuchsianSurfaceData:
     """A Fuchsian genus-g group with pants words and slot bookkeeping.
@@ -381,7 +397,9 @@ class FuchsianSurfaceData:
     too.  ``slot_words[(j, s)]`` is the
     boundary word of pants j at slot s, equal in PSL(2,Q) to
     delta * w^(+-1) * delta^(-1) where w is the curve word of the attached
-    curve and delta = ``slot_conjugators[(j, s)]``.
+    curve and delta = ``slot_conjugators[(j, s)]``.  Validation evaluates
+    each slot once into ``slots[(j, letter)]``, a ``Slot`` keyed by the
+    slot's vertex letter (``"a"`` for slot ``"A"``).
     """
 
     genus: int
@@ -390,9 +408,9 @@ class FuchsianSurfaceData:
     curve_words: dict
     slot_words: dict
     slot_conjugators: dict
+    slots: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._slot_fixed = {}
         self._validate()
 
     # -- word evaluation ----------------------------------------------------
@@ -404,26 +422,6 @@ class FuchsianSurfaceData:
             m = canonical_mul(m, g if ch.islower() else canonical_adj(g))
         return m
 
-    def slot_matrix(self, pants, slot):
-        return self.matrix(self.slot_words[(pants, slot)])
-
-    # -- triangulation anchors ----------------------------------------------
-
-    def _slot_fixed_points(self, pants, letter):
-        """(repelling, attracting) fixed points of the slot word, cached."""
-        key = (pants, letter.upper())
-        if key not in self._slot_fixed:
-            self._slot_fixed[key] = fixed_points(self.slot_matrix(*key))
-        return self._slot_fixed[key]
-
-    def base_vertex(self, pants, letter):
-        """Repelling fixed point of the slot word: a_j^-, b_j^-, or c_j^-."""
-        return self._slot_fixed_points(pants, letter)[0]
-
-    def slot_vertex_attracting(self, pants, letter):
-        """Attracting fixed point of the slot word: a_j^+, b_j^+, or c_j^+."""
-        return self._slot_fixed_points(pants, letter)[1]
-
     # -- validation ----------------------------------------------------------
 
     def _validate(self):
@@ -432,28 +430,34 @@ class FuchsianSurfaceData:
             if _det_root(m) is None:
                 raise SurfaceError(f"generator {letter!r} needs a positive square determinant")
             self.generators[letter] = canonical(m)
-        for (j, s), word in self.slot_words.items():
-            if not is_hyperbolic(self.matrix(word)):
-                raise SurfaceError(f"slot word {word!r} is not hyperbolic")
+        mats = {key: self.matrix(word) for key, word in self.slot_words.items()}
+        for key, m in mats.items():
+            if not is_hyperbolic(m):
+                raise SurfaceError(f"slot word {self.slot_words[key]!r} is not hyperbolic")
         # pants relation C = A^-1 B^-1 per pants, in PSL(2,Q): every operand here
         # and below is canonical, so projectively equal elements are equal tuples
         for j in range(self.decomp.num_pants):
-            a = self.matrix(self.slot_words[(j, "A")])
-            b = self.matrix(self.slot_words[(j, "B")])
-            c = self.matrix(self.slot_words[(j, "C")])
+            a, b, c = (mats[j, s] for s in "ABC")
             if canonical_mul(canonical_adj(a), canonical_adj(b)) != c:
                 raise SurfaceError(f"pants {j}: slot words violate C = A^-1 B^-1")
         # slot words must be the advertised conjugates of the curve words
-        for (j, s), word in self.slot_words.items():
-            cid, aligned = self.decomp.slot_curve(j, s)
-            delta = self.matrix(self.slot_conjugators[(j, s)])
+        conj = {key: self.matrix(word) for key, word in self.slot_conjugators.items()}
+        self.slots = {}
+        for cid, pair in enumerate(self.decomp.curves):
             w = self.matrix(self.curve_words[cid])
-            if not aligned:
-                w = canonical_adj(w)
-            expect = canonical_mul(canonical_mul(delta, w), canonical_adj(delta))
-            if self.matrix(word) != expect:
-                raise SurfaceError(
-                    f"slot ({j}, {s}): word is not the advertised conjugate"
+            for ref, other in (pair, pair[::-1]):
+                j, s = ref.pants, ref.slot
+                m, delta = mats[j, s], conj[j, s]
+                w_s = w if ref.aligned else canonical_adj(w)
+                if m != canonical_mul(canonical_mul(delta, w_s), canonical_adj(delta)):
+                    raise SurfaceError(f"slot ({j}, {s}): word is not the advertised conjugate")
+                self.slots[j, s.lower()] = Slot(
+                    m,
+                    canonical_adj(m),
+                    delta,
+                    *fixed_points(m),
+                    canonical_mul(delta, canonical_adj(conj[other.pants, other.slot])),
+                    (other.pants, other.slot.lower()),
                 )
         self._validate_embedding()
 
@@ -466,13 +470,9 @@ class FuchsianSurfaceData:
         """
         chirality = None
         for j in range(self.decomp.num_pants):
-            a_m = self.base_vertex(j, "a")
-            b_m = self.base_vertex(j, "b")
-            c_m = self.base_vertex(j, "c")
-            a_p = self.slot_vertex_attracting(j, "a")
-            ac_m = mobius(self.matrix(self.slot_words[(j, "A")]), c_m)
-            sign = cyclic_order(a_m, c_m, b_m)
-            pattern = [a_m, c_m, b_m, ac_m, a_p]
+            a, b, c = (self.slots[j, letter] for letter in "abc")
+            sign = cyclic_order(a.rep, c.rep, b.rep)
+            pattern = [a.rep, c.rep, b.rep, mobius(a.mat, c.rep), a.att]
             for i in range(len(pattern) - 2):
                 if cyclic_order(pattern[i], pattern[i + 1], pattern[i + 2]) != sign:
                     raise SurfaceError(
@@ -498,11 +498,11 @@ def fuchsian_invariants(surface, n):
     """
     invariants = []
     for j in range(surface.decomp.num_pants):
-        a, b, c = (surface.base_vertex(j, letter) for letter in "abc")
+        a, b, c = (surface.slots[j, letter] for letter in "abc")
         edges = {
-            "ab": (a, c, mobius(surface.slot_matrix(j, "A"), c), b),
-            "ac": (c, b, mobius(surface.slot_matrix(j, "C"), b), a),
-            "cb": (b, a, mobius(surface.slot_matrix(j, "B"), a), c),
+            "ab": (a.rep, c.rep, mobius(a.mat, c.rep), b.rep),
+            "ac": (c.rep, b.rep, mobius(c.mat, b.rep), a.rep),
+            "cb": (b.rep, a.rep, mobius(b.mat, a.rep), c.rep),
         }
         shear = {}
         for name, quad in edges.items():

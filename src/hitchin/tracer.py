@@ -29,8 +29,9 @@ nonzero entry is positive (``fuchsian.canonical``), the form in which the
 surface keeps its generators and evaluates its words.  The Moebius action
 is projective, so each boundary point is the same exact rational as from
 the det-1 matrix, equal lifts are equal tuples of ints, and a lift cache
-hashes ints.  The slot matrices, their inverses, the slot conjugators and
-the leaf-partner transfers are built once, with the tracer.
+hashes ints.  The slot matrices, their inverses, fixed points and
+conjugators and the leaf-partner transfers are built once, with the
+surface (``FuchsianSurfaceData.slots``).
 
 The trace records the cyclic tuple sequence
 
@@ -256,14 +257,16 @@ class MeshSpec:
     length: float  # translation length of w
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """Canonical matrices of one pants slot, keyed by its vertex letter."""
-
-    mat: tuple  # the slot word s, which fixes the slot's vertex
-    inv: tuple  # s^-1
-    conj: tuple  # delta with s = delta w^(+-1) delta^-1, w the curve word
-    partner: tuple  # (transfer, pants, letter) of the leaf partner vertex
+def _power(cache, k, s, s_inv):
+    """g s^k, with ``cache`` holding g s^i over one range of i around 0:
+    the range is extended to k by one multiplication per new power."""
+    if k not in cache:
+        step, base, m = (1, max(cache), s) if k > 0 else (-1, min(cache), s_inv)
+        g = cache[base]
+        for i in range(base + step, k + step, step):
+            g = canonical_mul(g, m)
+            cache[i] = g
+    return cache[k]
 
 
 class PsiTracer:
@@ -277,27 +280,13 @@ class PsiTracer:
         self._points = {}
         self._meshes = {}
         self._fan_pow = {}
-        keys = [(j, s) for j in range(self.decomp.num_pants) for s in "ABC"]
-        conj = {key: surface.matrix(surface.slot_conjugators[key]) for key in keys}
-        self._slots = {}
-        for j, s in keys:
-            ref1, ref2 = self.decomp.curves[self.decomp.slot_curve(j, s)[0]]
-            other = ref2 if (ref1.pants, ref1.slot) == (j, s) else ref1
-            mat = surface.slot_matrix(j, s)
-            transfer = canonical_mul(conj[j, s], canonical_adj(conj[other.pants, other.slot]))
-            self._slots[j, s.lower()] = _Slot(
-                mat,
-                canonical_adj(mat),
-                conj[j, s],
-                (transfer, other.pants, other.slot.lower()),
-            )
 
     # -- lift geometry -------------------------------------------------------
 
     def point(self, v):
         key = (v.gamma, v.pants, v.letter)
         if key not in self._points:
-            base = self.surface.base_vertex(v.pants, v.letter)
+            base = self.surface.slots[v.pants, v.letter].rep
             self._points[key] = mobius(v.gamma, base)
         return self._points[key]
 
@@ -309,39 +298,31 @@ class PsiTracer:
         if e.kind == "ab":
             return TriangleLift(g, j, False), TriangleLift(g, j, True)
         if e.kind == "ac":
-            delta = canonical_mul(g, self._slots[j, "a"].inv)
+            delta = canonical_mul(g, self.surface.slots[j, "a"].inv)
             return TriangleLift(g, j, False), TriangleLift(delta, j, True)
-        delta = canonical_mul(g, self._slots[j, "b"].mat)
+        delta = canonical_mul(g, self.surface.slots[j, "b"].mat)
         return TriangleLift(g, j, False), TriangleLift(delta, j, True)
 
     def triangle_vertices(self, tri):
         g, j = tri.gamma, tri.pants
         if not tri.prime:
             return tuple(VertexLift(g, j, l) for l in "abc")
-        ga = canonical_mul(g, self._slots[j, "a"].mat)
+        ga = canonical_mul(g, self.surface.slots[j, "a"].mat)
         return (VertexLift(g, j, "a"), VertexLift(g, j, "b"), VertexLift(ga, j, "c"))
 
     def triangle_edges(self, tri):
         g, j = tri.gamma, tri.pants
         if not tri.prime:
             return tuple(EdgeLift(g, j, k) for k in ("ab", "ac", "cb"))
-        ga = canonical_mul(g, self._slots[j, "a"].mat)
-        gb = canonical_mul(g, self._slots[j, "b"].inv)
+        ga = canonical_mul(g, self.surface.slots[j, "a"].mat)
+        gb = canonical_mul(g, self.surface.slots[j, "b"].inv)
         return (EdgeLift(g, j, "ab"), EdgeLift(ga, j, "ac"), EdgeLift(gb, j, "cb"))
 
     def fan_edge(self, v, kind, k):
         """k-th fan edge of the given family at vertex v."""
-        key = (v.gamma, v.pants, v.letter)
-        # the cached powers run over one range of k around 0
-        cache = self._fan_pow.setdefault(key, {0: v.gamma})
-        if k not in cache:
-            slot = self._slots[v.pants, v.letter]
-            step, base, s = (1, max(cache), slot.mat) if k > 0 else (-1, min(cache), slot.inv)
-            g = cache[base]
-            for kk in range(base + step, k + step, step):
-                g = canonical_mul(g, s)
-                cache[kk] = g
-        return EdgeLift(cache[k], v.pants, kind)
+        cache = self._fan_pow.setdefault((v.gamma, v.pants, v.letter), {0: v.gamma})
+        slot = self.surface.slots[v.pants, v.letter]
+        return EdgeLift(_power(cache, k, slot.mat, slot.inv), v.pants, kind)
 
     def fan_edge_at(self, v, m):
         """m-th fan edge at vertex v, over both families in ``FAN_ORDER``."""
@@ -349,21 +330,20 @@ class PsiTracer:
 
     def leaf_endpoints(self, v):
         """The closed-leaf lift through vertex v: (v point, partner point)."""
-        rep = self.point(v)
-        att = mobius(v.gamma, self.surface.slot_vertex_attracting(v.pants, v.letter))
-        return rep, att
+        att = mobius(v.gamma, self.surface.slots[v.pants, v.letter].att)
+        return self.point(v), att
 
     def partner_lift(self, v):
         """The vertex lift of the other pants sitting at the leaf partner."""
-        transfer, p2, l2 = self._slots[v.pants, v.letter].partner
-        return VertexLift(canonical_mul(v.gamma, transfer), p2, l2)
+        slot = self.surface.slots[v.pants, v.letter]
+        return VertexLift(canonical_mul(v.gamma, slot.transfer), *slot.partner)
 
     def curve_of_vertex(self, v):
         return self.decomp.slot_curve(v.pants, v.letter.upper())[0]
 
     def mesh_anchor(self, v):
         """Conjugator eta with stabilizer(v leaf) = eta w eta^-1, w the curve word."""
-        return canonical_mul(v.gamma, self._slots[v.pants, v.letter].conj)
+        return canonical_mul(v.gamma, self.surface.slots[v.pants, v.letter].conj)
 
     # -- mesh ------------------------------------------------------------------
 
@@ -373,16 +353,12 @@ class PsiTracer:
         word = self.surface.curve_words[curve_id]
         w_mat = self.surface.matrix(word)
         rep, att = fixed_points(w_mat)
-        ref1, ref2 = self.decomp.curves[curve_id]
-        aligned = ref1 if ref1.aligned else ref2
-        anti = ref2 if ref1.aligned else ref1
-
-        def endpoint_lift(ref):
-            letter = ref.slot.lower()
-            return VertexLift(canonical_adj(self._slots[ref.pants, letter].conj), ref.pants, letter)
-
-        rep_lift = endpoint_lift(aligned)  # sits at rep(w)
-        att_lift = endpoint_lift(anti)  # sits at att(w)
+        # the aligned slot's vertex, moved back by its conjugator, sits at
+        # rep(w); its leaf partner sits at att(w)
+        ref = next(ref for ref in self.decomp.curves[curve_id] if ref.aligned)
+        conj = self.surface.slots[ref.pants, ref.slot.lower()].conj
+        rep_lift = VertexLift(canonical_adj(conj), ref.pants, ref.slot.lower())
+        att_lift = self.partner_lift(rep_lift)
         assert points_equal(self.point(rep_lift), rep)
         assert points_equal(self.point(att_lift), att)
 
@@ -704,12 +680,7 @@ class PsiTracer:
 
         def mesh_edge(k):
             if k not in edges:
-                step, base, m = (1, max(anchors), spec.w) if k > 0 else (-1, min(anchors), w_inv)
-                g = anchors[base]
-                for kk in range(base + step, k + step, step):
-                    g = canonical_mul(g, m)
-                    anchors[kk] = g
-                g = anchors[k]
+                g = _power(anchors, k, spec.w, w_inv)
                 edges[k] = mobius(g, spec.x_point), mobius(g, spec.y_point)
             return edges[k]
 

@@ -486,11 +486,12 @@ def fuchsian_invariants_exact_flags(surface, n):
     """
     out = []
     for j in range(surface.decomp.num_pants):
-        a, b, c = (surface.base_vertex(j, letter) for letter in "abc")
+        sa, sb, sc = (surface.slots[j, letter] for letter in "abc")
+        a, b, c = sa.rep, sb.rep, sc.rep
         fa, fb, fc = (exact_flag_at(p, n) for p in (a, b, c))
-        f_ac = exact_flag_at(mobius(surface.slot_matrix(j, "A"), c), n)
-        f_cb = exact_flag_at(mobius(surface.slot_matrix(j, "C"), b), n)
-        f_ba = exact_flag_at(mobius(surface.slot_matrix(j, "B"), a), n)
+        f_ac = exact_flag_at(mobius(sa.mat, c), n)
+        f_cb = exact_flag_at(mobius(sc.mat, b), n)
+        f_ba = exact_flag_at(mobius(sb.mat, a), n)
         tau, taup = {}, {}
         for (x, y, z) in triple_index_set(n):
             tau[(x, y, z)] = math.log(triple_ratio(fa, fc, fb, (x, z, y)))

@@ -124,6 +124,13 @@ class TestConfig:
             ({"output": {"path": 7}}, ["kbound"], "[output].path must be a string, got 7"),
             ({"output": {"path": True}}, ["kbound"], "[output].path must be a string, got True"),
             ({"output": {"path": ["a"]}}, ["kbound"], "[output].path must be a string, got ['a']"),
+            ({"scan": {"direction": {"tau:1,1,1": True}}}, ["entropy-scan"], "boolean is not a number: True"),
+            ({"scan": {"direction": {"tau:1,1,1": "x"}}}, ["entropy-scan"], "cannot parse number 'x'"),
+            ({"scan": {"direction": {"tau:1,1,1": [1]}}}, ["entropy-scan"], "cannot parse number [1]"),
+            ([1, 2], ["kbound"], "config root must be an object"),
+            ({"scan": 5}, ["entropy-scan"], "[scan] must be an object"),
+            ({"genus": 1}, ["kbound"], "genus must be at least 2"),
+            ({"backend": "gpu"}, ["kbound"], "unknown backend 'gpu'"),
         ],
     )
     def test_field_types_checked(self, tmp_path, capsys, data, command, message):
@@ -230,15 +237,49 @@ class TestConfig:
                 "kbound",
                 "bad coordinate label 'tau:x'",
             ),
+            # a string is written as it is, not as JSON
+            ('{"n": 3,', "kbound", "invalid JSON in "),
+            ({"genus": 3, "tracer": {"word": "ab"}}, "psi-trace", "the built-in Fuchsian surface has genus 2"),
+            ({"n": 3}, "invariants", "[parameters].invariants is missing"),
+            (
+                {"n": 3, "parameters": {"invariants": [{"tau": {"1,1,1": 0}, "tau_prime": {"1,1,1": 0}}] * 2}},
+                "invariants",
+                "invariant block 0 missing 'sigma'",
+            ),
+            (
+                {"n": 3, "parameters": {"boundary": {str(c): [1, 1] for c in range(3)}}},
+                "kbound",
+                "[parameters].internal is missing",
+            ),
         ],
     )
     def test_malformed_parameters_are_config_errors(self, tmp_path, capsys, data, command, message):
         cfg = tmp_path / "params.json"
-        cfg.write_text(json.dumps(data))
+        cfg.write_text(data if isinstance(data, str) else json.dumps(data))
         out = tmp_path / "out.csv"
         assert run_cli([command, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {message}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [["kbound"], ["entropy-scan"], ["psi-trace", "--word", "abc"], ["reparam", "--direction", "inverse"]]
+    )
+    def test_internal_needs_boundary(self, tmp_path, capsys, command):
+        # modified coordinates win over the Fuchsian point, so an internal
+        # block alone is half a point, not no point: the scan_n3_g2 point
+        # moved 5 along +tau(1,1,1) without its boundary gaps
+        gen = tmp_path / "gen.json"
+        assert run_cli(["fuchsian-gen", "--config", str(CONFIG_DIR / "scan_n3_g2.json"), "--out", str(gen)]) == 0
+        params = json.loads(gen.read_text())["parameters"]
+        for block in params["internal"]:
+            block["tau:1,1,1"] += 5
+        cfg = tmp_path / "internal.json"
+        cfg.write_text(json.dumps({"n": 3, "parameters": {"internal": params["internal"]}}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: [parameters].boundary is missing\n"
         assert not out.exists()
 
     def test_bad_surface_is_a_config_error(self, tmp_path, capsys):
@@ -278,6 +319,18 @@ class TestCommands:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert run_cli(["invariants", "--config", str(bad)]) == 1
+
+    def test_invariants_catch_broken_inequality(self, tmp_path, capsys):
+        # every Fuchsian tau, tau' and sigma negated: the equalities still
+        # hold, the first boundary gap does not
+        gen = tmp_path / "gen.json"
+        assert run_cli(["fuchsian-gen", "--out", str(gen)]) == 0
+        invariants = json.loads(gen.read_text())["parameters"]["invariants"]
+        negated = [{kind: {k: -v for k, v in values.items()} for kind, values in block.items()} for block in invariants]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "parameters": {"invariants": negated}}))
+        assert run_cli(["invariants", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+        assert "closed leaf inequality fails: pants 0, slot A, k=1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ("genus2_surface.json", "scan_n3_g2.json"))
     def test_invariants_exact_backend_on_fuchsian_config(self, name, tmp_path):
@@ -413,6 +466,15 @@ class TestCommands:
         assert lines[0] == "step,n,g,K,L,entropy_bound,min_edge_id,flags_ok"
         assert len(lines) == 12
 
+    def test_entropy_scan_reports_failed_rows(self, tmp_path, capsys):
+        # steps 1 to 3 of tau(1,1,1) at 400 per step fail; step 0 does not
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps({"n": 3, "scan": {"direction": {"tau:1,1,1": 400}, "steps": 3}}))
+        out = tmp_path / "scan.csv"
+        assert run_cli(["entropy-scan", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "scan failed on 3 of 4 rows" in capsys.readouterr().err
+        assert [l[-2:] for l in out.read_text().splitlines()[4:]] == [",1", ",0", ",0", ",0"]
+
     def test_entropy_scan_deterministic(self, scan_config, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         run_cli(["entropy-scan", "--config", str(scan_config), "--out", str(out1)])
@@ -472,6 +534,24 @@ class TestCommands:
         argv = ["psi-trace", "--config", str(surface_config), "--word", "aA"]
         assert run_cli(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "config error: word 'aA' is not hyperbolic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["--word", "[tracer].word"])
+    def test_psi_trace_word_letters_checked(self, tmp_path, capsys, source):
+        # a letter that is no generator is named, not reported as a bare key
+        data, argv = {"n": 2}, ["psi-trace"]
+        if source == "--word":
+            argv += ["--word", "axb"]
+        else:
+            data["tracer"] = {"word": "axb"}
+        cfg = tmp_path / "word.json"
+        cfg.write_text(json.dumps(data))
+        assert run_cli(argv + ["--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: word 'axb' has the letter 'x', not one of 'abcdABCD'\n"
+
+    def test_psi_trace_needs_a_word(self, tmp_path, capsys):
+        assert run_cli(["psi-trace", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "config error: psi-trace needs a word ([tracer].word or --word)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "backend, value, shown", [("float64", 800, "800"), ("exact", "1e400", "1.00000e+400")]

@@ -101,9 +101,7 @@ def fuchsian_k_and_l(name, n):
 
 
 def direct_quadruples(surface, j, n):
-    a = surface.base_vertex(j, "a")
-    b = surface.base_vertex(j, "b")
-    c = surface.base_vertex(j, "c")
+    a, b, c = (surface.slots[j, letter].rep for letter in "abc")
     ac = mobius(surface.matrix(surface.slot_words[(j, "A")]), c)
     cb = mobius(surface.matrix(surface.slot_words[(j, "C")]), b)
     ba = mobius(surface.matrix(surface.slot_words[(j, "B")]), a)
@@ -188,7 +186,7 @@ def off_frame_quadruple(n, seed):
 
 def veronese_quadruple(surface, n):
     """Exact osculating flags at a, b, c and the far vertex of edge ab."""
-    a, b, c = (surface.base_vertex(0, letter) for letter in "abc")
+    a, b, c = (surface.slots[0, letter].rep for letter in "abc")
     ac = mobius(surface.matrix(surface.slot_words[(0, "A")]), c)
     return EdgeQuadruple(*(exact_flag_at(p, n) for p in (a, b, c, ac)))
 
@@ -645,7 +643,7 @@ class TestSegmentLengths:
         xm, xp = fixed_points(surface.matrix("ab"))
         first = [exact_flag_at(x, 2).subspace(1) for x in (xm, xp)]
         h = first[0] | first[1]
-        mid = exact_flag_at(surface.base_vertex(0, "b"), 2).subspace(1) & h
+        mid = exact_flag_at(surface.slots[0, "b"].rep, 2).subspace(1) & h
         val = plane_cross_ratio(first[0], mid, mid, first[1], h)
         assert val == 1
         assert math.log(val) == 0.0

@@ -14,6 +14,7 @@ from hitchin.fuchsian import (
     BPoint,
     SurfaceError,
     canonical,
+    canonical_adj,
     canonical_mul,
     cmp_points,
     cyclic_order,
@@ -539,6 +540,21 @@ class TestGenus2Surface:
             c = surface.matrix(surface.slot_words[(j, "C")])
             assert canonical_mul(canonical_mul(b, a), c) == ((1, 0), (0, 1))
 
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_slot_table_matches_the_words(self, name):
+        surface = genus2_surface(**SURFACES[name])
+        assert sorted(surface.slots) == sorted((j, s.lower()) for j, s in surface.slot_words)
+        for (j, letter), slot in surface.slots.items():
+            assert slot.mat == surface.matrix(surface.slot_words[j, letter.upper()])
+            assert slot.inv == canonical_adj(slot.mat)
+            assert slot.conj == surface.matrix(surface.slot_conjugators[j, letter.upper()])
+            assert (slot.rep, slot.att) == fixed_points(slot.mat)
+            partner = surface.slots[slot.partner]
+            assert partner.partner == (j, letter)
+            transfer_inv = canonical_adj(slot.transfer)
+            assert canonical_mul(canonical_mul(slot.transfer, partner.mat), transfer_inv) == slot.inv
+            assert mobius(slot.transfer, partner.rep) == slot.att
+
     def test_handle_curves_have_equal_length(self, surface):
         lens = length_spectrum(surface)
         assert lens[0] == pytest.approx(lens[1])
@@ -590,9 +606,9 @@ class TestGenus2Surface:
         assert dataclasses.replace(surface, generators=scaled).generators == surface.generators
 
     def test_tracing_evaluates_only_the_traced_word(self):
-        """The tracer builds its slot and curve matrices once, so a trace
-        evaluates one word on the surface, the traced one, and the surface
-        keeps nothing per word."""
+        """The surface holds its slot matrices and the tracer builds its
+        curve matrices once, so a trace evaluates one word on the surface,
+        the traced one, and the surface keeps nothing per word."""
         from hitchin.tracer import PsiTracer
 
         s = genus2_surface()
@@ -630,14 +646,9 @@ class TestGenus2Surface:
         words = [""] + [ch for ch in letters]
         base = []
         for j in (0, 1):
-            av = surface.base_vertex(j, "a")
-            bv = surface.base_vertex(j, "b")
-            cv = surface.base_vertex(j, "c")
+            av, bv, cv = (surface.slots[j, l].rep for l in "abc")
             base += [(av, bv), (av, cv), (cv, bv)]
-            for l in "abc":
-                base.append(
-                    (surface.base_vertex(j, l), surface.slot_vertex_attracting(j, l))
-                )
+            base += [(surface.slots[j, l].rep, surface.slots[j, l].att) for l in "abc"]
         edges = []
         for w in words:
             m = surface.matrix(w)

@@ -354,8 +354,8 @@ class TestCanonicalGamma:
         for key, powers in tracer2._fan_pow.items():
             gammas += [key[0], *powers.values()]
         gammas += [lift.gamma for entry in psi.lifts for lift in entry]
-        for slot in tracer2._slots.values():
-            gammas += [slot.mat, slot.inv, slot.conj, slot.partner[0]]
+        for slot in tracer2.surface.slots.values():
+            gammas += [slot.mat, slot.inv, slot.conj, slot.transfer]
         gammas += [spec.w for spec in tracer2._meshes.values()]
         assert gammas and all(_is_canonical(g) for g in gammas)
 
@@ -414,11 +414,9 @@ class FullScans:
         """The fan family ``kind`` at vp in vp's frame: s^k of its base edge."""
         tr = self.tracer
         far_letter = next(l for l in EDGE_ENDS[kind] if l != vp.letter)
-        ends = (tr.surface.base_vertex(vp.pants, l) for l in (vp.letter, far_letter))
+        ends = (tr.surface.slots[vp.pants, l].rep for l in (vp.letter, far_letter))
         return self._base_orbit(
-            ("fan", vp.pants, vp.letter, kind),
-            tr.surface.slot_matrix(vp.pants, vp.letter.upper()),
-            ends,
+            ("fan", vp.pants, vp.letter, kind), tr.surface.slots[vp.pants, vp.letter].mat, ends
         )
 
     @staticmethod
