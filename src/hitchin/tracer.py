@@ -14,14 +14,14 @@ indexed by m over both families.  The fan edges at the far vertex that
 cross the axis are exactly those with m >= m_end, found by a monotone
 walk from m = 0; the least of them is the exit edge and the next one is
 the kept edge toward the leaf.  The mesh edges that cross the axis form
-one run, whose far sides are the sides of the leaf's two ends.  When the
-ends lie on different sides the run is walked exactly from a float
-coordinate; when they lie on one side a window is guessed from that
-coordinate, widened until each end reads its far side, and scanned
-exactly.  Both read curve constants built once with the mesh.  Locating
-the axis from a fan is one pass that returns the first separating fan
-edge near k = 0, or else the first triangle on fan edge 0 to restart the
-dual walk from.
+one run, and each mesh edge lies before it, on it or after it,
+monotonically along the mesh: by its side of the axis when the leaf's
+two ends lie on different sides, and by where its end on the axis's arc
+of the leaf lies when they lie on one side.  So the run is walked
+exactly from a float coordinate in both cases, reading curve constants
+built once with the mesh.  Locating the axis from a fan is one pass that
+returns the first separating fan edge near k = 0, or else the first
+triangle on fan edge 0 to restart the dual walk from.
 
 Every group element the tracer makes or compares is one canonical
 matrix: the primitive integer matrix on its projective line whose first
@@ -62,7 +62,6 @@ from .fuchsian import (
     in_arc,
     is_hyperbolic,
     mobius,
-    points_equal,
     separates,
     translation_length,
 )
@@ -359,8 +358,8 @@ class PsiTracer:
         conj = self.surface.slots[ref.pants, ref.slot.lower()].conj
         rep_lift = VertexLift(canonical_adj(conj), ref.pants, ref.slot.lower())
         att_lift = self.partner_lift(rep_lift)
-        assert points_equal(self.point(rep_lift), rep)
-        assert points_equal(self.point(att_lift), att)
+        assert self.point(rep_lift) == rep
+        assert self.point(att_lift) == att
 
         length = translation_length(w_mat)
 
@@ -455,7 +454,7 @@ class PsiTracer:
     def _guard_vertex(self, v, xm, xp):
         """Raise ``_ClosedLeafHit`` when the axis ends at vertex v."""
         p = self.point(v)
-        if points_equal(p, xm) or points_equal(p, xp):
+        if p == xm or p == xp:
             raise _ClosedLeafHit(self.curve_of_vertex(v))
 
     def _leaf_jump_target(self, v, xm, xp, other_point):
@@ -463,7 +462,7 @@ class PsiTracer:
         return the partner lift to jump to; else None.  Raises
         ``_ClosedLeafHit`` when the axis is this leaf."""
         rep, att = self.leaf_endpoints(v)
-        if points_equal(att, xm) or points_equal(att, xp):
+        if att == xm or att == xp:
             raise _ClosedLeafHit(self.curve_of_vertex(v))
         if separates(rep, att, xm, xp):
             return None
@@ -660,23 +659,32 @@ class PsiTracer:
         """Signed mesh-crossing count for the stretch joined by ``pending``.
 
         The mesh edges eta w^k (x, y) that cross the axis form one run of
-        consecutive k.  Its far sides come from the two ends of the leaf at
-        ``pending``.  When the two ends read different sides, the axis
-        crosses the leaf and the side of edge k is monotone in k, so the
-        count walks from the float translation coordinate of the axis
-        endpoints (k = 0 without one) to the run and along it.  When they
-        read the same side, the window is guessed from that coordinate,
-        widened until each end reads its far side, and scanned exactly.
-        Each k is read once.  A crossing that reaches k = +-depth_cap raises
+        consecutive k, and edge k lies before the run (-1), on it (0) or
+        after it (+1), monotonically in k.  Edge k tends to eta rep(w) as
+        k -> -oo and to eta att(w) as k -> +oo, the ends of the leaf at
+        ``pending``.  When they read different sides of the axis, the axis
+        crosses the leaf and the side of edge k gives its place.  When they
+        read one side, both axis endpoints lie on one arc of the leaf; the
+        end of edge k on that arc runs along it from eta rep(w) to eta
+        att(w), and the place is whether it lies before xm or beyond it.
+        One walk serves both: from the float translation coordinate of the
+        axis endpoints (k = 0 without one) to the run and along it, reading
+        each k once.  A run that reaches k = +-depth_cap raises
         ``TraceError``.
         """
         spec = self.mesh(self.curve_of_vertex(pending))
         eta = self.mesh_anchor(pending)
         w_inv = canonical_adj(spec.w)
-        # eta w^k over one range of k around 0, and the edges and sides read
+        # eta w^k over one range of k around 0, and the edges and places read
         anchors = {0: eta}
         edges = {}
-        sides = {}
+        places = {}
+        lo, hi = mobius(eta, spec.rep), mobius(eta, spec.att)
+        s_lo, s_hi = in_arc(lo, xm, xp), in_arc(hi, xm, xp)
+        # on one side: whether the axis lies on the positive arc from lo to
+        # hi, and the end of edge k (0: x, 1: y) that runs along that arc
+        positive = in_arc(xm, lo, hi)
+        moving = in_arc(spec.x_point, spec.rep, spec.att) != positive
 
         def mesh_edge(k):
             if k not in edges:
@@ -684,19 +692,20 @@ class PsiTracer:
                 edges[k] = mobius(g, spec.x_point), mobius(g, spec.y_point)
             return edges[k]
 
-        def side(k):
-            """0 when edge k separates the axis endpoints, else +-1 by arc."""
-            if k not in sides:
+        def place(k):
+            if k not in places:
                 u, w = mesh_edge(k)
-                su, sw = in_arc(u, xm, xp), in_arc(w, xm, xp)
-                sides[k] = 0 if su != sw else 1 if su else -1
-            return sides[k]
+                su = in_arc(u, xm, xp)
+                if su != in_arc(w, xm, xp):
+                    places[k] = 0
+                elif s_lo != s_hi:
+                    places[k] = -1 if su == s_lo else 1
+                else:
+                    p = (u, w)[moving]
+                    before = in_arc(p, lo, xm) if positive else in_arc(p, xm, lo)
+                    places[k] = -1 if before else 1
+            return places[k]
 
-        # mesh edge k tends to eta rep(w) as k -> -oo and to eta att(w) as
-        # k -> +oo: the ends of the leaf at ``pending`` fix the far sides
-        s_lo, s_hi = (
-            1 if in_arc(mobius(eta, z), xm, xp) else -1 for z in (spec.rep, spec.att)
-        )
         # the run sits where the anchor orbit passes the axis endpoints,
         # located by the float translation coordinate and verified exactly.
         # The coordinate is read in the curve's own frame (the cross ratio is
@@ -713,43 +722,28 @@ class PsiTracer:
                 continue  # the points coincide in float precision
             if 0 < cr < math.inf:
                 guesses.append(math.log(cr) / spec.length)
+        # Started at the larger coordinate, the walk reads 3.07 mesh edges per
+        # call on the bench pool words when the axis crosses the leaf and 3.36
+        # when it does not (3.20 and 3.56 from the mean of the two, 3.34 and
+        # 3.90 from the smaller)
         cap = self.depth_cap
-        if s_lo != s_hi:
-            # side(k) runs s_lo, then the crossing run of zeros, then s_hi.
-            # Started at the larger coordinate, a walk over the bench pool
-            # words reads 3.07 edges on average (3.20 from the mean of the
-            # two, 3.34 from the smaller)
-            k = 0
-            if guesses:
-                k = min(cap, max(-cap, round(max(guesses))))
-            while k < cap and side(k) == s_lo:
-                k += 1
-            while k > -cap and side(k) == s_hi:
-                k -= 1
-            if side(k) != 0:
-                return 0
-            k1, k2 = k, k
-            while k1 > -cap and side(k1 - 1) == 0:
-                k1 -= 1
-            while k2 < cap and side(k2 + 1) == 0:
-                k2 += 1
-            ks = range(k1, k2 + 1)
-        else:
-            lo, hi = -cap, cap
-            if guesses:
-                lo = max(-cap, math.floor(min(guesses)) - 3)
-                hi = min(cap, math.ceil(max(guesses)) + 3)
-                # widen until each end reads its far side
-                while lo > -cap and side(lo) != s_lo:
-                    lo = max(-cap, lo - 4)
-                while hi < cap and side(hi) != s_hi:
-                    hi = min(cap, hi + 4)
-            ks = [k for k in range(lo, hi + 1) if side(k) == 0]
-            if not ks:
-                return 0
-        if ks[0] == -cap or ks[-1] == cap:
+        k = 0
+        if guesses:
+            k = min(cap, max(-cap, round(max(guesses))))
+        while k < cap and place(k) < 0:
+            k += 1
+        while k > -cap and place(k) > 0:
+            k -= 1
+        if place(k) != 0:
+            return 0
+        k1, k2 = k, k
+        while k1 > -cap and place(k1 - 1) == 0:
+            k1 -= 1
+        while k2 < cap and place(k2 + 1) == 0:
+            k2 += 1
+        if k1 == -cap or k2 == cap:
             raise TraceError("winding count exceeded the configured depth")
-        k1, count = ks[0], len(ks)
+        count = k2 - k1 + 1
         # orientation: does increasing k move toward the attracting endpoint?
         u0, w0 = mesh_edge(k1)
         u1, _ = mesh_edge(k1 + 1)

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import strategies as st
 
 from hitchin.flags import veronese_flag
-from hitchin.fuchsian import genus2_surface, in_arc, mobius, points_equal, translation_length
+from hitchin.fuchsian import (
+    FuchsianSurfaceData,
+    genus2_surface,
+    in_arc,
+    mobius,
+    points_equal,
+    translation_length,
+)
 from hitchin.invariants import (
     INFINITY,
     cross_ratio,
@@ -47,6 +54,25 @@ SURFACES = {
 @functools.lru_cache(maxsize=None)
 def named_surface(name):
     return genus2_surface(**SURFACES[name])
+
+
+@functools.lru_cache(maxsize=None)
+def rebased_surface():
+    """``genus2_surface()`` with pants 0 re-based by c: slot words c w C and
+    conjugators c delta.  Curve 0's slot pair, (0, A) and (0, B), then has
+    two non-trivial conjugators, c and c b; the documented surface gives
+    one of them the empty word."""
+    base = genus2_surface()
+    return FuchsianSurfaceData(
+        genus=2,
+        generators=dict(base.generators),
+        decomp=base.decomp,
+        curve_words=dict(base.curve_words),
+        slot_words={(j, s): "c" + w + "C" if j == 0 else w for (j, s), w in base.slot_words.items()},
+        slot_conjugators={
+            (j, s): "c" + d if j == 0 else d for (j, s), d in base.slot_conjugators.items()
+        },
+    )
 
 
 #: wall-clock seconds a test may take, more than ten times the slowest

@@ -36,7 +36,13 @@ from hitchin.invariants import INFINITY, is_infinite
 from hitchin.linalg import DegenerateError
 from hitchin.pants import check_closed_leaf, lambda_gaps_from_invariants
 
-from conftest import SURFACES, fuchsian_invariants_exact_flags, jordan_projection, length_spectrum
+from conftest import (
+    SURFACES,
+    fuchsian_invariants_exact_flags,
+    jordan_projection,
+    length_spectrum,
+    rebased_surface,
+)
 
 
 def edges_cross(e1, e2):
@@ -520,6 +526,22 @@ class TestCanonicalPoint:
                 assert abs(float(z) - float(target)) < 1e-12
 
 
+def _assert_slot_table(surface):
+    """Each slot record against the surface's words: matrix, adjugate,
+    conjugator, fixed points, and the transfer to the leaf partner."""
+    assert sorted(surface.slots) == sorted((j, s.lower()) for j, s in surface.slot_words)
+    for (j, letter), slot in surface.slots.items():
+        assert slot.mat == surface.matrix(surface.slot_words[j, letter.upper()])
+        assert slot.inv == canonical_adj(slot.mat)
+        assert slot.conj == surface.matrix(surface.slot_conjugators[j, letter.upper()])
+        assert (slot.rep, slot.att) == fixed_points(slot.mat)
+        partner = surface.slots[slot.partner]
+        assert partner.partner == (j, letter)
+        transfer_inv = canonical_adj(slot.transfer)
+        assert canonical_mul(canonical_mul(slot.transfer, partner.mat), transfer_inv) == slot.inv
+        assert mobius(slot.transfer, partner.rep) == slot.att
+
+
 class TestGenus2Surface:
     def test_relation_holds_exactly(self, surface):
         # the relator is the identity of PSL(2,Q), whose canonical matrix is I
@@ -542,18 +564,19 @@ class TestGenus2Surface:
 
     @pytest.mark.parametrize("name", SURFACES)
     def test_slot_table_matches_the_words(self, name):
-        surface = genus2_surface(**SURFACES[name])
-        assert sorted(surface.slots) == sorted((j, s.lower()) for j, s in surface.slot_words)
-        for (j, letter), slot in surface.slots.items():
-            assert slot.mat == surface.matrix(surface.slot_words[j, letter.upper()])
-            assert slot.inv == canonical_adj(slot.mat)
-            assert slot.conj == surface.matrix(surface.slot_conjugators[j, letter.upper()])
-            assert (slot.rep, slot.att) == fixed_points(slot.mat)
-            partner = surface.slots[slot.partner]
-            assert partner.partner == (j, letter)
-            transfer_inv = canonical_adj(slot.transfer)
-            assert canonical_mul(canonical_mul(slot.transfer, partner.mat), transfer_inv) == slot.inv
-            assert mobius(slot.transfer, partner.rep) == slot.att
+        _assert_slot_table(genus2_surface(**SURFACES[name]))
+
+    def test_leaf_partner_transfer_order(self):
+        """Both conjugators of curve 0's slot pair are non-trivial on the
+        re-based surface, so the two orders of the transfer differ there:
+        it is delta delta'^-1, and the table's identities hold."""
+        surface = rebased_surface()
+        slot = surface.slots[0, "a"]
+        assert slot.partner == (0, "b")
+        delta, delta_partner = (surface.matrix(surface.slot_conjugators[0, s]) for s in "AB")
+        assert slot.transfer == canonical_mul(delta, canonical_adj(delta_partner))
+        assert slot.transfer != canonical_mul(canonical_adj(delta_partner), delta)
+        _assert_slot_table(surface)
 
     def test_handle_curves_have_equal_length(self, surface):
         lens = length_spectrum(surface)

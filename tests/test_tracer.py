@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -15,7 +16,6 @@ from hitchin.fuchsian import (
     genus2_surface,
     in_arc,
     mobius,
-    points_equal,
     separates,
 )
 from hitchin.invariants import INFINITY, cross_ratio, cross_ratio_flags
@@ -40,7 +40,7 @@ from hitchin.tracer import (
 )
 from hitchin.linalg import DegenerateError
 
-from conftest import length_spectrum
+from conftest import length_spectrum, rebased_surface
 
 #: encodings of the benchmark pool's words of length 2 to 4, copied from
 #: its reference (an integer is the curve of a closed-leaf word)
@@ -156,8 +156,8 @@ class TestMesh:
         ref = PsiTracer(surface, n=2).mesh(curve)
         for n in range(3, 9):
             spec = PsiTracer(surface, n=n).mesh(curve)
-            assert points_equal(spec.x_point, ref.x_point)
-            assert points_equal(spec.y_point, ref.y_point)
+            assert spec.x_point == ref.x_point
+            assert spec.y_point == ref.y_point
             assert 1.0 <= spec.g_value < math.exp(spec.width)
 
 
@@ -280,9 +280,20 @@ class TestTrace:
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer2.trace(w)) != expect]
         assert wrong == []
 
+    def test_rebased_pants_trace_the_same(self, tracer2):
+        """Re-basing pants 0 by c moves no triangle of the triangulation, so
+        each golden word keeps its encoding up to rotation.  Its leaf jumps
+        cross curve 0 through the transfer delta delta'^-1 with both
+        conjugators non-trivial; a transfer in the other order loses the
+        axis there."""
+        tracer = PsiTracer(rebased_surface(), n=2)
+        wrong = [w for w in GOLDEN if not cyclic_equal(tracer.trace(w), tracer2.trace(w))]
+        assert wrong == []
+
     def test_window_guess_from_float_coincident_points(self, tracer2):
-        # one winding search meets fixed points and axis endpoints that agree
-        # in float precision; it falls back to the exact scan
+        # read at the anchor, one winding coordinate of this word came from
+        # points that agree in float precision; it is now read in the
+        # curve's frame, and the walk's count does not depend on it
         psi = tracer2.trace("DcBdBBddABcad")
         assert not validate_psi(psi, tracer2.decomp)
         assert len(psi.tuples) == 21
@@ -562,18 +573,21 @@ class TestWindowOracles:
 
 
 class TestCrossingWalk:
-    """When the ends of the leaf at the pending vertex lie on different sides
-    of the axis, ``_winding`` walks to the crossing run and along it; when
-    they lie on one side, it scans the guessed window."""
+    """Whether the ends of the leaf at the pending vertex lie on different
+    sides of the axis or on one side, ``_winding`` walks to the crossing
+    run and along it."""
 
-    #: the most mesh edges a walked call reads on the golden words (measured:
-    #: 6); a window scan reads at least 7, its guess widened by 3 each way
+    #: the most mesh edges a call reads on the golden words, from the float
+    #: coordinate or from k = 0 (measured: 6 on different sides, 5 on one
+    #: side); the window scan this walk replaced read 8 to 14 on one side
+    #: with the coordinate and all 2 cap + 1 without it
     WALK_READS = 6
 
     @staticmethod
     def _count_reads(tracer, monkeypatch):
         """Wrap ``tracer._winding``; returns the per-call mesh edge reads of
-        walked and of scanned calls, filled as the tracer runs."""
+        the calls whose leaf ends lie on different sides and on one side,
+        filled as the tracer runs."""
         import hitchin.tracer as tracer_module
 
         specs = [tracer.mesh(curve) for curve in range(tracer.decomp.num_curves)]
@@ -586,27 +600,24 @@ class TestCrossingWalk:
 
         monkeypatch.setattr(tracer_module, "mobius", counting_mobius)
         winding = tracer._winding
-        walked, scanned = [], []
+        apart, one_side = [], []
 
         def counted_winding(pending, xm, xp):
-            spec = tracer.mesh(tracer.curve_of_vertex(pending))
-            eta = tracer.mesh_anchor(pending)
-            sides = {in_arc(mobius(eta, z), xm, xp) for z in (spec.rep, spec.att)}
             reads[0] = 0
             t = winding(pending, xm, xp)
-            (walked if len(sides) == 2 else scanned).append(reads[0])
+            (one_side if _one_side(tracer, pending, xm, xp) else apart).append(reads[0])
             return t
 
         tracer._winding = counted_winding
-        return walked, scanned
+        return apart, one_side
 
     def test_walk_reads_the_run_and_its_ends(self, surface, monkeypatch):
         tracer = PsiTracer(surface, n=2)
-        walked, scanned = self._count_reads(tracer, monkeypatch)
+        apart, one_side = self._count_reads(tracer, monkeypatch)
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
-        assert walked and scanned
-        assert max(walked) <= self.WALK_READS < min(scanned)
+        assert apart and one_side
+        assert max(apart + one_side) <= self.WALK_READS
 
     @staticmethod
     def _drop_coordinate(tracer, monkeypatch):
@@ -623,29 +634,49 @@ class TestCrossingWalk:
         monkeypatch.setattr(tracer_module, "boundary_cross_ratio", coincident)
 
     def test_walk_without_a_guess_starts_at_zero(self, surface, monkeypatch):
-        """With no float coordinate a scan reads all 2 cap + 1 edges, while a
-        walked call starts at k = 0; the leaf anchors of the golden words
-        lie near their runs, so it reads no more than with the guess, and
-        the counts stay."""
-        cap = 16
-        tracer = PsiTracer(surface, n=2, depth_cap=cap)
-        walked, scanned = self._count_reads(tracer, monkeypatch)
+        """With no float coordinate every call walks from k = 0; the leaf
+        anchors of the golden words lie near their runs, so no call reads
+        more than with the coordinate, and the counts stay."""
+        tracer = PsiTracer(surface, n=2, depth_cap=16)
+        apart, one_side = self._count_reads(tracer, monkeypatch)
         self._drop_coordinate(tracer, monkeypatch)
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
-        assert scanned and set(scanned) == {2 * cap + 1}
-        assert walked and max(walked) <= self.WALK_READS
+        assert apart and one_side
+        assert max(apart + one_side) <= self.WALK_READS
 
-    #: words whose walked runs sit at k = 0..9 (a^k b, a^k B) and at
-    #: k = -7..0 (A^k B, A^k b) of their anchors
-    CAP_WORDS = [x * k + y for x, y in ("ab", "aB", "AB", "Ab") for k in range(1, 8)]
+    #: pool words whose one-side windows, scanned from a coordinate read at
+    #: 0.25 times the curve lengths, missed their runs (the golden words'
+    #: windows did not)
+    GUESS_WORDS = ["DCadb", "bDCaDc", "BcDCaca", "DcdBAcAD"]
+
+    @pytest.mark.parametrize("scale", (0.25, 2.0))
+    def test_counts_do_not_depend_on_the_coordinate(self, surface, scale):
+        """``MeshSpec.length`` enters only the float coordinate a walk starts
+        from; scaled, it moves the start and not the count."""
+        tracer = PsiTracer(surface, n=2)
+        expect = {w: encode(tracer.trace(w)) for w in self.GUESS_WORDS}
+        expect.update(GOLDEN)
+        scaled = PsiTracer(surface, n=2)
+        scaled._meshes = {
+            curve: dataclasses.replace(spec, length=scale * spec.length)
+            for curve, spec in tracer._meshes.items()
+        }
+        wrong = [w for w in expect if encode(scaled.trace(w)) != expect[w]]
+        assert wrong == []
+
+    #: words whose runs with the leaf ends on different sides sit at
+    #: k = 0..9 (a^k b, a^k B) and at k = -7..0 (A^k B, A^k b) of their
+    #: anchors, and whose runs with them on one side sit at k = 1..k (a^k c)
+    #: and at k = 2-k..1 (A^k c)
+    CAP_WORDS = [x * k + y for x, y in ("ab", "aB", "AB", "Ab", "ac", "Ac") for k in range(1, 8)]
 
     @pytest.mark.parametrize("coordinate", (True, False))
     def test_runs_at_the_depth_cap_match_full_scans(self, surface, monkeypatch, coordinate):
         """The winding calls of ``CAP_WORDS``, replayed at caps 1 to 4, meet
-        runs that reach k = +-cap from either side, walked toward from the
-        float coordinate or from k = 0; each count, or its ``TraceError``,
-        matches the full scan."""
+        runs that reach k = +-cap with the leaf ends on different sides and
+        on one side, walked toward from the float coordinate or from k = 0;
+        each count, or its ``TraceError``, matches the full scan."""
         recorder = PsiTracer(surface, n=2)
         calls = []
         winding = recorder._winding
@@ -671,8 +702,15 @@ class TestCrossingWalk:
                 except TraceError:
                     got = None
                 assert got == expect, (cap, args)
-                outcomes.add(got is None)
-        assert outcomes == {True, False}
+                outcomes.add((_one_side(tracer, *args), got is None))
+        assert outcomes == {(side, capped) for side in (True, False) for capped in (True, False)}
+
+
+def _one_side(tracer, pending, xm, xp):
+    """Both ends of the leaf at ``pending`` lie on one side of the axis."""
+    spec = tracer.mesh(tracer.curve_of_vertex(pending))
+    eta = tracer.mesh_anchor(pending)
+    return len({in_arc(mobius(eta, z), xm, xp) for z in (spec.rep, spec.att)}) == 1
 
 
 class TestFanOrder:
@@ -760,7 +798,7 @@ class TestWindingValues:
 def _common_points(tracer, e1, e2):
     """Endpoints of e1 that are endpoints of e2, by point comparison."""
     ends2 = tracer.edge_points(e2)
-    return [p for p in tracer.edge_points(e1) if any(points_equal(p, q) for q in ends2)]
+    return [p for p in tracer.edge_points(e1) if p in ends2]
 
 
 class TestLiftIdentity:
@@ -783,23 +821,21 @@ class TestLiftIdentity:
             for letter in EDGE_ENDS[e.kind]:
                 near = tracer2.point(e.end(letter))
                 far = tracer2.point(e.far_end(letter))
-                assert not points_equal(near, far)
-                assert any(points_equal(far, p) for p in points)
+                assert near != far
+                assert far in points
             # an end is named by the same letter in both triangles holding it
             for tri in tracer2.adjacent_triangles(e):
                 verts = tracer2.triangle_vertices(tri)
                 for te in tracer2.triangle_edges(tri):
                     for letter in EDGE_ENDS[te.kind]:
                         vertex = verts["abc".index(letter)]
-                        assert points_equal(
-                            tracer2.point(te.end(letter)), tracer2.point(vertex)
-                        )
+                        assert tracer2.point(te.end(letter)) == tracer2.point(vertex)
         for pred, edge, succ, pivot in psi.lifts:
             (at_succ,) = _common_points(tracer2, edge, succ)
             (at_pred,) = _common_points(tracer2, edge, pred)
-            assert points_equal(tracer2.point(pivot), at_succ)
-            assert points_equal(tracer2.point(edge.end(shared_letter(edge, succ))), at_succ)
-            assert points_equal(tracer2.point(edge.end(shared_letter(pred, edge))), at_pred)
+            assert tracer2.point(pivot) == at_succ
+            assert tracer2.point(edge.end(shared_letter(edge, succ))) == at_succ
+            assert tracer2.point(edge.end(shared_letter(pred, edge))) == at_pred
             # the pivot switches at every binodal edge
             assert pivot.letter != shared_letter(pred, edge)
-            assert not points_equal(at_succ, at_pred)
+            assert at_succ != at_pred
