@@ -572,6 +572,13 @@ class TestWindowOracles:
         assert products and max(products) <= 16
 
 
+def _one_side(tracer, pending, xm, xp):
+    """Both ends of the leaf at ``pending`` lie on one side of the axis."""
+    spec = tracer.mesh(tracer.curve_of_vertex(pending))
+    eta = tracer.mesh_anchor(pending)
+    return len({in_arc(mobius(eta, z), xm, xp) for z in (spec.rep, spec.att)}) == 1
+
+
 class TestCrossingWalk:
     """Whether the ends of the leaf at the pending vertex lie on different
     sides of the axis or on one side, ``_winding`` walks to the crossing
@@ -704,13 +711,6 @@ class TestCrossingWalk:
                 assert got == expect, (cap, args)
                 outcomes.add((_one_side(tracer, *args), got is None))
         assert outcomes == {(side, capped) for side in (True, False) for capped in (True, False)}
-
-
-def _one_side(tracer, pending, xm, xp):
-    """Both ends of the leaf at ``pending`` lie on one side of the axis."""
-    spec = tracer.mesh(tracer.curve_of_vertex(pending))
-    eta = tracer.mesh_anchor(pending)
-    return len({in_arc(mobius(eta, z), xm, xp) for z in (spec.rep, spec.att)}) == 1
 
 
 class TestFanOrder:
