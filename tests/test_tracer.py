@@ -666,8 +666,8 @@ class TestCrossingWalk:
         expect.update(GOLDEN)
         scaled = PsiTracer(surface, n=2)
         scaled._meshes = {
-            curve: dataclasses.replace(spec, length=scale * spec.length)
-            for curve, spec in tracer._meshes.items()
+            curve: dataclasses.replace(tracer.mesh(curve), length=scale * tracer.mesh(curve).length)
+            for curve in range(surface.decomp.num_curves)
         }
         wrong = [w for w in expect if encode(scaled.trace(w)) != expect[w]]
         assert wrong == []
