@@ -18,10 +18,11 @@ one run, and each mesh edge lies before it, on it or after it,
 monotonically along the mesh: by its side of the axis when the leaf's
 two ends lie on different sides, and by where its end on the axis's arc
 of the leaf lies when they lie on one side.  So the run is walked
-exactly from a float coordinate in both cases, reading curve constants
-built once with the mesh.  Locating the axis from a fan is one pass that
-returns the first separating fan edge near k = 0, or else the first
-triangle on fan edge 0 to restart the dual walk from.
+exactly in both cases, from the mesh anchor at the joining vertex
+(k = 0), reading curve constants built once with the mesh.  Locating
+the axis from a fan is one pass that returns the first separating fan
+edge near k = 0, or else the first triangle on fan edge 0 to restart the
+dual walk from.
 
 Every group element the tracer makes or compares is one canonical
 matrix: the primitive integer matrix on its projective line whose first
@@ -50,8 +51,7 @@ the boundary circle.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .fuchsian import (
     boundary_cross_ratio,
@@ -240,20 +240,18 @@ def validate_psi(psi, decomp):
 @dataclass
 class MeshSpec:
     """Anchor pair of one pants-curve mesh, whose ``g_value`` satisfies its
-    defining inequality 1 <= g < exp(width), and the curve constants
-    ``_winding`` reads on every call."""
+    defining inequality 1 <= g < exp(width), and the exact curve constants
+    ``_winding`` reads on every call: the curve word's matrix w and its
+    fixed points, which place mesh edge k = eta w^k (x, y) from k = 0."""
 
-    curve: int
     word: str
     x_point: object
     y_point: object
     g_value: float
     width: float  # lambda_1 - lambda_n of the curve's holonomy
-    n: int
     w: tuple  # the curve word's canonical matrix
     rep: object  # repelling and attracting fixed points of w
     att: object
-    length: float  # translation length of w
 
 
 def _power(cache, k, s, s_inv):
@@ -361,8 +359,6 @@ class PsiTracer:
         assert self.point(rep_lift) == rep
         assert self.point(att_lift) == att
 
-        length = translation_length(w_mat)
-
         # x: deterministic family choice at the repelling-side fan
         kind_x = min(VERTEX_FANS[rep_lift.letter])
         x_edge = self.fan_edge(rep_lift, kind_x, 0)
@@ -383,17 +379,14 @@ class PsiTracer:
             raise TraceError(f"no mesh candidate with g >= 1 on curve {curve_id}")
         y_point, g_val = best
         spec = MeshSpec(
-            curve=curve_id,
             word=word,
             x_point=x_point,
             y_point=y_point,
             g_value=g_val,
-            width=(self.n - 1) * length,
-            n=self.n,
+            width=(self.n - 1) * translation_length(w_mat),
             w=w_mat,
             rep=rep,
             att=att,
-            length=length,
         )
         self._meshes[curve_id] = spec
         return spec
@@ -564,8 +557,6 @@ class PsiTracer:
         raise TraceError("no far triangle")  # pragma: no cover
 
     def _walk_period(self, start, x_mat, xm, xp):
-        import dataclasses
-
         edge = start
         prev_edge = None
         prev_pivot = None
@@ -587,9 +578,7 @@ class PsiTracer:
                 else:
                     # a stretch closes here; the period's closing stretch
                     # belongs to its last tuple
-                    events[-1] = dataclasses.replace(
-                        events[-1], t=self._winding(pending, xm, xp)
-                    )
+                    events[-1] = replace(events[-1], t=self._winding(pending, xm, xp))
                     if edge == stop_edge:
                         return PsiEncoding(tuples=tuple(events), lifts=tuple(lifts))
                 ztype = "Z" if in_arc(self.point(pivot), xp, xm) else "S"
@@ -667,10 +656,9 @@ class PsiTracer:
         read one side, both axis endpoints lie on one arc of the leaf; the
         end of edge k on that arc runs along it from eta rep(w) to eta
         att(w), and the place is whether it lies before xm or beyond it.
-        One walk serves both: from the float translation coordinate of the
-        axis endpoints (k = 0 without one) to the run and along it, reading
-        each k once.  A run that reaches k = +-depth_cap raises
-        ``TraceError``.
+        One walk serves both: from the anchor eta itself (k = 0) to the run
+        and along it, reading each k once and no float.  A run that reaches
+        k = +-depth_cap raises ``TraceError``.
         """
         spec = self.mesh(self.curve_of_vertex(pending))
         eta = self.mesh_anchor(pending)
@@ -706,30 +694,12 @@ class PsiTracer:
                     places[k] = -1 if before else 1
             return places[k]
 
-        # the run sits where the anchor orbit passes the axis endpoints,
-        # located by the float translation coordinate and verified exactly.
-        # The coordinate is read in the curve's own frame (the cross ratio is
-        # Moebius invariant): at the anchor the four points can coincide in
-        # float precision.
-        eta_adj = canonical_adj(eta)
-        guesses = []
-        for z in (xm, xp):
-            try:
-                cr = abs(
-                    boundary_cross_ratio(spec.att, spec.x_point, mobius(eta_adj, z), spec.rep)
-                )
-            except DegenerateError:
-                continue  # the points coincide in float precision
-            if 0 < cr < math.inf:
-                guesses.append(math.log(cr) / spec.length)
-        # Started at the larger coordinate, the walk reads 3.07 mesh edges per
-        # call on the bench pool words when the axis crosses the leaf and 3.36
-        # when it does not (3.20 and 3.56 from the mean of the two, 3.34 and
-        # 3.90 from the smaller)
+        # the run sits at or next to the anchor: of the 3864 calls on the
+        # bench pool words, 1730 have k = 0 on the run, 1483 a run 1 away,
+        # 7 one 2 away and 644 no run.  From k = 0 a call reads 2.92 mesh
+        # edges when the axis crosses the leaf and 3.19 when it does not
         cap = self.depth_cap
         k = 0
-        if guesses:
-            k = min(cap, max(-cap, round(max(guesses))))
         while k < cap and place(k) < 0:
             k += 1
         while k > -cap and place(k) > 0:

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -49,9 +48,9 @@ GOLDEN = json.loads(
 )["encodings"]
 
 #: words and the letters y whose conjugates y w y^-1 once traced to another
-#: encoding: the same-side winding window was guessed at an anchor with
-#: entries near 1e8, where the four points of its cross ratio coincide in
-#: float precision
+#: encoding (a float cross ratio read at an anchor with entries near 1e8
+#: placed the winding window); their windings walk from anchors that large,
+#: and each conjugate must keep the word's encoding
 LARGE_ANCHOR_CONJUGATES = {
     "BaaDcBBBBDcd": "b",
     "CCddbbaDADbb": "dCD",
@@ -290,14 +289,6 @@ class TestTrace:
         wrong = [w for w in GOLDEN if not cyclic_equal(tracer.trace(w), tracer2.trace(w))]
         assert wrong == []
 
-    def test_window_guess_from_float_coincident_points(self, tracer2):
-        # read at the anchor, one winding coordinate of this word came from
-        # points that agree in float precision; it is now read in the
-        # curve's frame, and the walk's count does not depend on it
-        psi = tracer2.trace("DcBdBBddABcad")
-        assert not validate_psi(psi, tracer2.decomp)
-        assert len(psi.tuples) == 21
-
 
 class TestLiftCaches:
     def test_caches_hold_one_word(self, surface):
@@ -465,13 +456,21 @@ class FullScans:
 
 
 class TestWindowOracles:
-    def test_windows_match_full_scans(self, surface):
-        """Every window search, fan locate and leaf jump met on the golden
-        words agrees with its full scan or arc test.
+    #: longer words and their tuple counts, traced with the golden words:
+    #: DcBdBBddABcad once read a float coordinate from points that agree in
+    #: float precision, and the other four are the pool words whose windows,
+    #: placed by that coordinate at 0.25 times the curve lengths, missed
+    #: their runs
+    EXTRA_WORDS = {"DcBdBBddABcad": 21, "DCadb": 9, "bDCaDc": 11, "BcDCaca": 10, "DcdBAcAD": 14}
 
-        The golden words wind a few times at most, so a cap of 16 traces
-        them all and keeps the scans short.  Both outcomes of the fan
-        locate and an exit edge of every (letter, family) occur on them.
+    def test_windows_match_full_scans(self, surface):
+        """Every winding walk, window search, fan locate and leaf jump met
+        on the golden words and ``EXTRA_WORDS`` agrees with its full scan or
+        arc test.
+
+        These words wind a few times at most, so a cap of 16 traces them
+        all and keeps the scans short.  Both outcomes of the fan locate and
+        an exit edge of every (letter, family) occur on them.
         """
         tracer = PsiTracer(surface, n=2, depth_cap=16)
         scans = FullScans(tracer)
@@ -535,14 +534,18 @@ class TestWindowOracles:
         tracer._leaf_jump = checked_leaf_jump
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
+        for word, size in self.EXTRA_WORDS.items():
+            psi = tracer.trace(word)
+            assert not validate_psi(psi, tracer.decomp), word
+            assert len(psi.tuples) == size, word
         assert all(calls.values()), calls
         assert exit_pairs == {(l, kind) for l, kinds in FAN_ORDER.items() for kind in kinds}
 
     def test_winding_reads_a_local_window(self, surface, monkeypatch):
         """``_winding`` builds the anchors eta w^k outward from k = 0, one
-        product each, only as far as its window reaches.  On the golden
-        words no call builds more than 16 at the default cap of 64; a
-        search that reads k = +-cap builds at least 64."""
+        product each, only as far as its walk reaches.  On the golden words
+        no call builds more than 16 at the default cap of 64; a walk that
+        reads on to k = +-cap builds at least 64."""
         import hitchin.tracer as tracer_module
 
         tracer = PsiTracer(surface, n=2)
@@ -581,13 +584,11 @@ def _one_side(tracer, pending, xm, xp):
 
 class TestCrossingWalk:
     """Whether the ends of the leaf at the pending vertex lie on different
-    sides of the axis or on one side, ``_winding`` walks to the crossing
-    run and along it."""
+    sides of the axis or on one side, ``_winding`` walks from k = 0 to the
+    crossing run and along it."""
 
-    #: the most mesh edges a call reads on the golden words, from the float
-    #: coordinate or from k = 0 (measured: 6 on different sides, 5 on one
-    #: side); the window scan this walk replaced read 8 to 14 on one side
-    #: with the coordinate and all 2 cap + 1 without it
+    #: the most mesh edges a call reads on the golden words (measured: 6 on
+    #: different sides, 5 on one side)
     WALK_READS = 6
 
     @staticmethod
@@ -619,71 +620,30 @@ class TestCrossingWalk:
         return apart, one_side
 
     def test_walk_reads_the_run_and_its_ends(self, surface, monkeypatch):
+        """Every call walks from k = 0; the leaf anchors of the golden words
+        lie at or next to their runs, so no call reads more than
+        ``WALK_READS`` mesh edges, on either kind of call, and the counts
+        keep the golden encodings."""
         tracer = PsiTracer(surface, n=2)
         apart, one_side = self._count_reads(tracer, monkeypatch)
         wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
         assert wrong == []
         assert apart and one_side
         assert max(apart + one_side) <= self.WALK_READS
-
-    @staticmethod
-    def _drop_coordinate(tracer, monkeypatch):
-        """Make every float coordinate of ``_winding`` degenerate, once the
-        meshes (which read the same cross ratio) are built."""
-        import hitchin.tracer as tracer_module
-
-        for curve in range(tracer.decomp.num_curves):
-            tracer.mesh(curve)
-
-        def coincident(*points):
-            raise DegenerateError("cross ratio of coincident boundary points")
-
-        monkeypatch.setattr(tracer_module, "boundary_cross_ratio", coincident)
-
-    def test_walk_without_a_guess_starts_at_zero(self, surface, monkeypatch):
-        """With no float coordinate every call walks from k = 0; the leaf
-        anchors of the golden words lie near their runs, so no call reads
-        more than with the coordinate, and the counts stay."""
-        tracer = PsiTracer(surface, n=2, depth_cap=16)
-        apart, one_side = self._count_reads(tracer, monkeypatch)
-        self._drop_coordinate(tracer, monkeypatch)
-        wrong = [w for w, expect in GOLDEN.items() if encode(tracer.trace(w)) != expect]
-        assert wrong == []
-        assert apart and one_side
-        assert max(apart + one_side) <= self.WALK_READS
-
-    #: pool words whose one-side windows, scanned from a coordinate read at
-    #: 0.25 times the curve lengths, missed their runs (the golden words'
-    #: windows did not)
-    GUESS_WORDS = ["DCadb", "bDCaDc", "BcDCaca", "DcdBAcAD"]
-
-    @pytest.mark.parametrize("scale", (0.25, 2.0))
-    def test_counts_do_not_depend_on_the_coordinate(self, surface, scale):
-        """``MeshSpec.length`` enters only the float coordinate a walk starts
-        from; scaled, it moves the start and not the count."""
-        tracer = PsiTracer(surface, n=2)
-        expect = {w: encode(tracer.trace(w)) for w in self.GUESS_WORDS}
-        expect.update(GOLDEN)
-        scaled = PsiTracer(surface, n=2)
-        scaled._meshes = {
-            curve: dataclasses.replace(tracer.mesh(curve), length=scale * tracer.mesh(curve).length)
-            for curve in range(surface.decomp.num_curves)
-        }
-        wrong = [w for w in expect if encode(scaled.trace(w)) != expect[w]]
-        assert wrong == []
 
     #: words whose runs with the leaf ends on different sides sit at
     #: k = 0..9 (a^k b, a^k B) and at k = -7..0 (A^k B, A^k b) of their
     #: anchors, and whose runs with them on one side sit at k = 1..k (a^k c)
-    #: and at k = 2-k..1 (A^k c)
-    CAP_WORDS = [x * k + y for x, y in ("ab", "aB", "AB", "Ab", "ac", "Ac") for k in range(1, 8)]
+    #: and at k = 2-k..1 (A^k c); a run of BdCdBdaa sits at k = 2, past cap 1
+    CAP_WORDS = [
+        x * k + y for x, y in ("ab", "aB", "AB", "Ab", "ac", "Ac") for k in range(1, 8)
+    ] + ["BdCdBdaa"]
 
-    @pytest.mark.parametrize("coordinate", (True, False))
-    def test_runs_at_the_depth_cap_match_full_scans(self, surface, monkeypatch, coordinate):
+    def test_runs_at_the_depth_cap_match_full_scans(self, surface):
         """The winding calls of ``CAP_WORDS``, replayed at caps 1 to 4, meet
-        runs that reach k = +-cap with the leaf ends on different sides and
-        on one side, walked toward from the float coordinate or from k = 0;
-        each count, or its ``TraceError``, matches the full scan."""
+        runs inside k = +-cap, runs that reach it and a run past it, with
+        the leaf ends on different sides and on one side; each count, or its
+        ``TraceError``, matches the full scan."""
         recorder = PsiTracer(surface, n=2)
         calls = []
         winding = recorder._winding
@@ -699,8 +659,6 @@ class TestCrossingWalk:
         for cap in (1, 2, 3, 4):
             tracer = PsiTracer(surface, n=2, depth_cap=cap)
             tracer._meshes = recorder._meshes
-            if not coordinate:
-                self._drop_coordinate(tracer, monkeypatch)
             scans = FullScans(tracer)
             for args in calls:
                 expect = scans.winding(*args)
