@@ -639,17 +639,19 @@ class TestCrossingWalk:
         x * k + y for x, y in ("ab", "aB", "AB", "Ab", "ac", "Ac") for k in range(1, 8)
     ] + ["BdCdBdaa"]
 
-    def test_runs_at_the_depth_cap_match_full_scans(self, surface):
-        """The winding calls of ``CAP_WORDS``, replayed at caps 1 to 4, meet
-        runs inside k = +-cap, runs that reach it and a run past it, with
-        the leaf ends on different sides and on one side; each count, or its
-        ``TraceError``, matches the full scan."""
+    @pytest.mark.parametrize("one_side", (True, False))
+    def test_runs_at_the_depth_cap_match_full_scans(self, surface, one_side):
+        """The winding calls of ``CAP_WORDS`` whose leaf ends lie on one side
+        (``one_side``) or on different sides, replayed at caps 1 to 4, meet
+        runs inside k = +-cap and runs that reach it or lie past it; each
+        count, or its ``TraceError``, matches the full scan."""
         recorder = PsiTracer(surface, n=2)
         calls = []
         winding = recorder._winding
 
         def recorded_winding(pending, xm, xp):
-            calls.append((pending, xm, xp))
+            if _one_side(recorder, pending, xm, xp) == one_side:
+                calls.append((pending, xm, xp))
             return winding(pending, xm, xp)
 
         recorder._winding = recorded_winding
@@ -667,8 +669,8 @@ class TestCrossingWalk:
                 except TraceError:
                     got = None
                 assert got == expect, (cap, args)
-                outcomes.add((_one_side(tracer, *args), got is None))
-        assert outcomes == {(side, capped) for side in (True, False) for capped in (True, False)}
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestFanOrder:
